@@ -96,7 +96,7 @@ main(int argc, char **argv)
 
     // Perf-regression gate: dump per-cell stats.json files for
     // vip_stats_diff to compare against bench/baseline/.
-    dumpStatsCells({std::begin(kAllConfigs), std::end(kAllConfigs)},
-                   seconds);
+    writeStatsCells({std::begin(kAllConfigs), std::end(kAllConfigs)},
+                    seconds);
     return 0;
 }

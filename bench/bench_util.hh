@@ -9,6 +9,7 @@
 #ifndef VIP_BENCH_BENCH_UTIL_HH
 #define VIP_BENCH_BENCH_UTIL_HH
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -66,13 +67,26 @@ writeBreakdownJson(Stream &os, const LatencyBreakdown &b)
     os << buf;
 }
 
-/** Simulated seconds per run (env VIP_BENCH_SECONDS overrides). */
+/**
+ * Simulated seconds per run (env VIP_BENCH_SECONDS overrides).  A
+ * malformed override -- trailing junk, <= 0, non-finite -- exits 1
+ * instead of running a silent zero-length bench.
+ */
 inline double
 simSeconds(double fallback = 0.25)
 {
-    if (const char *env = std::getenv("VIP_BENCH_SECONDS"))
-        return std::atof(env);
-    return fallback;
+    const char *env = std::getenv("VIP_BENCH_SECONDS");
+    if (!env)
+        return fallback;
+    char *end = nullptr;
+    const double v = std::strtod(env, &end);
+    if (end == env || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
+        std::fprintf(stderr,
+                     "VIP_BENCH_SECONDS must be a positive number of "
+                     "seconds, got '%s'\n", env);
+        std::exit(1);
+    }
+    return v;
 }
 
 /** Audit mode applied to every runCell() (default off). */
@@ -182,7 +196,8 @@ runCell(SystemConfig config, const Workload &wl, double seconds,
  * --stats-dir was given.
  */
 inline void
-dumpStatsCells(const std::vector<SystemConfig> &configs, double seconds)
+writeStatsCells(const std::vector<SystemConfig> &configs,
+                double seconds)
 {
     if (statsDir().empty())
         return;

@@ -100,7 +100,7 @@ Workload
 WorkloadCatalog::single(int app_index)
 {
     Workload w;
-    w.name = "A" + std::to_string(app_index);
+    w.name = 'A' + std::to_string(app_index);
     w.apps = {AppCatalog::byIndex(app_index)};
     w.useCase = "single application " + w.apps[0].name;
     return w;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <iomanip>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -1414,34 +1413,6 @@ Simulation::collect(double seconds)
     if (_cfg.recordTrace)
         r.trace = _trace;
     return r;
-}
-
-void
-Simulation::dumpStats(std::ostream &os)
-{
-    os << "---------- simulation stats: " << _wl.name << " / "
-       << systemConfigName(_cfg.system) << " ----------\n";
-    os << std::left << std::setw(44) << "sim.seconds"
-       << toSec(_sys.curTick()) << "  # simulated time\n";
-    os << std::left << std::setw(44) << "sim.events"
-       << _sys.eventq().servicedEvents()
-       << "  # events serviced\n";
-
-    _mem->statsGroup().print(os);
-    _sa->statsGroup().print(os);
-    for (std::uint32_t i = 0; i < _cpus->numCores(); ++i)
-        _cpus->core(i).statsGroup().print(os);
-    for (auto &[kind, ip] : _ips)
-        ip->statsGroup().print(os);
-
-    os << "---------- energy (mJ) ----------\n";
-    for (const auto &cat : _ledger.categories()) {
-        os << std::left << std::setw(44) << ("energy." + cat)
-           << _ledger.categoryNj(cat) * 1e-6 << "  # " << cat
-           << " energy\n";
-    }
-    os << std::left << std::setw(44) << "energy.total"
-       << _ledger.totalNj() * 1e-6 << "  # platform energy\n";
 }
 
 RunStats

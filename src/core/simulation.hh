@@ -136,12 +136,6 @@ class Simulation
     /** @} */
 
     /**
-     * Dump every component's statistics (gem5 stats.txt style) plus
-     * the energy ledger to @p os.  Call after run().
-     */
-    void dumpStats(std::ostream &os);
-
-    /**
      * Write the unified stats registry as self-describing JSON
      * (schemaVersion'd, provenance- and run-context-stamped); the
      * format vip_stats_diff compares.  Call after run().

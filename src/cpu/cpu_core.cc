@@ -27,11 +27,7 @@ CpuCore::CpuCore(System &system, std::string name, const CpuConfig &cfg,
                  EnergyLedger &ledger)
     : ClockedObject(system, std::move(name), ClockDomain(cfg.freqHz)),
       _cfg(cfg),
-      _energy(ledger.account("cpu", this->name())),
-      _stats(this->name()),
-      _statTasks(_stats, "tasks", "software tasks executed"),
-      _statInterrupts(_stats, "interrupts", "interrupts serviced"),
-      _statUtil(_stats, "utilization", "1 while running a task")
+      _energy(ledger.account("cpu", this->name()))
 {
     _energy.setPower(_cfg.power.idleWatts, 0);
     // Start at the nominal step (scale 1.0) when governed, else fixed.
@@ -87,7 +83,6 @@ CpuCore::enterState(State s)
         break;
     }
     _energy.setPower(watts, now);
-    _statUtil.set(s == State::Active ? 1.0 : 0.0, now);
 }
 
 std::size_t
@@ -127,7 +122,6 @@ void
 CpuCore::interrupt(CpuTask isr)
 {
     ++_interrupts;
-    ++_statInterrupts;
     if (Tracer *tr = system().tracer();
         tr && tr->enabled(TraceCat::Cpu)) {
         obsIntern(tr);
@@ -172,7 +166,6 @@ CpuCore::finishTask()
     _instructions += _current.instructions;
     _energy.addDynamicNj(_cfg.power.energyPerInstrNj *
                          static_cast<double>(_current.instructions));
-    ++_statTasks;
 
     if (Tracer *tr = system().tracer();
         tr && tr->enabled(TraceCat::Cpu)) {
@@ -277,7 +270,6 @@ CpuCore::finalize()
         _sleepTicks += now - _stateSince;
     _stateSince = now;
     _energy.close(now);
-    _statUtil.close(now);
 }
 
 void
@@ -343,7 +335,6 @@ CpuCore::saveState(SnapshotWriter &w) const
         w.u64(_govEvent);
         w.tick(eq.scheduledWhen(_govEvent));
     }
-    _stats.saveState(w);
 }
 
 void
@@ -378,7 +369,6 @@ CpuCore::loadState(SnapshotReader &r)
     } else {
         _govEvent = InvalidEventId;
     }
-    _stats.loadState(r);
     // The restored power level is re-integrated by the energy ledger
     // (serialized separately); nothing to re-apply here.
 }

@@ -21,7 +21,6 @@
 #include "power/energy_account.hh"
 #include "power/power_params.hh"
 #include "sim/clocked.hh"
-#include "stats/stats.hh"
 
 namespace vip
 {
@@ -108,8 +107,6 @@ class CpuCore : public ClockedObject
 
     const CpuConfig &config() const { return _cfg; }
 
-    stats::Group &statsGroup() { return _stats; }
-
     /** Current DVFS frequency (Hz). */
     double currentFreqHz() const { return _curFreqHz; }
     /** DVFS steps taken (up + down). */
@@ -182,11 +179,6 @@ class CpuCore : public ClockedObject
     Tick _lastGovActive = 0;
     std::uint64_t _dvfsTransitions = 0;
     EventId _govEvent = InvalidEventId;
-
-    stats::Group _stats;
-    stats::Scalar _statTasks;
-    stats::Scalar _statInterrupts;
-    stats::TimeWeighted _statUtil;
 };
 
 } // namespace vip

@@ -254,7 +254,7 @@ JobSpec::parse(const std::string &text)
                     job.faultPlan = (f == "none") ? "" : f;
                     job.id = c + "-" + w + "-s" + std::to_string(s);
                     if (!job.faultPlan.empty())
-                        job.id += "-" + sanitizeForId(job.faultPlan);
+                        job.id += '-' + sanitizeForId(job.faultPlan);
                     if (!ids.insert(job.id).second)
                         fatal("job spec: duplicate job id '", job.id,
                               "' -- a sweep axis repeats a value");

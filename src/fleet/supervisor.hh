@@ -234,7 +234,6 @@ class FleetSupervisor
     void settleAttempt(Slot &slot, double nowMs,
                        const ArtifactManifest &m);
     bool commitArtifacts(const std::string &jobId,
-                         const std::string &aDir,
                          const ArtifactManifest &m, bool success,
                          int attempt, std::string *err);
     void pollZombies(double nowMs);

@@ -79,16 +79,7 @@ IpCore::IpCore(System &system, std::string name, const IpParams &params,
       _energy(ledger.account("ip", this->name())),
       _bufferEnergy(ledger.account("buffer", this->name())),
       _faults(faults),
-      _lanes(params.numLanes),
-      _stats(this->name()),
-      _statJobs(_stats, "jobs", "stage jobs completed"),
-      _statSubframes(_stats, "subframes", "work units processed"),
-      _statCtxSwitches(_stats, "ctxSwitches", "lane context switches"),
-      _statResets(_stats, "watchdogResets", "engine watchdog resets"),
-      _statRetries(_stats, "unitRetries", "work units recomputed"),
-      _statDegraded(_stats, "framesDegraded",
-                    "frames dropped after retry exhaustion"),
-      _statJobLatencyMs(_stats, "jobLatencyMs", "job latency (ms)")
+      _lanes(params.numLanes)
 {
     vip_assert(params.numLanes >= 1 && params.numLanes <= 8,
                "lane count out of range");
@@ -304,7 +295,8 @@ IpCore::registerStats(StatRegistry &r)
                 "ratio", [this] { return utilization(); });
     r.addTiming(p + ".duty_cycle", "busy fraction of elapsed time",
                 "ratio", [this] { return dutyCycle(); });
-    r.addAccumulator(p + ".job_latency_ms", "ms", _statJobLatencyMs);
+    r.addAccumulator(p + ".job_latency_ms", "job latency (ms)", "ms",
+                     _jobLatencyMs);
 }
 
 std::string
@@ -437,7 +429,6 @@ IpCore::onWatchdogTimeout()
         _computeEvent = InvalidEventId;
     }
     ++_watchdogResets;
-    ++_statResets;
     _faults->noteWatchdogReset();
     obsFaultInstant("watchdog-reset");
     retryUnit(/*from_reset=*/true);
@@ -448,7 +439,6 @@ IpCore::retryUnit(bool from_reset)
 {
     ++_unitAttempts;
     ++_unitRetries;
-    ++_statRetries;
     _faults->noteUnitRetry();
     obsFaultInstant("unit-retry");
     if (_unitAttempts > _faults->plan().maxRetries) {
@@ -472,7 +462,6 @@ IpCore::giveUpUnit()
     // consistent and the chain resynchronizes at the next frame
     // boundary; the display end sees a degraded frame.
     ++_framesDegraded;
-    ++_statDegraded;
     _faults->noteFrameDegraded();
     obsFaultInstant("unit-giveup");
     if (_unitStream) {
@@ -669,8 +658,7 @@ IpCore::checkJobDone()
     _jobActive = false;
     _jobFaulted = false;
     ++_jobsCompleted;
-    ++_statJobs;
-    _statJobLatencyMs.sample(toMs(curTick() - _jobStartTick));
+    _jobLatencyMs.sample(toMs(curTick() - _jobStartTick));
 
     // Latency decomposition + lifecycle mark, before tryStartJob()
     // below replaces _job with the next queued one.
@@ -1114,7 +1102,6 @@ IpCore::kickStream()
     bool cs = _currentLane >= 0 && _currentLane != lane;
     if (cs) {
         ++_contextSwitches;
-        ++_statCtxSwitches;
         _energy.addDynamicNj(_p.power.contextSwitchNj);
     }
     _currentLane = lane;
@@ -1163,7 +1150,6 @@ IpCore::onUnitComputed(int lane)
     vip_assert(_computing, "spurious unit completion");
     _computing = false;
     ++_subframes;
-    ++_statSubframes;
 
     Lane &l = _lanes[lane];
     vip_assert(!l.frames.empty(), "unit completed on empty lane");
@@ -1510,7 +1496,7 @@ IpCore::saveState(SnapshotWriter &w) const
         w.u64(static_cast<std::uint64_t>(l.flow));
         w.tick(l.headArrival);
     }
-    _stats.saveState(w);
+    _jobLatencyMs.saveState(w);
 }
 
 void
@@ -1546,7 +1532,7 @@ IpCore::loadState(SnapshotReader &r)
         l.flow = static_cast<FlowId>(r.u64());
         l.headArrival = r.tick();
     }
-    _stats.loadState(r);
+    _jobLatencyMs.loadState(r);
     // The restored power level is re-integrated by the energy ledger
     // (serialized separately); nothing to re-apply here.
 }

@@ -234,8 +234,6 @@ class IpCore : public ClockedObject
     }
     /** @} */
 
-    stats::Group &statsGroup() { return _stats; }
-
     /**
      * Engine state as a stable numeric code (0 idle, 1 active,
      * 2 stalled, 3 backpressured) for the metrics sampler.
@@ -557,14 +555,8 @@ class IpCore : public ClockedObject
     /** Emit a fault-category instant on this engine's track. */
     void obsFaultInstant(const char *what);
 
-    stats::Group _stats;
-    stats::Scalar _statJobs;
-    stats::Scalar _statSubframes;
-    stats::Scalar _statCtxSwitches;
-    stats::Scalar _statResets;
-    stats::Scalar _statRetries;
-    stats::Scalar _statDegraded;
-    stats::Accumulator _statJobLatencyMs;
+    /** Job-mode job latency (ms): `ip.<kind>.job_latency_ms.*`. */
+    stats::Accumulator _jobLatencyMs;
 };
 
 } // namespace vip

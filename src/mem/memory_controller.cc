@@ -19,18 +19,7 @@ MemoryController::MemoryController(System &system, std::string name,
       _cfg(cfg),
       _channels(cfg.channels),
       _energy(ledger.account("dram", this->name())),
-      _faults(faults),
-      _stats(this->name()),
-      _statReads(_stats, "reads", "number of read transactions"),
-      _statWrites(_stats, "writes", "number of write transactions"),
-      _statEccCorrected(_stats, "eccCorrected",
-                        "bursts with a corrected ECC error"),
-      _statEccUncorrected(_stats, "eccUncorrected",
-                          "bursts replayed for uncorrectable ECC"),
-      _latency(_stats, "latencyNs", "service latency (ns)"),
-      _bwHist(_stats, "bwPctPeak",
-              "time-at-bandwidth histogram (% of peak)", 0.0, 100.0, 10),
-      _busyChannels(_stats, "busyChannels", "busy channels over time")
+      _faults(faults)
 {
     vip_assert(cfg.channels > 0 && (cfg.channels & (cfg.channels - 1)) == 0,
                "channel count must be a power of two");
@@ -198,13 +187,10 @@ void
 MemoryController::access(MemRequest req)
 {
     vip_assert(req.bytes > 0, "zero-byte memory request");
-    if (req.write) {
-        ++_statWrites;
+    if (req.write)
         _bytesWritten += req.bytes;
-    } else {
-        ++_statReads;
+    else
         _bytesRead += req.bytes;
-    }
     _windowBytes += req.bytes;
     _byRequester[req.requesterId] += req.bytes;
     _energy.addDynamicNj(_cfg.power.energyPerByteNj * req.bytes);
@@ -339,14 +325,12 @@ MemoryController::trySchedule(std::uint32_t ch)
             // Single-bit flip: the controller corrects in-line for a
             // fixed latency adder.
             ++_eccCorrected;
-            ++_statEccCorrected;
             service += _faults->plan().eccCorrectionLatency;
             break;
           case FaultInjector::EccOutcome::Uncorrected:
             // Detected-uncorrectable: scrub and replay the access
             // (row state is unchanged, so the replay is a row hit).
             ++_eccUncorrected;
-            ++_statEccUncorrected;
             service += _cfg.tCL + burst;
             break;
           case FaultInjector::EccOutcome::None:
@@ -475,9 +459,10 @@ MemoryController::registerStats(StatRegistry &r)
                 [this] { return toMs(_powerDownTicks); });
     r.addTiming("dram.selfrefresh_ms", "time in self-refresh", "ms",
                 [this] { return toMs(_selfRefreshTicks); });
-    r.addAccumulator("dram.latency_ns", "ns", _latency);
-    r.addTimeWeighted("dram.busy_channels", "channels",
-                      _busyChannels);
+    r.addAccumulator("dram.latency_ns", "service latency (ns)", "ns",
+                     _latency);
+    r.addTimeWeighted("dram.busy_channels", "busy channels over time",
+                      "channels", _busyChannels);
     for (std::size_t i = 0; i < _channels.size(); ++i) {
         const Channel *c = &_channels[i];
         std::string p = "dram.ch" + std::to_string(i);
@@ -625,7 +610,9 @@ MemoryController::saveState(SnapshotWriter &w) const
         w.tick(eq.scheduledWhen(_bwEvent));
     }
 
-    _stats.saveState(w);
+    _latency.saveState(w);
+    _bwHist.saveState(w);
+    _busyChannels.saveState(w);
 }
 
 void
@@ -698,7 +685,9 @@ MemoryController::loadState(SnapshotReader &r)
         _bwEvent = InvalidEventId;
     }
 
-    _stats.loadState(r);
+    _latency.loadState(r);
+    _bwHist.loadState(r);
+    _busyChannels.loadState(r);
     // The restored power level is re-integrated by the energy ledger
     // (serialized separately); nothing to re-apply here.
 }

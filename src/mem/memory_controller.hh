@@ -96,8 +96,6 @@ class MemoryController : public SimObject
     Tick selfRefreshTicks() const { return _selfRefreshTicks; }
     std::uint64_t lpEntries() const { return _lpEntries; }
 
-    stats::Group &statsGroup() { return _stats; }
-
     void startup() override;
     void finalize() override;
     void registerStats(StatRegistry &registry) override;
@@ -218,13 +216,9 @@ class MemoryController : public SimObject
     std::uint32_t _obsNmBurst = 0;
     std::uint32_t _obsNmBw = 0;
 
-    stats::Group _stats;
-    stats::Scalar _statReads;
-    stats::Scalar _statWrites;
-    stats::Scalar _statEccCorrected;
-    stats::Scalar _statEccUncorrected;
     stats::Accumulator _latency;
-    stats::Histogram _bwHist;
+    /** Time-at-bandwidth histogram (% of peak). */
+    stats::Histogram _bwHist{0.0, 100.0, 10};
     stats::TimeWeighted _busyChannels;
 };
 

@@ -34,7 +34,7 @@ struct ProfConfig
      * with steady_clock and contributes a queue-occupancy sample.
      * Per-kind dispatch *counts* are exact regardless.  The default
      * keeps measured overhead under the 5% budget
-     * (bench_microbench --sim-throughput reports the actual figure).
+     * (vip_bench's obs.prof_overhead_pct reports the actual figure).
      */
     std::uint64_t sampleEvery = 64;
 

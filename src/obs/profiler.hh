@@ -23,7 +23,7 @@
  * queue-occupancy timeline decimates itself (stride doubling) once
  * its bounded buffer fills, so memory and timing cost stay O(1) per
  * event and total overhead stays under the 5% budget that
- * bench_microbench --sim-throughput measures.
+ * vip_bench's obs.prof_overhead_pct measures.
  */
 
 #ifndef VIP_OBS_PROFILER_HH

@@ -45,35 +45,28 @@ StatRegistry::add(StatDef def)
 }
 
 void
-StatRegistry::addScalar(std::string path, std::string unit,
-                        const stats::Scalar &s)
-{
-    const stats::Scalar *p = &s;
-    addExact(std::move(path), s.desc(), std::move(unit),
-             [p] { return p->value(); });
-}
-
-void
-StatRegistry::addTimeWeighted(std::string path, std::string unit,
+StatRegistry::addTimeWeighted(std::string path, std::string desc,
+                              std::string unit,
                               const stats::TimeWeighted &s)
 {
     const stats::TimeWeighted *p = &s;
-    addTiming(std::move(path), s.desc(), std::move(unit),
+    addTiming(std::move(path), std::move(desc), std::move(unit),
               [p] { return p->average(); });
 }
 
 void
-StatRegistry::addAccumulator(std::string path, std::string unit,
+StatRegistry::addAccumulator(std::string path, std::string desc,
+                             std::string unit,
                              const stats::Accumulator &s)
 {
     const stats::Accumulator *p = &s;
-    addExact(path + ".count", s.desc() + " (samples)", "samples",
+    addExact(path + ".count", desc + " (samples)", "samples",
              [p] { return static_cast<double>(p->count()); });
-    addTiming(path + ".mean", s.desc() + " (mean)", unit,
+    addTiming(path + ".mean", desc + " (mean)", unit,
               [p] { return p->mean(); });
-    addTiming(path + ".min", s.desc() + " (min)", unit,
+    addTiming(path + ".min", desc + " (min)", unit,
               [p] { return p->min(); });
-    addTiming(path + ".max", s.desc() + " (max)", unit,
+    addTiming(path + ".max", desc + " (max)", unit,
               [p] { return p->max(); });
 }
 
@@ -95,17 +88,6 @@ StatRegistry::addLogHistogramMs(std::string path, std::string desc,
               [p, ms] { return ms(p->percentile(99)); });
     addTiming(path + ".max_ms", desc + " (max)", "ms",
               [p, ms] { return ms(p->max()); });
-}
-
-CounterHandle
-StatRegistry::counter(std::string path, std::string desc,
-                      std::string unit)
-{
-    _slots.push_back(0.0);
-    double *slot = &_slots.back();
-    addExact(std::move(path), std::move(desc), std::move(unit),
-             [slot] { return *slot; });
-    return CounterHandle(slot);
 }
 
 bool

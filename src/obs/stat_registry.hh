@@ -17,9 +17,7 @@
  * Stats are registered as getter closures over live component state,
  * so the registry never copies or samples anything during the run:
  * it is purely observational (no events, no randomness, no digest
- * contribution) and reading it happens only at dump time.  The one
- * exception is CounterHandle, a registry-owned scalar slot for call
- * sites that have no natural home for a counter field.
+ * contribution) and reading it happens only at dump time.
  *
  * writeJson() emits the schemaVersion'd, provenance-stamped
  * `stats.json` consumed by `vip_stats_diff` and the flight recorder.
@@ -29,7 +27,6 @@
 #define VIP_OBS_STAT_REGISTRY_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -42,7 +39,6 @@ namespace vip
 
 namespace stats
 {
-class Scalar;
 class TimeWeighted;
 class Accumulator;
 } // namespace stats
@@ -54,46 +50,6 @@ enum class Tolerance
 {
     Exact,   ///< must match bit-for-bit (conservation counters)
     Percent, ///< may move within a percentage band (timing)
-};
-
-/**
- * A registry-owned counter slot.  Components that cannot host a
- * stats:: member (free functions, short-lived helpers) increment
- * through the handle; the registry keeps the storage alive.
- */
-class CounterHandle
-{
-  public:
-    CounterHandle() = default;
-
-    CounterHandle &
-    operator+=(double v)
-    {
-        if (_slot)
-            *_slot += v;
-        return *this;
-    }
-
-    CounterHandle &
-    operator++()
-    {
-        return *this += 1.0;
-    }
-
-    void
-    set(double v)
-    {
-        if (_slot)
-            *_slot = v;
-    }
-
-    double value() const { return _slot ? *_slot : 0.0; }
-    bool valid() const { return _slot != nullptr; }
-
-  private:
-    friend class StatRegistry;
-    explicit CounterHandle(double *slot) : _slot(slot) {}
-    double *_slot = nullptr;
 };
 
 /** One registered stat: identity, documentation, and how to read it. */
@@ -146,22 +102,16 @@ class StatRegistry
              Tolerance::Percent, bandPct, std::move(get)});
     }
 
-    /** @{ Adapters for the src/stats primitives. */
-    void addScalar(std::string path, std::string unit,
-                   const stats::Scalar &s);
-    void addTimeWeighted(std::string path, std::string unit,
-                         const stats::TimeWeighted &s);
+    /** @{ Adapters for the src/stats distribution types. */
+    void addTimeWeighted(std::string path, std::string desc,
+                         std::string unit, const stats::TimeWeighted &s);
     /** count (exact) + mean/min/max (banded) under path.*. */
-    void addAccumulator(std::string path, std::string unit,
-                        const stats::Accumulator &s);
+    void addAccumulator(std::string path, std::string desc,
+                        std::string unit, const stats::Accumulator &s);
     /** count (exact) + mean/p50/p95/p99/max in ms under path.*. */
     void addLogHistogramMs(std::string path, std::string desc,
                            const LogHistogram &h);
     /** @} */
-
-    /** Allocate a registry-owned counter and register it. */
-    CounterHandle counter(std::string path, std::string desc,
-                          std::string unit);
 
     bool has(const std::string &path) const;
     std::size_t size() const { return _defs.size(); }
@@ -184,8 +134,6 @@ class StatRegistry
   private:
     std::vector<StatDef> _defs;
     std::unordered_set<std::string> _paths;
-    /** CounterHandle storage; deque keeps addresses stable. */
-    std::deque<double> _slots;
 };
 
 } // namespace vip

@@ -18,13 +18,7 @@ SystemAgent::SystemAgent(System &system, std::string name,
       _cfg(cfg),
       _mem(mem),
       _energy(ledger.account("sa", this->name())),
-      _faults(faults),
-      _stats(this->name()),
-      _statMemXfers(_stats, "memTransfers", "DMA transactions routed"),
-      _statPeerXfers(_stats, "peerTransfers",
-                     "IP-to-IP sub-frames routed"),
-      _statXferRetries(_stats, "transferRetries",
-                       "CRC-failed transfers retransmitted")
+      _faults(faults)
 {
     vip_assert(cfg.bytesPerNs > 0.0, "SA bandwidth must be positive");
     _energy.setPower(cfg.power.staticWatts, 0);
@@ -84,7 +78,6 @@ SystemAgent::transferAttempt(std::uint32_t bytes, Callback done,
             attempt < _faults->plan().maxTransferRetries &&
             _faults->injectTransferError()) {
             ++_xferRetries;
-            ++_statXferRetries;
             _faults->noteTransferRetry();
             transferAttempt(bytes, std::move(done), attempt + 1);
             return;
@@ -100,7 +93,6 @@ SystemAgent::transferAttempt(std::uint32_t bytes, Callback done,
 void
 SystemAgent::memoryAccess(MemRequest req)
 {
-    ++_statMemXfers;
     auto r = std::make_shared<MemRequest>(std::move(req));
     transferAttempt(r->bytes,
                     [this, r] { _mem.access(std::move(*r)); }, 0);
@@ -109,7 +101,6 @@ SystemAgent::memoryAccess(MemRequest req)
 void
 SystemAgent::peerTransfer(std::uint32_t bytes, Callback on_delivered)
 {
-    ++_statPeerXfers;
     _peerBytes += bytes;
     transferAttempt(bytes, std::move(on_delivered), 0);
 }
@@ -216,7 +207,6 @@ SystemAgent::saveState(SnapshotWriter &w) const
     w.u64(_bytesDelivered);
     w.u64(_bytesInFlight);
     w.u64(_bytesRetransmitted);
-    _stats.saveState(w);
 }
 
 void
@@ -232,7 +222,6 @@ SystemAgent::loadState(SnapshotReader &r)
     _bytesDelivered = r.u64();
     _bytesInFlight = r.u64();
     _bytesRetransmitted = r.u64();
-    _stats.loadState(r);
 }
 
 } // namespace vip

@@ -19,7 +19,6 @@
 #include "mem/memory_controller.hh"
 #include "power/energy_account.hh"
 #include "sim/sim_object.hh"
-#include "stats/stats.hh"
 
 namespace vip
 {
@@ -96,8 +95,6 @@ class SystemAgent : public SimObject
     /** Cumulative link-busy time (metrics sampler). */
     Tick busyTicks() const { return _busyTicks; }
 
-    stats::Group &statsGroup() { return _stats; }
-
     void finalize() override;
     void registerStats(StatRegistry &registry) override;
 
@@ -159,11 +156,6 @@ class SystemAgent : public SimObject
     std::uint32_t _obsTrkLink = 0;
     std::uint32_t _obsNmXfer = 0;
     std::uint32_t _obsNmRetx = 0;
-
-    stats::Group _stats;
-    stats::Scalar _statMemXfers;
-    stats::Scalar _statPeerXfers;
-    stats::Scalar _statXferRetries;
 };
 
 } // namespace vip

@@ -61,7 +61,7 @@ class Serializable
 };
 
 constexpr std::uint32_t kSnapshotMagic = 0x53504956; // "VIPS"
-constexpr std::uint32_t kSnapshotVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 /**
  * Snapshot header: build provenance plus the identity of the run the

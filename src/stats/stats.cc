@@ -1,77 +1,11 @@
 #include "stats/stats.hh"
 
-#include <algorithm>
-#include <iomanip>
-#include <ostream>
-
 #include "sim/snapshot.hh"
 
 namespace vip
 {
 namespace stats
 {
-
-Stat::Stat(Group &parent, std::string name, std::string desc)
-    : _name(parent.name() + "." + std::move(name)), _desc(std::move(desc))
-{
-    parent.add(this);
-}
-
-void
-Group::print(std::ostream &os) const
-{
-    for (const auto *s : _stats)
-        s->print(os);
-}
-
-void
-Group::resetAll()
-{
-    for (auto *s : _stats)
-        s->reset();
-}
-
-void
-Group::saveState(SnapshotWriter &w) const
-{
-    w.u32(static_cast<std::uint32_t>(_stats.size()));
-    for (const auto *s : _stats) {
-        w.str(s->name());
-        s->saveState(w);
-    }
-}
-
-void
-Group::loadState(SnapshotReader &r)
-{
-    std::uint32_t n = r.u32();
-    if (n != _stats.size()) {
-        fatal("stats group '", _name, "': snapshot has ", n,
-              " stats, this build registers ", _stats.size(),
-              " (version skew)");
-    }
-    for (auto *s : _stats) {
-        std::string name = r.str();
-        if (name != s->name()) {
-            fatal("stats group '", _name, "': snapshot stat '", name,
-                  "' does not match registered '", s->name(),
-                  "' (version skew)");
-        }
-        s->loadState(r);
-    }
-}
-
-void
-Scalar::saveState(SnapshotWriter &w) const
-{
-    w.d(_value);
-}
-
-void
-Scalar::loadState(SnapshotReader &r)
-{
-    _value = r.d();
-}
 
 void
 TimeWeighted::saveState(SnapshotWriter &w) const
@@ -129,67 +63,12 @@ Histogram::loadState(SnapshotReader &r)
 {
     std::uint32_t n = r.u32();
     if (n != _bins.size()) {
-        fatal("histogram '", name(), "': snapshot has ", n,
-              " bins, this build has ", _bins.size(),
-              " (version skew)");
+        fatal("histogram: snapshot has ", n, " bins, this build has ",
+              _bins.size(), " (version skew)");
     }
     for (auto &b : _bins)
         b = r.u64();
     _total = r.u64();
-}
-
-namespace
-{
-
-void
-line(std::ostream &os, const std::string &name, double value,
-     const std::string &desc, const char *suffix = "")
-{
-    os << std::left << std::setw(44) << name << ' '
-       << std::setw(16) << std::setprecision(8) << value << suffix
-       << "  # " << desc << '\n';
-}
-
-} // namespace
-
-void
-Scalar::print(std::ostream &os) const
-{
-    line(os, name(), _value, desc());
-}
-
-void
-TimeWeighted::print(std::ostream &os) const
-{
-    line(os, name() + ".avg", average(), desc());
-}
-
-void
-Accumulator::print(std::ostream &os) const
-{
-    line(os, name() + ".count", static_cast<double>(_n), desc());
-    line(os, name() + ".mean", mean(), desc());
-    line(os, name() + ".min", min(), desc());
-    line(os, name() + ".max", max(), desc());
-    line(os, name() + ".stddev", stddev(), desc());
-}
-
-void
-Formula::print(std::ostream &os) const
-{
-    line(os, name(), value(), desc());
-}
-
-void
-Histogram::print(std::ostream &os) const
-{
-    for (std::size_t i = 0; i < _bins.size(); ++i) {
-        if (!_bins[i])
-            continue;
-        std::ostringstream nm;
-        nm << name() << "[" << binLo(i) << "," << binHi(i) << ")";
-        line(os, nm.str(), static_cast<double>(_bins[i]), desc());
-    }
 }
 
 } // namespace stats

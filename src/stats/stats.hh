@@ -1,17 +1,14 @@
 /**
  * @file
- * A small gem5-flavoured statistics package.
+ * Distribution value types for the quantities a plain counter cannot
+ * hold.  Components own them as fields; the StatRegistry names the
+ * values worth exporting (addAccumulator/addTimeWeighted) and the
+ * owner's saveState/loadState carries them through a snapshot.
  *
- * Stats register themselves with a Group; a Group dumps every stat with
- * name, description and value(s).  The types provided cover everything
- * the paper's evaluation needs:
- *
- *  - Scalar:        a running counter / value.
  *  - TimeWeighted:  time-weighted average of a piecewise-constant
  *                   signal (e.g. queue occupancy, power state).
  *  - Accumulator:   min/max/mean/stddev over samples.
  *  - Histogram:     fixed-width binned distribution (Fig 3d, Fig 5).
- *  - Rate helpers on top of Scalar (per-second, per-100ms).
  */
 
 #ifndef VIP_STATS_STATS_HH
@@ -19,9 +16,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -36,101 +30,14 @@ class SnapshotReader;
 namespace stats
 {
 
-class Group;
-
-/** Base class: every stat has a name and description. */
-class Stat
-{
-  public:
-    Stat(Group &parent, std::string name, std::string desc);
-    virtual ~Stat() = default;
-
-    Stat(const Stat &) = delete;
-    Stat &operator=(const Stat &) = delete;
-
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
-
-    /** Write "name value # desc" lines to @p os. */
-    virtual void print(std::ostream &os) const = 0;
-
-    /** Reset to the just-constructed state. */
-    virtual void reset() = 0;
-
-    /** @{ Checkpoint/restore: bit-exact state round-trip. */
-    virtual void saveState(SnapshotWriter &w) const = 0;
-    virtual void loadState(SnapshotReader &r) = 0;
-    /** @} */
-
-  private:
-    std::string _name;
-    std::string _desc;
-};
-
-/** A named collection of stats (usually one per SimObject). */
-class Group
-{
-  public:
-    explicit Group(std::string name) : _name(std::move(name)) {}
-
-    Group(const Group &) = delete;
-    Group &operator=(const Group &) = delete;
-
-    const std::string &name() const { return _name; }
-
-    void add(Stat *s) { _stats.push_back(s); }
-
-    const std::vector<Stat *> &all() const { return _stats; }
-
-    /** Dump every registered stat. */
-    void print(std::ostream &os) const;
-
-    /** Reset every registered stat. */
-    void resetAll();
-
-    /** @{ Checkpoint/restore of every registered stat, in
-     *  registration order, each entry name-checked on load. */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
-
-  private:
-    std::string _name;
-    std::vector<Stat *> _stats;
-};
-
-/** A simple scalar counter/value. */
-class Scalar : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    Scalar &operator+=(double v) { _value += v; return *this; }
-    Scalar &operator++() { _value += 1.0; return *this; }
-    void set(double v) { _value = v; }
-
-    double value() const { return _value; }
-
-    void print(std::ostream &os) const override;
-    void reset() override { _value = 0.0; }
-
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
-  private:
-    double _value = 0.0;
-};
-
 /**
  * Time-weighted average of a piecewise-constant signal.  Call set()
  * whenever the signal changes; call close() (idempotent) at the end of
  * simulation to account the final segment.
  */
-class TimeWeighted : public Stat
+class TimeWeighted
 {
   public:
-    using Stat::Stat;
-
     /** Record that the signal has value @p v from @p now onward. */
     void
     set(double v, Tick now)
@@ -151,24 +58,13 @@ class TimeWeighted : public Stat
 
     double current() const { return _current; }
 
-    /** Total ticks during which the signal was > @p threshold. */
+    /** Total ticks during which the signal was > 0. */
     double timeAbove() const { return _timeAbove; }
 
-    void print(std::ostream &os) const override;
-
-    void
-    reset() override
-    {
-        _weighted = 0.0;
-        _elapsed = 0;
-        _last = 0;
-        _timeAbove = 0.0;
-        // _current intentionally preserved: the signal still has its
-        // physical value after a stats reset.
-    }
-
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+    /** @{ Checkpoint/restore: bit-exact state round-trip. */
+    void saveState(SnapshotWriter &w) const;
+    void loadState(SnapshotReader &r);
+    /** @} */
 
   private:
     void
@@ -198,11 +94,9 @@ class TimeWeighted : public Stat
  * mean dwarfs the spread (constant inputs reported nonzero stddev;
  * large-offset samples lost all variance precision).
  */
-class Accumulator : public Stat
+class Accumulator
 {
   public:
-    using Stat::Stat;
-
     void
     sample(double v)
     {
@@ -232,17 +126,10 @@ class Accumulator : public Stat
         return var > 0.0 ? std::sqrt(var) : 0.0;
     }
 
-    void print(std::ostream &os) const override;
-
-    void
-    reset() override
-    {
-        _n = 0;
-        _sum = _meanRun = _m2 = _min = _max = 0.0;
-    }
-
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+    /** @{ Checkpoint/restore: bit-exact state round-trip. */
+    void saveState(SnapshotWriter &w) const;
+    void loadState(SnapshotReader &r);
+    /** @} */
 
   private:
     std::uint64_t _n = 0;
@@ -254,13 +141,11 @@ class Accumulator : public Stat
 };
 
 /** Fixed-range histogram with uniform bins; samples clamp to range. */
-class Histogram : public Stat
+class Histogram
 {
   public:
-    Histogram(Group &parent, std::string name, std::string desc,
-              double lo, double hi, std::size_t bins)
-        : Stat(parent, std::move(name), std::move(desc)),
-          _lo(lo), _hi(hi), _bins(bins, 0)
+    Histogram(double lo, double hi, std::size_t bins)
+        : _lo(lo), _hi(hi), _bins(bins, 0)
     {
         vip_assert(hi > lo && bins > 0, "bad histogram shape");
     }
@@ -304,51 +189,15 @@ class Histogram : public Stat
     /** Upper edge of bin @p i. */
     double binHi(std::size_t i) const { return binLo(i + 1); }
 
-    void print(std::ostream &os) const override;
-
-    void
-    reset() override
-    {
-        std::fill(_bins.begin(), _bins.end(), 0);
-        _total = 0;
-    }
-
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
+    /** @{ Checkpoint/restore: bit-exact state round-trip. */
+    void saveState(SnapshotWriter &w) const;
+    void loadState(SnapshotReader &r);
+    /** @} */
 
   private:
     double _lo, _hi;
     std::vector<std::uint64_t> _bins;
     std::uint64_t _total = 0;
-};
-
-/**
- * A derived statistic: evaluates a function of other stats at print
- * time (gem5's Formula, reduced to what this simulator needs).
- */
-class Formula : public Stat
-{
-  public:
-    using Fn = std::function<double()>;
-
-    Formula(Group &parent, std::string name, std::string desc, Fn fn)
-        : Stat(parent, std::move(name), std::move(desc)),
-          _fn(std::move(fn))
-    {
-        vip_assert(static_cast<bool>(_fn), "formula needs a function");
-    }
-
-    double value() const { return _fn(); }
-
-    void print(std::ostream &os) const override;
-    void reset() override {}
-
-    /** Formulas hold no state: derived from other stats at read time. */
-    void saveState(SnapshotWriter &) const override {}
-    void loadState(SnapshotReader &) override {}
-
-  private:
-    Fn _fn;
 };
 
 } // namespace stats

@@ -2,12 +2,10 @@
  * @file
  * Tests for the extension features: the CPU DVFS governor, vsync-
  * aligned QoS judging, the overflow-to-memory lane policy at the
- * platform level, and the stats dump facility.
+ * platform level, and DRAM low-power residency.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/simulation.hh"
 
@@ -188,30 +186,8 @@ TEST(OverflowPolicy, SpillRestoresDramTraffic)
 }
 
 // ------------------------------------------------------------------
-// Stats dump
+// DRAM low-power residency
 // ------------------------------------------------------------------
-
-TEST(StatsDump, ContainsEveryComponent)
-{
-    SocConfig cfg;
-    cfg.system = SystemConfig::VIP;
-    cfg.simSeconds = 0.1;
-    Simulation sim(cfg, WorkloadCatalog::byIndex(4));
-    sim.run();
-
-    std::ostringstream os;
-    sim.dumpStats(os);
-    std::string text = os.str();
-    for (const char *needle :
-         {"sim.seconds", "sim.events", "soc.mem.reads",
-          "soc.mem.latencyNs", "soc.sa.peerTransfers",
-          "soc.cpu.core0.tasks", "soc.cpu.core3.interrupts",
-          "soc.ip.VD.subframes", "soc.ip.DC.ctxSwitches",
-          "energy.cpu", "energy.dram", "energy.total"}) {
-        EXPECT_NE(text.find(needle), std::string::npos)
-            << "missing stat: " << needle;
-    }
-}
 
 TEST(StatsDump, DramLowPowerEngagesInChainedModes)
 {

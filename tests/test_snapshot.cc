@@ -84,6 +84,20 @@ outputs(Simulation &sim)
     return o;
 }
 
+/**
+ * DRAM time-at-bandwidth bins (Fig 3): restored state that no
+ * registry path exports, so the stats.json comparison cannot see it.
+ */
+std::vector<std::uint64_t>
+bwBins(Simulation &sim)
+{
+    const auto &h = sim.memory().bwHistogram();
+    std::vector<std::uint64_t> bins;
+    for (std::size_t i = 0; i < h.numBins(); ++i)
+        bins.push_back(h.binCount(i));
+    return bins;
+}
+
 std::string
 readFile(const std::string &p)
 {
@@ -141,6 +155,7 @@ TEST_F(SnapshotTest, RoundTripBitIdenticalAllConfigs)
             RunOutput got = outputs(resumed);
             EXPECT_EQ(got.statsJson, want.statsJson);
             EXPECT_EQ(got.streamDigest, want.streamDigest);
+            EXPECT_EQ(bwBins(resumed), bwBins(ref));
         }
     }
 }

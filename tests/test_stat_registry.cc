@@ -23,39 +23,12 @@ namespace
 
 namespace fs = std::filesystem;
 
-TEST(StatRegistry, CounterHandleUpdatesRegisteredStat)
-{
-    StatRegistry r;
-    CounterHandle c = r.counter("x.count", "a counter", "events");
-    ASSERT_TRUE(c.valid());
-    c += 3;
-    ++c;
-    EXPECT_DOUBLE_EQ(c.value(), 4.0);
-    c.set(10.0);
-
-    auto snap = r.snapshot();
-    ASSERT_EQ(snap.size(), 1u);
-    EXPECT_EQ(snap[0].first, "x.count");
-    EXPECT_DOUBLE_EQ(snap[0].second, 10.0);
-}
-
-TEST(StatRegistry, NullHandleIsSafe)
-{
-    CounterHandle c;
-    EXPECT_FALSE(c.valid());
-    c += 5; // must not crash
-    ++c;
-    c.set(1.0);
-    EXPECT_DOUBLE_EQ(c.value(), 0.0);
-}
-
 TEST(StatRegistry, DuplicatePathPanics)
 {
     StatRegistry r;
     r.addExact("a.b", "first", "", [] { return 1.0; });
     EXPECT_THROW(r.addExact("a.b", "second", "", [] { return 2.0; }),
                  SimPanic);
-    EXPECT_THROW(r.counter("a.b", "third", ""), SimPanic);
     EXPECT_TRUE(r.has("a.b"));
     EXPECT_EQ(r.size(), 1u);
 }

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "obs/latency.hh"
 #include "stats/stats.hh"
 
@@ -17,31 +15,9 @@ namespace stats
 namespace
 {
 
-TEST(Scalar, AccumulatesAndResets)
-{
-    Group g("t");
-    Scalar s(g, "s", "a scalar");
-    s += 2.5;
-    ++s;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s.set(10.0);
-    EXPECT_DOUBLE_EQ(s.value(), 10.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
-TEST(Stat, NameIsPrefixedWithGroup)
-{
-    Group g("soc.mem");
-    Scalar s(g, "reads", "x");
-    EXPECT_EQ(s.name(), "soc.mem.reads");
-    EXPECT_EQ(g.all().size(), 1u);
-}
-
 TEST(TimeWeighted, ExactPiecewiseAverage)
 {
-    Group g("t");
-    TimeWeighted w(g, "u", "util");
+    TimeWeighted w;
     w.set(1.0, 0);     // 1.0 from 0
     w.set(0.0, 100);   // 0.0 from 100
     w.close(400);      // -> avg = (1*100 + 0*300)/400
@@ -49,28 +25,16 @@ TEST(TimeWeighted, ExactPiecewiseAverage)
     EXPECT_DOUBLE_EQ(w.timeAbove(), 100.0);
 }
 
-TEST(TimeWeighted, CurrentValueSurvivesReset)
-{
-    Group g("t");
-    TimeWeighted w(g, "u", "util");
-    w.set(2.0, 0);
-    w.close(10);
-    w.reset();
-    EXPECT_DOUBLE_EQ(w.current(), 2.0);
-}
-
 TEST(TimeWeighted, TimeBackwardsPanics)
 {
-    Group g("t");
-    TimeWeighted w(g, "u", "util");
+    TimeWeighted w;
     w.set(1.0, 100);
     EXPECT_THROW(w.set(2.0, 50), SimPanic);
 }
 
 TEST(Accumulator, MomentsAndExtremes)
 {
-    Group g("t");
-    Accumulator a(g, "lat", "latency");
+    Accumulator a;
     for (double v : {2.0, 4.0, 6.0, 8.0})
         a.sample(v);
     EXPECT_EQ(a.count(), 4u);
@@ -83,8 +47,7 @@ TEST(Accumulator, MomentsAndExtremes)
 
 TEST(Accumulator, EmptyIsZero)
 {
-    Group g("t");
-    Accumulator a(g, "lat", "latency");
+    Accumulator a;
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
     EXPECT_DOUBLE_EQ(a.stddev(), 0.0);
     EXPECT_DOUBLE_EQ(a.min(), 0.0);
@@ -94,8 +57,7 @@ TEST(Accumulator, ConstantInputsHaveZeroStddev)
 {
     // The naive E[x^2]-E[x]^2 form reports nonzero stddev here from
     // catastrophic cancellation; Welford's update must not.
-    Group g("t");
-    Accumulator a(g, "lat", "latency");
+    Accumulator a;
     for (int i = 0; i < 1000; ++i)
         a.sample(1e9 + 0.1);
     EXPECT_DOUBLE_EQ(a.stddev(), 0.0);
@@ -106,8 +68,7 @@ TEST(Accumulator, VarianceSurvivesLargeOffset)
 {
     // Small spread on a huge mean: the double sum-of-squares form
     // loses all variance bits (1e18 + 1 == 1e18); Welford keeps them.
-    Group g("t");
-    Accumulator a(g, "lat", "latency");
+    Accumulator a;
     for (double v : {1e9, 1e9 + 1.0, 1e9 + 2.0})
         a.sample(v);
     EXPECT_NEAR(a.stddev(), std::sqrt(2.0 / 3.0), 1e-9);
@@ -117,8 +78,7 @@ TEST(Accumulator, VarianceSurvivesLargeOffset)
 
 TEST(Accumulator, SingleSampleStddevIsZero)
 {
-    Group g("t");
-    Accumulator a(g, "lat", "latency");
+    Accumulator a;
     a.sample(42.0);
     EXPECT_DOUBLE_EQ(a.stddev(), 0.0);
     EXPECT_DOUBLE_EQ(a.mean(), 42.0);
@@ -128,8 +88,7 @@ TEST(TimeWeighted, ZeroElapsedReportsCurrent)
 {
     // close() at the same tick as set(): no time has passed, so the
     // average degrades to the only value ever seen, not 0/0.
-    Group g("t");
-    TimeWeighted w(g, "u", "util");
+    TimeWeighted w;
     w.set(3.0, 0);
     w.close(0);
     EXPECT_DOUBLE_EQ(w.average(), 3.0);
@@ -138,8 +97,7 @@ TEST(TimeWeighted, ZeroElapsedReportsCurrent)
 
 TEST(Histogram, BinPlacementAndFractions)
 {
-    Group g("t");
-    Histogram h(g, "h", "hist", 0.0, 100.0, 10);
+    Histogram h(0.0, 100.0, 10);
     h.sample(5.0);    // bin 0
     h.sample(15.0);   // bin 1
     h.sample(15.0);   // bin 1
@@ -155,8 +113,7 @@ TEST(Histogram, BinPlacementAndFractions)
 
 TEST(Histogram, ClampsOutOfRangeSamples)
 {
-    Group g("t");
-    Histogram h(g, "h", "hist", 0.0, 10.0, 5);
+    Histogram h(0.0, 10.0, 5);
     h.sample(-5.0);
     h.sample(50.0);
     EXPECT_EQ(h.binCount(0), 1u);
@@ -167,8 +124,7 @@ TEST(Histogram, RangeEdgesLandInEndBins)
 {
     // Exactly lo goes to the first bin, exactly hi to the last; the
     // bin arithmetic must not index one past the end at v == hi.
-    Group g("t");
-    Histogram h(g, "h", "hist", 0.0, 10.0, 5);
+    Histogram h(0.0, 10.0, 5);
     h.sample(0.0);
     h.sample(10.0);
     EXPECT_EQ(h.binCount(0), 1u);
@@ -207,8 +163,7 @@ TEST(LogHistogram, PercentilesBracketSamples)
 
 TEST(Histogram, WeightedSamples)
 {
-    Group g("t");
-    Histogram h(g, "h", "hist", 0.0, 10.0, 2);
+    Histogram h(0.0, 10.0, 2);
     h.sample(1.0, 7);
     EXPECT_EQ(h.total(), 7u);
     EXPECT_EQ(h.binCount(0), 7u);
@@ -216,29 +171,8 @@ TEST(Histogram, WeightedSamples)
 
 TEST(Histogram, BadShapePanics)
 {
-    Group g("t");
-    EXPECT_THROW(Histogram(g, "h", "x", 5.0, 5.0, 4), SimPanic);
-    EXPECT_THROW(Histogram(g, "h2", "x", 0.0, 1.0, 0), SimPanic);
-}
-
-TEST(Group, PrintsAndResetsAll)
-{
-    Group g("soc");
-    Scalar s(g, "a", "desc-a");
-    Accumulator acc(g, "b", "desc-b");
-    s += 3;
-    acc.sample(2.0);
-
-    std::ostringstream os;
-    g.print(os);
-    auto text = os.str();
-    EXPECT_NE(text.find("soc.a"), std::string::npos);
-    EXPECT_NE(text.find("desc-a"), std::string::npos);
-    EXPECT_NE(text.find("soc.b.mean"), std::string::npos);
-
-    g.resetAll();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-    EXPECT_EQ(acc.count(), 0u);
+    EXPECT_THROW(Histogram(5.0, 5.0, 4), SimPanic);
+    EXPECT_THROW(Histogram(0.0, 1.0, 0), SimPanic);
 }
 
 } // namespace

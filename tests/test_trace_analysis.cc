@@ -1,15 +1,12 @@
 /**
  * @file
- * Tests for the offline trace-analysis toolkit and the stats Formula.
+ * Tests for the offline trace-analysis toolkit.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "app/trace_analysis.hh"
 #include "core/simulation.hh"
-#include "stats/stats.hh"
 
 namespace vip
 {
@@ -115,32 +112,6 @@ TEST(TraceAnalysis, WorksOnRealSimulationTrace)
     // must reproduce the recorded violation count.
     auto re = ta.rejudge(1.25);
     EXPECT_EQ(re.first, s.trace.countViolations());
-}
-
-TEST(Formula, EvaluatesAtPrintTime)
-{
-    stats::Group g("t");
-    stats::Scalar hits(g, "hits", "h");
-    stats::Scalar total(g, "total", "t");
-    stats::Formula rate(g, "hitRate", "hits / total", [&] {
-        return total.value() > 0 ? hits.value() / total.value() : 0.0;
-    });
-
-    hits += 3;
-    total += 4;
-    EXPECT_DOUBLE_EQ(rate.value(), 0.75);
-    hits += 1;
-    EXPECT_DOUBLE_EQ(rate.value(), 1.0);
-
-    std::ostringstream os;
-    g.print(os);
-    EXPECT_NE(os.str().find("t.hitRate"), std::string::npos);
-}
-
-TEST(Formula, RequiresCallable)
-{
-    stats::Group g("t");
-    EXPECT_THROW(stats::Formula(g, "bad", "x", nullptr), SimPanic);
 }
 
 } // namespace

@@ -4,7 +4,7 @@
  *
  * Runs one (workload, configuration) pair with every knob exposed as
  * a flag and emits the results as a human-readable report, an
- * optional full stats dump, and an optional per-frame CSV trace.
+ * optional stats.json, and an optional per-frame CSV trace.
  *
  *   vip_sim --workload W4 --config vip --seconds 0.5
  *   vip_sim --workload A5 --config baseline --ideal-memory
@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <string>
 
 #include "core/simulation.hh"
@@ -91,7 +90,6 @@ usage()
         "  --digest-out <file>          write the audit digest stream\n"
         "                               (for vip_diverge; implies\n"
         "                               --audit periodic:1 if off)\n"
-        "  --stats                      dump component statistics\n"
         "  --frame-csv <file>           write the per-frame CSV trace\n"
         "  --trace-out <file>           write a Chrome/Perfetto\n"
         "                               trace_event JSON of the run\n"
@@ -385,7 +383,6 @@ main(int argc, char **argv)
     std::string config = "vip";
     std::string traceFile;
     std::string digestFile;
-    bool wantStats = false;
     vip::SocConfig cfg;
     cfg.simSeconds = 0.4;
 
@@ -484,8 +481,6 @@ main(int argc, char **argv)
             digestFile = next();
         } else if (arg.rfind("--digest-out=", 0) == 0) {
             digestFile = arg.substr(13);
-        } else if (arg == "--stats") {
-            wantStats = true;
         } else if (arg == "--frame-csv") {
             traceFile = next();
             cfg.recordTrace = true;
@@ -637,8 +632,6 @@ main(int argc, char **argv)
             for (const auto &v : sim.auditor().violations())
                 std::printf("  %s\n", v.format().c_str());
         }
-        if (wantStats)
-            sim.dumpStats(std::cout);
         if (!cfg.statsOut.empty()) {
             std::ofstream out(cfg.statsOut);
             if (!out)
