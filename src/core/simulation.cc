@@ -430,27 +430,10 @@ Simulation::buildStatsRegistry()
                            return double(_sys.eventq().pending());
                        });
 
-    // Profiler summary plus physical event-queue internals: only
-    // present when --prof is on, so baseline stats files (profiler
-    // off) stay comparable.  heap/tombstones/compactions are
-    // execution history -- a restored run rebuilds a clean heap and
-    // re-counts compactions from zero, so they must not enter
-    // restore-compared stats.
+    // Profiler summary: only present when --prof is on, so baseline
+    // stats files (profiler off) stay comparable.
     if (_profiler) {
         Profiler *p = _profiler.get();
-        _registry.addExact("sim.eventq.heap", "heap entries incl. "
-                           "tombstones", "events", [this] {
-                               return double(_sys.eventq().heapSize());
-                           });
-        _registry.addExact("sim.eventq.tombstones", "dead heap entries "
-                           "awaiting compaction", "events", [this] {
-                               EventQueue &q = _sys.eventq();
-                               return double(q.heapSize() - q.pending());
-                           });
-        _registry.addExact("sim.eventq.compactions", "heap compaction "
-                           "passes", "", [this] {
-                               return double(_sys.eventq().compactions());
-                           });
         _registry.addExact("prof.events", "dispatches seen by the "
                            "profiler", "events",
                            [p] { return double(p->dispatches()); });
@@ -653,7 +636,6 @@ Simulation::run()
             _profiler->setRunWallMs(
                 std::chrono::duration<double, std::milli>(w1 - w0)
                     .count());
-            _profiler->noteCompactions(_sys.eventq().compactions());
             _profiler->noteAllocCursor(_alloc.cursor());
         } else {
             runEventLoop(fromSec(_cfg.simSeconds));

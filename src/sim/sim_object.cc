@@ -1,7 +1,5 @@
 #include "sim/sim_object.hh"
 
-#include "sim/system.hh"
-
 namespace vip
 {
 
@@ -14,33 +12,6 @@ SimObject::SimObject(System &system, std::string name)
 SimObject::~SimObject()
 {
     _system.unregisterObject(this);
-}
-
-Tick
-SimObject::curTick() const
-{
-    return _system.curTick();
-}
-
-EventId
-SimObject::schedule(Tick when, EventQueue::Callback cb,
-                    EventPriority prio, const char *kind)
-{
-    return _system.eventq().schedule(when, std::move(cb), prio, kind);
-}
-
-EventId
-SimObject::scheduleIn(Tick delta, EventQueue::Callback cb,
-                      EventPriority prio, const char *kind)
-{
-    return _system.eventq().scheduleIn(delta, std::move(cb), prio,
-                                       kind);
-}
-
-void
-SimObject::deschedule(EventId id)
-{
-    _system.eventq().deschedule(id);
 }
 
 } // namespace vip

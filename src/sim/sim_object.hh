@@ -15,13 +15,13 @@
 #include "sim/audit.hh"
 #include "sim/event_queue.hh"
 #include "sim/snapshot.hh"
+#include "sim/system.hh"
 #include "sim/types.hh"
 
 namespace vip
 {
 
 class StatRegistry;
-class System;
 
 /** Base class for all named simulation components. */
 class SimObject : public Auditable, public Serializable
@@ -41,21 +41,30 @@ class SimObject : public Auditable, public Serializable
     System &system() const { return _system; }
 
     /** Current simulated time. */
-    Tick curTick() const;
+    Tick curTick() const { return _system.curTick(); }
 
     /** Schedule a callback at an absolute tick.  @p kind is the
      *  optional profiling tag (see EventQueue::schedule). */
-    EventId schedule(Tick when, EventQueue::Callback cb,
-                     EventPriority prio = EventPriority::Default,
-                     const char *kind = nullptr);
+    EventId
+    schedule(Tick when, EventQueue::Callback &&cb,
+             EventPriority prio = EventPriority::Default,
+             const char *kind = nullptr)
+    {
+        return _system.eventq().schedule(when, std::move(cb), prio, kind);
+    }
 
     /** Schedule a callback @p delta ticks from now. */
-    EventId scheduleIn(Tick delta, EventQueue::Callback cb,
-                       EventPriority prio = EventPriority::Default,
-                       const char *kind = nullptr);
+    EventId
+    scheduleIn(Tick delta, EventQueue::Callback &&cb,
+               EventPriority prio = EventPriority::Default,
+               const char *kind = nullptr)
+    {
+        return _system.eventq().scheduleIn(delta, std::move(cb), prio,
+                                           kind);
+    }
 
     /** Cancel a scheduled callback. */
-    void deschedule(EventId id);
+    void deschedule(EventId id) { _system.eventq().deschedule(id); }
 
     /**
      * Hook called by System::run() just before the first event is

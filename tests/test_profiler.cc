@@ -165,9 +165,11 @@ TEST(Profiler, StatsRegistryExposesProfNamespace)
     EXPECT_NE(s.find("\"prof.kind.ip.unit.count\""),
               std::string::npos);
     // The logical live-set gauge is unconditional (profiler or not);
-    // the physical heap internals ride along with --prof only.
+    // the heap holds exactly the live events, so there are no
+    // physical heap gauges to add.
     EXPECT_NE(s.find("\"sim.eventq.live\""), std::string::npos);
-    EXPECT_NE(s.find("\"sim.eventq.compactions\""),
+    EXPECT_EQ(s.find("\"sim.eventq.heap\""), std::string::npos);
+    EXPECT_EQ(s.find("\"sim.eventq.compactions\""),
               std::string::npos);
 
     Simulation off(auditedCfg(SystemConfig::VIP),
