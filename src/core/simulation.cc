@@ -60,14 +60,13 @@ Simulation::Simulation(SocConfig cfg, Workload workload)
     build();
     attachAuditors();
     buildStatsRegistry();
-    // The time-series plane snapshots the registry's definitions at
+    // The sampler snapshots the registry's definitions at
     // construction, so it is built after buildStatsRegistry() -- and
     // its own ts.* stats, registered below, are therefore never part
     // of its selection.  Like prof.*, they only exist when armed, so
     // baseline stats files stay comparable.
     if (_cfg.ts.enabled()) {
-        _ts = std::make_unique<TimeSeries>(
-            _cfg.ts, _cfg.metrics.intervalMs, _registry);
+        _ts = std::make_unique<TimeSeries>(_cfg.ts, _registry);
         TimeSeries *t = _ts.get();
         _registry.addExact("sim.steady.tick", "steady-state detection "
                            "time (-1 while undetected)", "ms",
@@ -145,102 +144,6 @@ Simulation::build()
             ++next;
         }
     }
-}
-
-void
-Simulation::buildMetrics()
-{
-    _metrics = std::make_unique<MetricsSampler>(
-        _sys, fromMs(_cfg.metrics.intervalMs));
-
-    for (auto &[kind, ipPtr] : _ips) {
-        IpCore *ip = ipPtr.get();
-        std::string base = ipKindName(kind);
-        _metrics->addProbe(base + ".state", [ip] {
-            return static_cast<double>(ip->engineStateCode());
-        });
-        _metrics->addProbe(base + ".occupancy_bytes", [ip] {
-            std::uint64_t occ = 0;
-            for (std::uint32_t l = 0; l < ip->numLanes(); ++l)
-                occ += ip->laneOccupancy(static_cast<int>(l));
-            return static_cast<double>(occ);
-        });
-        _metrics->addProbe(base + ".lane_frames", [ip] {
-            std::size_t depth = 0;
-            for (std::uint32_t l = 0; l < ip->numLanes(); ++l)
-                depth += ip->laneDepth(static_cast<int>(l));
-            return static_cast<double>(depth);
-        });
-        _metrics->addProbe(base + ".credits_held", [ip] {
-            return static_cast<double>(ip->creditsReserved()
-                                       - ip->creditsReturned());
-        });
-    }
-
-    MemoryController *mem = _mem.get();
-    // The delta baselines live in Simulation-owned cells so a
-    // checkpoint can carry them: the probes themselves are closures
-    // and are rebuilt, but their windows must not restart on resume.
-    _bwLastBytes = std::make_shared<std::uint64_t>(0);
-    auto lastBytes = _bwLastBytes;
-    Tick interval = fromMs(_cfg.metrics.intervalMs);
-    _metrics->addProbe("mem.bw_gbps", [mem, lastBytes, interval] {
-        std::uint64_t total = mem->bytesRead() + mem->bytesWritten();
-        std::uint64_t delta = total - *lastBytes;
-        *lastBytes = total;
-        return static_cast<double>(delta) / toSec(interval) / 1e9;
-    });
-    _metrics->addProbe("mem.lp_state", [mem] {
-        return static_cast<double>(static_cast<int>(mem->lpState()));
-    });
-
-    SystemAgent *sa = _sa.get();
-    _saLastBusy = std::make_shared<Tick>(0);
-    auto lastBusy = _saLastBusy;
-    _metrics->addProbe("sa.utilization", [sa, lastBusy, interval] {
-        Tick busy = sa->busyTicks();
-        Tick delta = busy - *lastBusy;
-        *lastBusy = busy;
-        return static_cast<double>(delta)
-               / static_cast<double>(interval);
-    });
-
-    for (std::uint32_t i = 0; i < _cpus->numCores(); ++i) {
-        CpuCore *core = &_cpus->core(i);
-        _metrics->addProbe("cpu" + std::to_string(i) + ".state",
-                           [core] {
-                               return static_cast<double>(
-                                   static_cast<int>(core->state()));
-                           });
-    }
-
-    for (auto &flowPtr : _flows) {
-        FlowRuntime *f = flowPtr.get();
-        _metrics->addProbe("flow." + f->spec().name + ".inflight",
-                           [f] {
-                               return static_cast<double>(
-                                   f->framesInFlight());
-                           });
-    }
-
-    // Steady-state verdict in the CSV: -1 until detected, then the
-    // detection tick.  The ts arming state must match across
-    // save/restore (checkpoint identity), so the CSV schema is stable
-    // across resumes.
-    if (_ts) {
-        TimeSeries *t = _ts.get();
-        _metrics->addProbe("steady_tick_ms",
-                           [t] { return t->steadyTickMs(); });
-    }
-
-    // "(buffer)" is the test sentinel for "keep rows in memory only";
-    // any real path gets incremental streaming so a killed run still
-    // leaves a usable series behind.
-    if (!_cfg.metrics.out.empty() && _cfg.metrics.out != "(buffer)")
-        _metrics->streamTo(_cfg.metrics.out);
-    // start() / loadState()+resume() is the caller's choice: a fresh
-    // run schedules the first sample, a restore re-arms the pending
-    // one from the snapshot.
 }
 
 void
@@ -598,14 +501,7 @@ Simulation::run()
 
     try {
         if (!_cfg.restorePath.empty()) {
-            // The sampler must exist (probes registered, stream path
-            // set) before its section is loaded; its pending event is
-            // re-armed by loadState() inside restoreFrom().
-            if (_cfg.metrics.enabled())
-                buildMetrics();
             restoreFrom(_cfg.restorePath);
-            if (_metrics)
-                _metrics->resume();
         } else {
             scheduleStopEvents();
             for (auto &f : _flows)
@@ -619,13 +515,12 @@ Simulation::run()
             }
             if (_cfg.audit.periodic())
                 scheduleAudit();
-            // The sampler schedules real events (digest-visible), so
-            // it only exists when explicitly requested.
-            if (_cfg.metrics.enabled()) {
-                buildMetrics();
-                _metrics->start();
-            }
         }
+        // Open the CSV sink before the first event, so an unwritable
+        // path fails fast instead of after a full run.
+        if (_ts && !_cfg.ts.metricsOut.empty())
+            _ts->streamCsv(_cfg.ts.metricsOut, _restored,
+                           _sys.curTick());
         if (_profiler) {
             // Wall time of the event loop itself; everything outside
             // (build, stats dump) is deliberately excluded so the
@@ -714,21 +609,6 @@ Simulation::runEventLoop(Tick limit)
     std::uint64_t points = 0, quiet = 0;
     Tick lastQuiet = start, maxGap = 0;
     auto hook = [&](Tick next) {
-        // Time-series sampling first: the sample must describe state
-        // *before* the event at `next` services, and before any
-        // checkpoint below snapshots the plane.  When the detector
-        // latches steady, arm the one-shot --checkpoint-on-steady
-        // plan; the due/save loops below pick it up in this same hook
-        // invocation at the first quiescent point.
-        if (_ts) {
-            _ts->observe(next);
-            if (!_steadyPlanArmed && _ts->steadyDetected() &&
-                !_cfg.ts.checkpointOnSteady.empty()) {
-                _steadyPlanArmed = true;
-                _plans.push_back({_cfg.ts.checkpointOnSteady,
-                                  _ts->steadyTick(), 0});
-            }
-        }
         // Graceful interrupt: stop at the first quiescent point,
         // after writing a final checkpoint to every armed plan so the
         // interrupted run leaves a resumable trail.  With no plans
@@ -746,20 +626,35 @@ Simulation::runEventLoop(Tick limit)
         bool due = probe;
         for (const CheckpointPlan &p : _plans)
             due = due || next >= p.next;
-        if (!due || !quiescent())
-            return;
-        ++quiet;
-        maxGap = std::max(maxGap, next - lastQuiet);
-        lastQuiet = next;
-        for (CheckpointPlan &p : _plans) {
-            if (next < p.next)
-                continue;
-            saveCheckpoint(p.path);
-            if (p.period > 0) {
-                while (p.next <= next)
-                    p.next += p.period;
-            } else {
-                p.next = MaxTick;
+        if (due && quiescent()) {
+            ++quiet;
+            maxGap = std::max(maxGap, next - lastQuiet);
+            lastQuiet = next;
+            for (CheckpointPlan &p : _plans) {
+                if (next < p.next)
+                    continue;
+                saveCheckpoint(p.path);
+                if (p.period > 0) {
+                    while (p.next <= next)
+                        p.next += p.period;
+                } else {
+                    p.next = MaxTick;
+                }
+            }
+        }
+        // Sampling comes after any checkpoint write: a snapshot taken
+        // here then holds only rows at or before its own tick, and
+        // the restored run samples the boundaries up to `next` itself,
+        // exactly as the uninterrupted run does.  Detection arms the
+        // one-shot --checkpoint-on-steady plan, which a later hook
+        // writes at the first quiescent point.
+        if (_ts) {
+            _ts->observe(next);
+            if (!_steadyPlanArmed && _ts->steadyDetected() &&
+                !_cfg.ts.checkpointOnSteady.empty()) {
+                _steadyPlanArmed = true;
+                _plans.push_back({_cfg.ts.checkpointOnSteady,
+                                  _ts->steadyTick(), 0});
             }
         }
     };
@@ -816,7 +711,8 @@ Simulation::identityString() const
     // meaning of serialized state) beyond config/workload/seed/
     // seconds.  Purely observational settings (trace, stats-out,
     // postmortem dir, checkpoint cadence) are deliberately absent: a
-    // resume may change them freely.
+    // resume may change them freely.  The sampler's settings are
+    // checked by its own snapshot section instead.
     std::ostringstream os;
     os << "overload=" << overloadPolicyName(_cfg.overloadPolicy)
        << " headroom=" << _cfg.admissionHeadroom
@@ -836,12 +732,7 @@ Simulation::identityString() const
        << "/" << (_cfg.enableRollback ? 1 : 0)
        << " noProgress=" << _cfg.noProgressSec
        << " recordTrace=" << (_cfg.recordTrace ? 1 : 0)
-       << " metrics=";
-    if (_cfg.metrics.enabled())
-        os << _cfg.metrics.intervalMs;
-    else
-        os << "off";
-    os << " stops=[";
+       << " stops=[";
     for (std::size_t i = 0; i < _stopIntents.size(); ++i) {
         os << (i ? "," : "") << _stopIntents[i].app << "@"
            << _stopIntents[i].when;
@@ -917,14 +808,6 @@ Simulation::saveCheckpoint(const std::string &path)
     _latency->saveState(w);
     w.beginSection("energy");
     _ledger.saveState(w);
-
-    w.beginSection("metrics");
-    w.b(_metrics != nullptr);
-    if (_metrics) {
-        _metrics->saveState(w);
-        w.u64(*_bwLastBytes);
-        w.tick(*_saLastBusy);
-    }
 
     w.beginSection("timeseries");
     w.b(_ts != nullptr);
@@ -1086,24 +969,11 @@ Simulation::restoreFrom(const std::string &path)
     _ledger.loadState(r);
     r.closeSection();
 
-    r.openSection("metrics");
-    bool hadMetrics = r.b();
-    if (hadMetrics != (_metrics != nullptr))
-        fatal("restore: snapshot ", hadMetrics ? "had" : "had no",
-              " metrics sampler, this run ",
-              _metrics ? "has one" : "has none", " (config mismatch)");
-    if (_metrics) {
-        _metrics->loadState(r);
-        *_bwLastBytes = r.u64();
-        *_saLastBusy = r.tick();
-    }
-    r.closeSection();
-
     r.openSection("timeseries");
     bool hadTs = r.b();
     if (hadTs != (_ts != nullptr))
         fatal("restore: snapshot ", hadTs ? "had" : "had no",
-              " time-series plane, this run ",
+              " sampler (--ts/--metrics-out), this run ",
               _ts ? "has one" : "has none", " (config mismatch)");
     if (_ts) {
         _steadyPlanArmed = r.b();
@@ -1244,8 +1114,7 @@ Simulation::writePostmortem(const std::string &reason,
         if (_faults)
             info.faultPlan = _cfg.fault.describe();
         info.meta = runMeta();
-        if (_metrics)
-            info.metricsPath = _metrics->streamPath();
+        info.metricsPath = _cfg.ts.metricsOut;
         // Point at the newest snapshot of the checkpoint ring so the
         // bundle is resumable: rerun with --restore=<checkpointPath>.
         if (_checkpointsWritten > 0) {

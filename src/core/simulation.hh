@@ -29,7 +29,6 @@
 #include "core/soc_config.hh"
 #include "fault/fault_injector.hh"
 #include "obs/latency.hh"
-#include "obs/metrics.hh"
 #include "obs/profiler.hh"
 #include "obs/stat_registry.hh"
 #include "obs/timeseries.hh"
@@ -65,11 +64,10 @@ class Simulation
     Auditor &auditor() { return _auditor; }
     /** The run's tracer; null unless cfg.trace is enabled. */
     Tracer *tracer() { return _tracer.get(); }
-    /** The metrics sampler; null unless cfg.metrics is enabled. */
-    MetricsSampler *metrics() { return _metrics.get(); }
     /** The hot-path profiler; null unless cfg.prof is enabled. */
     Profiler *profiler() { return _profiler.get(); }
-    /** The time-series plane; null unless cfg.ts is armed. */
+    /** The run's sampler (time series + metrics CSV); null unless
+     *  cfg.ts is enabled. */
     TimeSeries *timeseries() { return _ts.get(); }
     const TimeSeries *timeseries() const { return _ts.get(); }
     /** Always-on per-frame latency decomposition. */
@@ -163,7 +161,6 @@ class Simulation
 
   private:
     void build();
-    void buildMetrics();
     void attachAuditors();
     void buildStatsRegistry();
     void scheduleAudit();
@@ -182,8 +179,9 @@ class Simulation
     std::string identityString() const;
     /** Load @p path into the freshly built platform (run() entry). */
     void restoreFrom(const std::string &path);
-    /** Run the event loop, threading the checkpoint hook when any
-     *  cadence/one-shot checkpoints (or the probe) are armed. */
+    /** Run the event loop, threading the pre-service hook when a
+     *  checkpoint plan, the sampler, an interrupt flag or the
+     *  quiescence probe needs it; otherwise the hook-free loop. */
     void runEventLoop(Tick limit);
     /** @} */
 
@@ -209,12 +207,11 @@ class Simulation
     /** Constructed before build() so components can cache pointers. */
     std::unique_ptr<LatencyCollector> _latency;
     std::unique_ptr<Tracer> _tracer;
-    std::unique_ptr<MetricsSampler> _metrics;
     /** Hot-path profiler (cfg.prof); observational, digest-neutral. */
     std::unique_ptr<Profiler> _profiler;
-    /** Windowed time-series plane (cfg.ts); samples from the event
-     *  loop's pre-service hook, so it is digest-neutral by
-     *  construction. */
+    /** The one sampler (cfg.ts): time series and metrics CSV, read
+     *  from the event loop's pre-service hook, so it is
+     *  digest-neutral by construction. */
     std::unique_ptr<TimeSeries> _ts;
     StatRegistry _registry;
     Auditor _auditor;
@@ -263,10 +260,6 @@ class Simulation
     std::vector<CheckpointPlan> _plans;
     EventId _auditEvent = InvalidEventId;
     EventId _progressEvent = InvalidEventId;
-    /** Baselines of the delta-style metrics probes (mem.bw_gbps,
-     *  sa.utilization); serialized so resumed CSVs stay exact. */
-    std::shared_ptr<std::uint64_t> _bwLastBytes;
-    std::shared_ptr<Tick> _saLastBusy;
     std::uint64_t _checkpointsWritten = 0;
     std::string _lastCheckpointPath;
     Tick _lastCheckpointTick = 0;

@@ -122,9 +122,6 @@ struct SocConfig
      */
     TraceConfig trace{};
 
-    /** Periodic metrics sampling (--metrics-out). */
-    MetricsConfig metrics{};
-
     /**
      * Hot-path self-profiling (--prof[=out.json]).  Samples wall time
      * per event kind and queue occupancy; observational only, so an
@@ -133,12 +130,12 @@ struct SocConfig
     ProfConfig prof{};
 
     /**
-     * Windowed time-series telemetry (--ts[=<glob>], --ts-out,
-     * --checkpoint-on-steady).  Samples glob-selected stats at the
-     * metrics cadence from the event loop's pre-service hook into
-     * bounded decimating ring buffers and runs the steady-state
-     * detector; purely observational, so arming it leaves state
-     * digests bit-identical.
+     * The run's one sampler (--ts[=<glob>], --ts-out, --metrics-out,
+     * --metrics-interval-ms, --checkpoint-on-steady).  Samples
+     * glob-selected stats every interval from the event loop's
+     * pre-service hook into bounded decimating ring buffers, streams
+     * the metrics CSV, and runs the steady-state detector; purely
+     * observational, so arming it leaves state digests bit-identical.
      */
     TsConfig ts{};
 

@@ -197,8 +197,9 @@ struct FleetOutcome
  * All artifact paths are *attempt-relative* (stats.json, metrics.csv,
  * digest.dig, pm/) — the transport decides the working directory, so
  * the same argv runs locally or on any remote host.  Identical flags
- * on every attempt and on reference reruns, because checkpoint
- * identity covers the metrics interval and audit spec.  Restore is
+ * on every attempt and on reference reruns, because a restore checks
+ * the audit spec (checkpoint identity) and the sampling interval and
+ * stat selection (the snapshot's sampler section).  Restore is
  * appended by the transport (it stages the checkpoint).  Exposed for
  * tests.
  */

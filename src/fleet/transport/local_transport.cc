@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -30,28 +31,47 @@ statFileSize(const std::string &path)
 
 /**
  * The shard's simulated progress: the tick_ms column (first field) of
- * the newest non-comment row of its heartbeat CSV, or -1 before the
- * first sample lands.  Heartbeat files are small (hundreds of rows),
- * so rereading on growth is cheap.
+ * the newest complete data row of its heartbeat CSV, or -1 before the
+ * first sample lands.  The supervisor polls every running slot every
+ * few wall ms while the file keeps growing, so only its tail is read:
+ * a window at the end of the file, widened until it holds a whole
+ * data row.  An unterminated last line is a row still being written
+ * and is ignored.
  */
 double
 readLastTickMs(const std::string &metricsCsv)
 {
-    std::ifstream in(metricsCsv);
+    std::ifstream in(metricsCsv, std::ios::binary | std::ios::ate);
     if (!in)
         return -1.0;
-    std::string line, last;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        const char c = line[0];
-        if ((c < '0' || c > '9') && c != '-' && c != '.')
-            continue; // the "tick_ms,..." header row
-        last = line;
+    const std::streamoff size = in.tellg();
+    std::string buf;
+    for (std::streamoff window = 4096;; window *= 4) {
+        const std::streamoff start = std::max<std::streamoff>(
+            0, size - window);
+        buf.resize(static_cast<std::size_t>(size - start));
+        in.seekg(start);
+        if (!in.read(buf.data(), static_cast<std::streamsize>(
+                                     buf.size())))
+            return -1.0;
+        // Complete lines only: each ends at a '\n' and starts right
+        // after one (or at the start of the file).
+        std::size_t end = buf.rfind('\n');
+        while (end != std::string::npos && end > 0) {
+            const std::size_t nl = buf.rfind('\n', end - 1);
+            if (nl == std::string::npos && start > 0)
+                break; // cut by the window; widen it
+            const std::size_t begin =
+                nl == std::string::npos ? 0 : nl + 1;
+            const char c = begin < end ? buf[begin] : '#';
+            // Skip comments, the "tick_ms,..." header and blanks.
+            if ((c >= '0' && c <= '9') || c == '-' || c == '.')
+                return std::strtod(buf.c_str() + begin, nullptr);
+            end = nl;
+        }
+        if (start == 0)
+            return -1.0;
     }
-    if (last.empty())
-        return -1.0;
-    return std::strtod(last.c_str(), nullptr);
 }
 
 namespace

@@ -76,9 +76,9 @@ runThreadAttempt(double seconds, std::string audit, FleetPolicy pol,
         const std::string digestPath =
             attemptDir + "/" + attempt_files::kDigest;
         if (pol.heartbeatIntervalMs > 0.0) {
-            cfg.metrics.out =
+            cfg.ts.metricsOut =
                 attemptDir + "/" + attempt_files::kMetrics;
-            cfg.metrics.intervalMs = pol.heartbeatIntervalMs;
+            cfg.ts.intervalMs = pol.heartbeatIntervalMs;
         }
         cfg.statsOut = statsPath;
         cfg.postmortemDir = attemptDir + "/" + attempt_files::kPmDir;

@@ -788,12 +788,6 @@ IpCore::announceFrame(int lane, std::uint64_t frame_id,
     updateEngineState();
 }
 
-std::size_t
-IpCore::laneDepth(int lane) const
-{
-    return _lanes.at(lane).frames.size();
-}
-
 std::uint64_t
 IpCore::laneOccupancy(int lane) const
 {

@@ -169,9 +169,6 @@ class IpCore : public ClockedObject
      */
     void setCreditWaiter(int lane, std::function<void()> cb);
 
-    /** Frames announced but not yet fully processed on @p lane. */
-    std::size_t laneDepth(int lane) const;
-
     /** @{ lane-credit introspection (tests, diagnostics) */
     /** Total reserved input bytes (buffered + in-flight + in-use). */
     std::uint64_t laneOccupancy(int lane) const;
@@ -233,16 +230,6 @@ class IpCore : public ClockedObject
         _onDegrade = std::move(cb);
     }
     /** @} */
-
-    /**
-     * Engine state as a stable numeric code (0 idle, 1 active,
-     * 2 stalled, 3 backpressured) for the metrics sampler.
-     */
-    std::uint32_t
-    engineStateCode() const
-    {
-        return static_cast<std::uint32_t>(_engineState);
-    }
 
     /**
      * One-line occupancy snapshot (engine state, lane depths and

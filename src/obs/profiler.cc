@@ -30,7 +30,6 @@ const char *const kProfKindCatalog[] = {
     "cpu.sleep",   ///< idle sleep timer
     "flow.gen",    ///< application frame generation
     "flow.input",  ///< touch/input injection
-    "obs.metrics", ///< periodic metrics sampling
     "sim.audit",   ///< periodic invariant audit
     "sim.guard",   ///< no-progress guard check
     "sim.stop",    ///< scheduled app stop
@@ -138,7 +137,7 @@ Profiler::writeJson(
 
     // Wall time attributed to sampled callbacks, scaled up by the
     // sampling ratio: the remainder of runWallMs is the loop itself
-    // (heap ops, compaction, audit hashing between events).
+    // (heap ops and the pre-service hook between events).
     double estCallbackNs = 0.0;
     for (const ProfKindRow &r : table)
         estCallbackNs += r.estTotalNs();
@@ -175,14 +174,12 @@ Profiler::writeJson(
     os << "  \"eventq\": {\n"
        << "    \"max_pending\": " << _maxPending << ",\n"
        << "    \"max_heap\": " << _maxHeap << ",\n"
-       << "    \"compactions\": " << _compactions << ",\n"
        << "    \"timeline_stride\": " << timelineStride() << ",\n"
        << "    \"timeline\": [";
     for (std::size_t i = 0; i < _timeline.size(); ++i) {
         const ProfQueueSample &s = _timeline[i];
         os << (i ? ",\n      " : "\n      ") << "{\"tick\": "
-           << s.tick << ", \"pending\": " << s.pending
-           << ", \"heap\": " << s.heap << "}";
+           << s.tick << ", \"pending\": " << s.pending << "}";
     }
     os << (_timeline.empty() ? "]" : "\n    ]") << "\n  },\n";
 

@@ -4,10 +4,10 @@
  *
  * Attributes wall time to the event loop itself: which event kinds
  * dominate dispatch counts and wall cost, how the EventQueue's
- * occupancy (live events, heap slots, tombstones, compactions)
- * evolves over simulated time, and how the run's simulated-seconds-
- * per-wall-second breaks down.  This is the cost-attribution substrate
- * the event-loop optimization work (ROADMAP item 1) is aimed with.
+ * occupancy (live events) evolves over simulated time, and how the
+ * run's simulated-seconds-per-wall-second breaks down.  This is the
+ * cost-attribution substrate the event-loop optimization work
+ * (ROADMAP item 1) is aimed with.
  *
  * Digest-neutrality contract (same as the tracer): the profiler is
  * attached to the EventQueue through a nullable observer pointer, it
@@ -76,7 +76,6 @@ struct ProfQueueSample
 {
     Tick tick = 0;
     std::uint32_t pending = 0; ///< live events
-    std::uint32_t heap = 0;    ///< heap slots incl. tombstones
 };
 
 class Profiler
@@ -118,7 +117,6 @@ class Profiler
 
     /** @{ run-level bookkeeping (set by Simulation, not the queue) */
     void setRunWallMs(double ms) { _runWallMs = ms; }
-    void noteCompactions(std::uint64_t n) { _compactions = n; }
     void noteAllocCursor(std::uint64_t c) { _allocCursor = c; }
     /** @} */
 
@@ -217,7 +215,7 @@ class Profiler
             _timeline.resize(kept);
             _timelineDecimation *= 2;
         }
-        _timeline.push_back(ProfQueueSample{now, p, h});
+        _timeline.push_back(ProfQueueSample{now, p});
         _timelineSkip = _timelineDecimation - 1;
     }
 
@@ -244,7 +242,6 @@ class Profiler
     std::uint32_t _maxHeap = 0;
 
     double _runWallMs = 0.0;
-    std::uint64_t _compactions = 0;
     std::uint64_t _allocCursor = 0;
 };
 

@@ -1,8 +1,8 @@
 #include "obs/timeseries.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "obs/provenance.hh"
@@ -36,15 +36,26 @@ matchOne(const char *p, const char *s)
     return !*s;
 }
 
-/** Deterministic number formatting shared by every array in the
- *  JSON output (shortest round-trip-safe form is overkill here; nine
- *  significant digits keep large files readable and stable). */
+/** Append @p v as printf's "%.9g" would (std::to_chars with a
+ *  precision is specified to match it, at a fraction of the cost).
+ *  Deterministic number formatting shared by series.json and the
+ *  metrics CSV: shortest round-trip form is overkill here, and nine
+ *  significant digits keep large files readable and stable. */
+void
+appendNum(std::string &out, double v)
+{
+    char buf[40];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 9);
+    out.append(buf, r.ptr);
+}
+
 std::string
 num(double v)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
+    std::string s;
+    appendNum(s, v);
+    return s;
 }
 
 void
@@ -75,14 +86,13 @@ TimeSeries::globMatch(const std::string &pat, const std::string &path)
     return false;
 }
 
-TimeSeries::TimeSeries(const TsConfig &cfg, double intervalMs,
-                       const StatRegistry &reg)
+TimeSeries::TimeSeries(const TsConfig &cfg, const StatRegistry &reg)
     : _cfg(cfg)
 {
-    if (!(intervalMs > 0.0))
+    if (!(_cfg.intervalMs > 0.0))
         fatal("time series: sampling interval must be positive, got ",
-              intervalMs, " ms");
-    _interval = fromMs(intervalMs);
+              _cfg.intervalMs, " ms");
+    _interval = fromMs(_cfg.intervalMs);
     _nextBoundary = _interval;
 
     for (const StatDef &d : reg.defs()) {
@@ -110,6 +120,53 @@ TimeSeries::TimeSeries(const TsConfig &cfg, double intervalMs,
 }
 
 void
+TimeSeries::streamCsv(const std::string &path, bool resumed, Tick now)
+{
+    // ate puts the put position at the end of the file, so tellp()
+    // reports its size: a resume writes the header only into an
+    // empty file.
+    _csv.open(path, resumed ? std::ios::app | std::ios::ate
+                            : std::ios::trunc);
+    if (!_csv)
+        fatal("metrics: cannot open ", path, " for writing");
+    if (!resumed || _csv.tellp() == 0) {
+        _csv << kCsvTag << "\n";
+        for (const auto &line : provenanceMetaLines())
+            _csv << "# " << line << "\n";
+        _csv << "# intervalMs=" << toMs(_interval) << "\n";
+        _csv << "tick_ms";
+        for (const Sel &s : _sel)
+            _csv << "," << s.path;
+        _csv << "\n";
+    }
+    if (resumed)
+        _csv << "# resumed-at-tick=" << now << "\n";
+    _csv.flush();
+}
+
+void
+TimeSeries::writeCsvRow(const Row &r)
+{
+    // One write and one flush per row: a killed run loses at most
+    // the row being written, which readers recognise by its missing
+    // newline.
+    _csvLine.clear();
+    char buf[40];
+    const auto end = std::to_chars(buf, buf + sizeof(buf),
+                                   toMs(r.tick),
+                                   std::chars_format::fixed, 6);
+    _csvLine.append(buf, end.ptr);
+    for (double v : r.vals) {
+        _csvLine += ',';
+        appendNum(_csvLine, v);
+    }
+    _csvLine += '\n';
+    _csv.write(_csvLine.data(),
+               static_cast<std::streamsize>(_csvLine.size()));
+    _csv.flush();
+}
+
+void
 TimeSeries::catchUp(Tick next)
 {
     while (_nextBoundary <= next) {
@@ -131,10 +188,22 @@ TimeSeries::sampleAt(Tick t)
         _samples % _cfg.steadyEvery == 0)
         detectStep(t);
 
-    if (_skip > 0) {
+    // The CSV takes every sample; the ring only every _stride-th.
+    const bool keep = _skip == 0;
+    if (!keep)
         --_skip;
+    if (!keep && !_csv.is_open())
         return;
-    }
+    Row r;
+    r.tick = t;
+    r.vals.reserve(_sel.size());
+    for (const Sel &s : _sel)
+        r.vals.push_back(s.get());
+    if (_csv.is_open())
+        writeCsvRow(r);
+    if (!keep)
+        return;
+
     if (_rows.size() >= kRowCap) {
         // Stride-doubling decimation (the profiler's queue-timeline
         // trick): halve the stored history, double the keep stride.
@@ -147,11 +216,6 @@ TimeSeries::sampleAt(Tick t)
         _rows.resize(kept);
         _stride *= 2;
     }
-    Row r;
-    r.tick = t;
-    r.vals.reserve(_sel.size());
-    for (const Sel &s : _sel)
-        r.vals.push_back(s.get());
     _rows.push_back(std::move(r));
     _skip = _stride - 1;
 }
@@ -327,6 +391,7 @@ TimeSeries::writeJson(
 void
 TimeSeries::saveState(SnapshotWriter &w) const
 {
+    w.tick(_interval);
     w.u32(static_cast<std::uint32_t>(_sel.size()));
     for (const Sel &s : _sel)
         w.str(s.path);
@@ -357,6 +422,11 @@ TimeSeries::saveState(SnapshotWriter &w) const
 void
 TimeSeries::loadState(SnapshotReader &r)
 {
+    const Tick interval = r.tick();
+    if (interval != _interval)
+        fatal("restore: snapshot samples every ", toMs(interval),
+              " ms, this run every ", toMs(_interval),
+              " ms (--metrics-interval-ms mismatch)");
     std::uint32_t nSel = r.u32();
     if (nSel != _sel.size())
         fatal("restore: snapshot time series selects ", nSel,

@@ -1,24 +1,25 @@
 /**
  * @file
- * Windowed time-series telemetry over the StatRegistry (--ts), with
- * steady-state detection.
+ * The run's one sampler (--ts, --metrics-out): windowed time series
+ * over the StatRegistry, the streamed metrics CSV, and steady-state
+ * detection.
  *
- * Every surface the simulator had was either an end-of-run scalar
- * (the stats registry) or an unbounded raw dump (metrics CSV, trace
- * ring).  This plane sits between them: stats selected by glob are
- * sampled at the metrics cadence into one bounded row ring covering
- * the whole run — at capacity every second row is dropped and the
- * keep-stride doubles (the profiler's queue-timeline trick), so
- * memory is O(capacity) regardless of run length while the series
- * still spans start to finish.  Derived views (rates from counters,
- * EWMA, windowed min/max) are computed at dump time from the stored
- * rows, never during the run.
+ * Stats selected by glob are sampled every interval into one bounded
+ * row ring covering the whole run — at capacity every second row is
+ * dropped and the keep-stride doubles (the profiler's queue-timeline
+ * trick), so memory is O(capacity) regardless of run length while the
+ * series still spans start to finish.  Derived views (rates from
+ * counters, EWMA, windowed min/max) are computed at dump time from
+ * the stored rows, never during the run.  With a metrics CSV armed,
+ * every sample is also appended to it as one flushed row *before*
+ * decimation, so the CSV holds every interval and survives a run
+ * killed mid-way; the flight recorder points at it from its crash
+ * bundle.
  *
- * Digest neutrality is by construction, one step stronger than the
- * MetricsSampler: sampling happens from the event loop's pre-service
- * hook, so the plane schedules no events, consumes no randomness and
- * contributes nothing to any stateDigest() — an armed run's digest
- * stream is bit-identical to a bare one.
+ * Digest neutrality is by construction: sampling happens from the
+ * event loop's pre-service hook, so the sampler schedules no events,
+ * consumes no randomness and contributes nothing to any stateDigest()
+ * — an armed run's digest stream is bit-identical to a bare one.
  *
  * The steady-state detector answers "has this run left the boot
  * transient yet?": every steadyEvery-th sample it pushes each tracked
@@ -28,14 +29,14 @@
  * tolerance, monotone over the window) are judged on their windowed
  * rate, which must also be positive, so an idle all-zero counter can
  * never vote steady.  The verdict latches; sim.steady.tick exports it
- * through stats and metrics, and --checkpoint-on-steady turns it into
- * the warm-start seed snapshot.
+ * through stats and series.json, and --checkpoint-on-steady turns it
+ * into the warm-start seed snapshot.
  *
- * Snapshot-safe: rows, decimation state and detector windows
- * serialize into the "timeseries" checkpoint section, so a restored
- * run's series.json is byte-identical to an uninterrupted run's —
- * no duplicated, missing or rewound rows (the in-memory analog of
- * MetricsSampler's resume() protocol).
+ * Snapshot-safe: the interval, rows, decimation state and detector
+ * windows serialize into the "timeseries" checkpoint section, so a
+ * restored run's series.json is byte-identical to an uninterrupted
+ * run's — no duplicated, missing or rewound rows — and its CSV
+ * continues in append mode after a '# resumed-at-tick=' stamp.
  */
 
 #ifndef VIP_OBS_TIMESERIES_HH
@@ -43,6 +44,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <fstream>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -67,15 +69,29 @@ class TimeSeries
     /** Row-ring capacity; at capacity the keep-stride doubles. */
     static constexpr std::size_t kRowCap = 512;
 
+    /** First line of every metrics CSV; bumped when its columns
+     *  change meaning. */
+    static constexpr const char *kCsvTag = "# vip-metrics v2";
+
     /**
      * Select every stat of @p reg matching cfg.glob (must select at
      * least one; an empty selection is a configuration error) and
-     * resolve the detector's tracked set from cfg.steadyStats.
-     * @p intervalMs is the sampling cadence in simulated ms (the
-     * MetricsSampler cadence, armed or not).
+     * resolve the detector's tracked set from cfg.steadyStats.  The
+     * sampling cadence is cfg.intervalMs.
      */
-    TimeSeries(const TsConfig &cfg, double intervalMs,
-               const StatRegistry &reg);
+    TimeSeries(const TsConfig &cfg, const StatRegistry &reg);
+
+    /**
+     * Stream every sample from now on to the metrics CSV at @p path,
+     * one flushed row per interval boundary.  A fresh run truncates
+     * the file and writes the header ('#' tag, provenance and
+     * intervalMs lines, then the "tick_ms,<stat path>..." row); a
+     * @p resumed run appends after a '# resumed-at-tick=@p now'
+     * stamp, so the rows written before its snapshot stay in place
+     * (the header is written first only if the file is empty).
+     * SimFatal when the file cannot be opened.
+     */
+    void streamCsv(const std::string &path, bool resumed, Tick now);
 
     /**
      * Pre-service hook entry: called with the tick of the event about
@@ -97,8 +113,8 @@ class TimeSeries
     /** @{ steady-state verdict (latched). */
     bool steadyDetected() const { return _steady; }
     Tick steadyTick() const { return _steadyTick; }
-    /** Detection tick in ms, or -1 while undetected (the stats /
-     *  metrics representation). */
+    /** Detection tick in ms, or -1 while undetected (the stats
+     *  representation). */
     double
     steadyTickMs() const
     {
@@ -170,10 +186,14 @@ class TimeSeries
     void catchUp(Tick next);
     void sampleAt(Tick t);
     void detectStep(Tick t);
+    void writeCsvRow(const Row &r);
 
     TsConfig _cfg;
     Tick _interval;
     Tick _nextBoundary;
+
+    std::ofstream _csv;   ///< metrics CSV sink; closed when unarmed
+    std::string _csvLine; ///< row buffer, reused per sample
 
     std::vector<Sel> _sel;
     std::vector<Row> _rows;

@@ -3,9 +3,9 @@
  * Configuration for the execution-observability subsystem.
  *
  * TraceConfig selects which event categories the Tracer records and
- * where the Chrome trace_event JSON goes; MetricsConfig controls the
- * periodic time-series sampler.  Both live here (not in tracer.hh) so
- * SocConfig can embed them without pulling in the tracer machinery.
+ * where the Chrome trace_event JSON goes.  It lives here (not in
+ * tracer.hh) so SocConfig can embed it without pulling in the tracer
+ * machinery.
  */
 
 #ifndef VIP_OBS_TRACE_CONFIG_HH
@@ -58,17 +58,6 @@ struct TraceConfig
     std::uint32_t categories = kAllTraceCats;
     /** Ring-buffer capacity in events (oldest dropped on overflow). */
     std::size_t bufferEvents = std::size_t{1} << 19;
-
-    bool enabled() const { return !out.empty(); }
-};
-
-/** Periodic metrics sampler configuration (--metrics-out). */
-struct MetricsConfig
-{
-    /** Output CSV file; empty disables the sampler. */
-    std::string out;
-    /** Sampling interval in simulated milliseconds. */
-    double intervalMs = 1.0;
 
     bool enabled() const { return !out.empty(); }
 };

@@ -92,9 +92,6 @@ class SystemAgent : public SimObject
     /** Fraction of elapsed time the link was busy. */
     double utilization() const;
 
-    /** Cumulative link-busy time (metrics sampler). */
-    Tick busyTicks() const { return _busyTicks; }
-
     void finalize() override;
     void registerStats(StatRegistry &registry) override;
 

@@ -25,9 +25,9 @@
  * name or size, truncation, digest — is a clear SimFatal, never UB.
  *
  * Deliberately NOT serialized: the tracer ring (observational,
- * lossy by design), stat-registry getters (closures over component
- * fields; they read restored state), and probe closures of the
- * metrics sampler (rebuilt from restored counters).
+ * lossy by design) and stat-registry getters (closures over
+ * component fields; they read restored state, which is also how the
+ * sampler's getters resume).
  */
 
 #ifndef VIP_SIM_SNAPSHOT_HH
@@ -61,7 +61,7 @@ class Serializable
 };
 
 constexpr std::uint32_t kSnapshotMagic = 0x53504956; // "VIPS"
-constexpr std::uint32_t kSnapshotVersion = 3;
+constexpr std::uint32_t kSnapshotVersion = 4;
 
 /**
  * Snapshot header: build provenance plus the identity of the run the

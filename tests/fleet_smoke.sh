@@ -76,9 +76,10 @@ assert any("chaos SIGKILL" in h for h in killed.get("history", [])), killed
 print("report: vip-A1-s1 killed, resumed from checkpoint, done")
 EOF
 
-# Uninterrupted reference run with IDENTICAL flags.  Checkpoint
-# identity covers config/workload/seed/seconds/audit/metrics
-# interval, so every knob the fleet threads into workers must be
+# Uninterrupted reference run with IDENTICAL flags.  A restore
+# checks config/workload/seed/seconds/audit (checkpoint identity) and
+# the sampling interval and stat selection (the sampler's snapshot
+# section), so every knob the fleet threads into workers must be
 # repeated here for the comparison to be meaningful.
 echo "== uninterrupted reference run"
 REF="$WORK/ref"

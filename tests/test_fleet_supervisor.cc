@@ -570,8 +570,8 @@ TEST_F(FleetTest, ThreadFleetShardMatchesDirectRunBitForBit)
     cfg.seed = 1;
     cfg.system = SystemConfig::VIP;
     cfg.audit = AuditConfig::parse("periodic:1");
-    cfg.metrics.out = path("mirror.csv");
-    cfg.metrics.intervalMs = 1.0;
+    cfg.ts.metricsOut = path("mirror.csv");
+    cfg.ts.intervalMs = 1.0;
     cfg.statsOut = path("mirror-stats.json");
     cfg.postmortemDir = path("mirror-pm");
     cfg.checkpointEveryMs = 20.0;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Fleet transport tests: artifact integrity helpers (FNV-1a, atomic
- * writes, checksum-verified copies, local manifests), bounded
+ * writes, checksum-verified copies, local manifests), the heartbeat
+ * CSV tail reader, bounded
  * subprocess capture, the FaultSpec grammar, deterministic fault
  * injection through FaultyTransport, the host health state machine,
  * the --hosts roster parser, and a hermetic RemoteTransport probe
@@ -21,6 +22,7 @@
 #include "fleet/hosts.hh"
 #include "fleet/transport/artifact.hh"
 #include "fleet/transport/faulty_transport.hh"
+#include "fleet/transport/local_transport.hh"
 #include "fleet/transport/remote_transport.hh"
 #include "fleet/transport/subprocess.hh"
 
@@ -174,6 +176,43 @@ TEST_F(TransportTest, LocalManifestChecksumsPresentArtifacts)
     EXPECT_FALSE(digest->present); // never produced
 
     EXPECT_EQ(findArtifact(m, "no-such-artifact"), nullptr);
+}
+
+TEST_F(TransportTest, HeartbeatTailReadsOnlyTheLastCompleteRow)
+{
+    const std::string header = "# vip-metrics v2\n# git=abc\n"
+                               "# intervalMs=1\ntick_ms,a,b\n";
+    // A multi-MB stream: the newest complete row wins, wherever the
+    // file's tail window starts.
+    std::string big = header;
+    int n = 0;
+    while (big.size() < (std::size_t{3} << 20)) {
+        ++n;
+        big += std::to_string(n) + ".000000,12345678,0.25\n";
+    }
+    const std::string csv = write("big.csv", big);
+    EXPECT_EQ(readLastTickMs(csv), static_cast<double>(n));
+
+    // A row still being written (no newline yet) is ignored, and so
+    // are comment lines after the last row (a resume stamp).
+    write("partial.csv", header + "1.000000,1,2\n2.000000,3,4\n"
+                                  "# resumed-at-tick=2000000000\n"
+                                  "3.0000");
+    EXPECT_EQ(readLastTickMs(path("partial.csv")), 2.0);
+
+    // A row wider than the first tail window still parses.
+    std::string wide = header + "7.500000";
+    for (int i = 0; i < 3000; ++i)
+        wide += ",123456789";
+    write("wide.csv", wide + "\n");
+    EXPECT_EQ(readLastTickMs(path("wide.csv")), 7.5);
+
+    // No data row yet, an empty file, or no file at all: -1.
+    write("header.csv", header);
+    EXPECT_EQ(readLastTickMs(path("header.csv")), -1.0);
+    write("empty.csv", "");
+    EXPECT_EQ(readLastTickMs(path("empty.csv")), -1.0);
+    EXPECT_EQ(readLastTickMs(path("missing.csv")), -1.0);
 }
 
 // ---------------------------------------------------------------

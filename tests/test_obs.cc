@@ -3,14 +3,17 @@
  * Tests for the execution-observability subsystem: tracer ring
  * semantics, trace JSON well-formedness and span nesting across all
  * configurations, same-seed trace determinism, histogram percentile
- * math, the periodic metrics sampler, frame lifecycles reconstructed
- * from spans alone, and the zero-perturbation guarantee (tracing on
- * vs off leaves the audit digest stream bit-identical).
+ * math, the streamed metrics CSV, frame lifecycles reconstructed
+ * from spans alone, and the zero-perturbation guarantee (tracing or a
+ * metrics CSV on vs off leaves the audit digest stream bit-identical).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -22,14 +25,52 @@ namespace vip
 namespace
 {
 
+/** Arms the tracer; only vip_sim writes the trace file itself. */
+constexpr const char *kTraceUnwritten = "trace.json";
+
 SocConfig
 tracedConfig(SystemConfig system)
 {
     SocConfig cfg;
     cfg.system = system;
     cfg.simSeconds = 0.02;
-    cfg.trace.out = "(buffer)";
+    cfg.trace.out = kTraceUnwritten;
     return cfg;
+}
+
+std::string
+tempPath(const std::string &name)
+{
+    return (std::filesystem::path(::testing::TempDir()) / name)
+        .string();
+}
+
+/** A metrics CSV split into its header row and data rows ('#'
+ *  comment lines dropped). */
+struct Csv
+{
+    std::string firstLine;
+    std::string header;
+    std::vector<std::string> rows;
+};
+
+Csv
+readCsv(const std::string &path)
+{
+    Csv csv;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (csv.firstLine.empty())
+            csv.firstLine = line;
+        if (line.empty() || line[0] == '#')
+            continue;
+        if (csv.header.empty())
+            csv.header = line;
+        else
+            csv.rows.push_back(line);
+    }
+    return csv;
 }
 
 std::string
@@ -262,51 +303,116 @@ TEST(LatencySummaryTest, RunStatsCarriesPerStageBreakdowns)
 
 TEST(MetricsSamplerTest, RowCountMatchesInterval)
 {
+    const std::string path = tempPath("vip-metrics-1ms.csv");
     SocConfig cfg;
     cfg.system = SystemConfig::VIP;
     cfg.simSeconds = 0.02;
-    cfg.metrics.out = "(buffer)";
-    cfg.metrics.intervalMs = 1.0;
+    cfg.ts.metricsOut = path;
+    cfg.ts.intervalMs = 1.0;
     Simulation sim(cfg, WorkloadCatalog::byIndex(4));
     sim.run();
-    ASSERT_NE(sim.metrics(), nullptr);
-    // 20 ms of simulated time at a 1 ms interval: first sample fires
-    // one interval in, last at t=20ms.
-    EXPECT_EQ(sim.metrics()->rows(), 20u);
-    EXPECT_GT(sim.metrics()->probes(), 0u);
-    EXPECT_EQ(sim.metrics()->interval(), fromMs(1.0));
+    ASSERT_NE(sim.timeseries(), nullptr);
+    EXPECT_GT(sim.timeseries()->selected(), 0u);
 
-    std::ostringstream os;
-    sim.metrics()->writeCsv(os);
-    std::string csv = os.str();
-    // Provenance header plus one line per row plus the column header.
-    std::size_t lines = 0;
-    for (char c : csv)
-        lines += c == '\n';
-    EXPECT_GE(lines, sim.metrics()->rows() + 1);
-    EXPECT_NE(csv.find("tick_ms"), std::string::npos);
+    // 20 ms of simulated time at a 1 ms interval: the first row lands
+    // one interval in, the last at t=20ms.
+    const Csv csv = readCsv(path);
+    EXPECT_EQ(csv.firstLine, TimeSeries::kCsvTag);
+    EXPECT_EQ(csv.header.rfind("tick_ms,", 0), 0u);
+    ASSERT_EQ(csv.rows.size(), 20u);
+    EXPECT_EQ(csv.rows.front().rfind("1.000000,", 0), 0u);
+    EXPECT_EQ(csv.rows.back().rfind("20.000000,", 0), 0u);
+    // One column per selected stat after the time axis.
+    for (const std::string &row : csv.rows) {
+        EXPECT_EQ(std::count(row.begin(), row.end(), ','),
+                  static_cast<long>(sim.timeseries()->selected()));
+    }
+    std::filesystem::remove(path);
 }
 
 TEST(MetricsSamplerTest, HalfMillisecondIntervalDoublesRows)
 {
+    const std::string path = tempPath("vip-metrics-halfms.csv");
     SocConfig cfg;
     cfg.system = SystemConfig::VIP;
     cfg.simSeconds = 0.02;
-    cfg.metrics.out = "(buffer)";
-    cfg.metrics.intervalMs = 0.5;
+    cfg.ts.metricsOut = path;
+    cfg.ts.intervalMs = 0.5;
     Simulation sim(cfg, WorkloadCatalog::byIndex(4));
     sim.run();
-    ASSERT_NE(sim.metrics(), nullptr);
-    EXPECT_EQ(sim.metrics()->rows(), 40u);
+    ASSERT_NE(sim.timeseries(), nullptr);
+    EXPECT_EQ(readCsv(path).rows.size(), 40u);
+    std::filesystem::remove(path);
+}
+
+TEST(MetricsCsv, UnwritablePathFailsBeforeTheFirstEvent)
+{
+    SocConfig cfg;
+    cfg.system = SystemConfig::VIP;
+    cfg.simSeconds = 0.02;
+    cfg.ts.metricsOut = tempPath("no-such-dir/metrics.csv");
+    Simulation sim(cfg, WorkloadCatalog::byIndex(4));
+    EXPECT_THROW(sim.run(), SimFatal);
+    EXPECT_EQ(sim.system().eventq().servicedEvents(), 0u);
+}
+
+/**
+ * --metrics-out is digest-neutral: the CSV is a sink of the sampler,
+ * which reads from the event loop's pre-service hook and schedules
+ * nothing.  On every configuration, a run streaming the CSV has the
+ * bare run's digest stream, the same value for every stat the bare
+ * run exports, and adds only the sampler's own ts.* and
+ * sim.steady.tick stats.
+ */
+TEST(MetricsCsv, DigestNeutralOnAllConfigs)
+{
+    const std::string path = tempPath("vip-metrics-neutral.csv");
+    auto wl = WorkloadCatalog::byIndex(4);
+    for (auto sc : kAllConfigs) {
+        SCOPED_TRACE(systemConfigName(sc));
+        SocConfig cfg;
+        cfg.system = sc;
+        cfg.simSeconds = 0.05;
+        cfg.audit = AuditConfig::parse("periodic:1");
+        Simulation bare(cfg, wl);
+        bare.run();
+        cfg.ts.metricsOut = path;
+        Simulation csv(cfg, wl);
+        csv.run();
+        EXPECT_EQ(readCsv(path).rows.size(), 50u);
+
+        std::ostringstream a, b;
+        bare.auditor().writeDigestStream(a, {});
+        csv.auditor().writeDigestStream(b, {});
+        EXPECT_GT(bare.auditor().stream().records.size(), 0u);
+        EXPECT_EQ(a.str(), b.str());
+
+        const auto want = bare.statsRegistry().snapshot();
+        const auto got = csv.statsRegistry().snapshot();
+        std::size_t shared = 0;
+        for (const auto &[stat, value] : got) {
+            auto it = std::find_if(
+                want.begin(), want.end(),
+                [&](const auto &e) { return e.first == stat; });
+            if (it == want.end()) {
+                EXPECT_TRUE(stat.rfind("ts.", 0) == 0 ||
+                            stat == "sim.steady.tick")
+                    << "unexpected extra stat " << stat;
+                continue;
+            }
+            ++shared;
+            EXPECT_EQ(value, it->second) << stat;
+        }
+        EXPECT_EQ(shared, want.size());
+    }
+    std::filesystem::remove(path);
 }
 
 /**
  * The zero-perturbation guarantee: enabling the tracer must leave the
  * architectural state digests bit-identical, because it never
  * schedules events, consumes randomness, or contributes to any
- * component digest.  (The metrics sampler is excluded: it schedules
- * real sampling events, which is why it is only constructed when
- * --metrics-out is given.)
+ * component digest.
  */
 TEST(TraceZeroPerturbation, DigestStreamIdenticalTracedVsUntraced)
 {
@@ -317,7 +423,7 @@ TEST(TraceZeroPerturbation, DigestStreamIdenticalTracedVsUntraced)
         cfg.audit.mode = AuditMode::Periodic;
         cfg.audit.periodMs = 1.0;
         if (traced)
-            cfg.trace.out = "(buffer)";
+            cfg.trace.out = kTraceUnwritten;
         Simulation sim(cfg, WorkloadCatalog::byIndex(4));
         sim.run();
         EXPECT_GT(sim.auditor().stream().records.size(), 0u);

@@ -258,19 +258,19 @@ TEST_F(SnapshotTest, MetricsCsvResumesWithoutDuplicateHeader)
     auto snap = path("a.vips");
 
     SocConfig base = auditedCfg(SystemConfig::Baseline, 0.2);
-    base.metrics.intervalMs = 1.0;
+    base.ts.intervalMs = 1.0;
 
     // Uninterrupted reference CSV.
     {
         SocConfig cfg = base;
-        cfg.metrics.out = refCsv;
+        cfg.ts.metricsOut = refCsv;
         Simulation sim(cfg, wl);
         sim.run();
     }
     // Checkpointed run writing the CSV that will be "interrupted".
     {
         SocConfig cfg = base;
-        cfg.metrics.out = csv;
+        cfg.ts.metricsOut = csv;
         Simulation sim(cfg, wl);
         sim.checkpointAt(fromMs(100), snap);
         sim.run();
@@ -303,7 +303,7 @@ TEST_F(SnapshotTest, MetricsCsvResumesWithoutDuplicateHeader)
     // Resume: the sampler must append to the CSV, not rewrite it.
     {
         SocConfig cfg = base;
-        cfg.metrics.out = csv;
+        cfg.ts.metricsOut = csv;
         cfg.restorePath = snap;
         Simulation sim(cfg, wl);
         sim.run();

@@ -246,8 +246,8 @@ TEST(FlightRecorder, MetricsStreamSurvivesTheCrash)
     cfg.simSeconds = 0.2;
     cfg.noProgressSec = 0.05;
     cfg.postmortemDir = dir.string();
-    cfg.metrics.out = csv;
-    cfg.metrics.intervalMs = 1.0;
+    cfg.ts.metricsOut = csv;
+    cfg.ts.intervalMs = 1.0;
     cfg.fault.engineHangProb = 1.0;
     cfg.fault.watchdogTimeout = 0;
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,6 +24,9 @@ using namespace vip;
 
 namespace
 {
+
+/** The glob that selects every registered stat (--ts='*'). */
+const std::string kEveryStat = "*";
 
 SocConfig
 auditedCfg(SystemConfig sc, double seconds = 0.2)
@@ -108,7 +112,8 @@ TEST(TimeSeriesPlane, DigestNeutralAcrossAllConfigs)
     // Same contract as --prof, one layer up: an armed time-series
     // plane must not change one bit of simulated behavior.  Audit
     // every 1 ms and require the full digest stream to match a bare
-    // run, for every configuration.
+    // run, for every configuration.  Select every registry stat, not
+    // the compact default, so every getter is read each interval.
     auto wl = WorkloadCatalog::byIndex(4);
     for (auto sc : kAllConfigs) {
         SCOPED_TRACE(systemConfigName(sc));
@@ -118,6 +123,7 @@ TEST(TimeSeriesPlane, DigestNeutralAcrossAllConfigs)
 
         SocConfig cfg = auditedCfg(sc);
         cfg.ts.armed = true;
+        cfg.ts.glob = kEveryStat;
         Simulation armed(cfg, wl);
         armed.run();
 
@@ -169,6 +175,7 @@ TEST(TimeSeriesPlane, GlobSelectsSubsetAndSeriesReflectsIt)
 
     SocConfig all = auditedCfg(SystemConfig::VIP, 0.1);
     all.ts.armed = true;
+    all.ts.glob = kEveryStat;
     Simulation simAll(all, WorkloadCatalog::byIndex(4));
     simAll.run();
     ASSERT_NE(simAll.timeseries(), nullptr);
@@ -179,15 +186,52 @@ TEST(TimeSeriesPlane, GlobSelectsSubsetAndSeriesReflectsIt)
     EXPECT_EQ(doc.find("\"path\": \"dram."), std::string::npos);
 }
 
+TEST(TimeSeriesPlane, DefaultSelectionIsCompactAndCoversTheDetector)
+{
+    // The default glob is the always-on fleet heartbeat's column set:
+    // a small fraction of the registry that still holds every series
+    // the steady-state detector tracks.
+    SocConfig cfg = auditedCfg(SystemConfig::VIP, 0.02);
+    cfg.ts.armed = true;
+    Simulation sim(cfg, WorkloadCatalog::byIndex(4));
+    sim.run();
+    const TimeSeries *ts = sim.timeseries();
+    ASSERT_NE(ts, nullptr);
+    EXPECT_LT(ts->selected() * 3, sim.statsRegistry().size());
+
+    const std::string doc = seriesOf(sim);
+    for (const char *p : {"sim.eventq.live", "flow.0.generated",
+                          "flow.0.completed", "flow.0.frames_shed",
+                          "ip.vd.credits_reserved",
+                          "ip.vd.credits_returned", "ip.vd.busy_ms",
+                          "ip.vd.stall_ms", "ip.vd.bp_stall_ms",
+                          "dram.bytes_read", "dram.bytes_written",
+                          "dram.powerdown_ms", "dram.selfrefresh_ms",
+                          "sa.busy_ms", "cpu.core0.active_ms",
+                          "cpu.core0.sleep_ms"})
+        EXPECT_NE(doc.find(std::string("\"path\": \"") + p + "\""),
+                  std::string::npos)
+            << p;
+    const auto &tracked = ts->trackedPaths();
+    EXPECT_NE(std::find(tracked.begin(), tracked.end(),
+                        "sim.eventq.live"),
+              tracked.end());
+    EXPECT_NE(std::find(tracked.begin(), tracked.end(),
+                        "flow.0.completed"),
+              tracked.end());
+}
+
 TEST(TimeSeriesPlane, SeriesBytesDeterministicUnderDecimation)
 {
     // 0.3 simulated s sampled every 0.1 ms is ~3000 boundaries
     // against a 512-row ring: the keep-stride must have doubled, and
     // two identical runs must still dump byte-identical series.json
-    // (no wall-clock content, no iteration-order leaks).
+    // (no wall-clock content, no iteration-order leaks) over every
+    // registry stat.
     SocConfig cfg = auditedCfg(SystemConfig::VIP, 0.3);
-    cfg.metrics.intervalMs = 0.1;
+    cfg.ts.intervalMs = 0.1;
     cfg.ts.armed = true;
+    cfg.ts.glob = kEveryStat;
 
     Simulation a(cfg, WorkloadCatalog::byIndex(4));
     a.run();
@@ -232,12 +276,14 @@ TEST_F(TimeSeriesSnapshotTest, SteadyCheckpointRestoresByteIdentical)
     // detection, and a run restored from it finishes with a digest
     // stream, stats dump AND series.json byte-identical to the
     // uninterrupted run's — rows resume mid-ring, the detector
-    // verdict survives, and the one-shot plan never re-arms.
+    // verdict survives, and the one-shot plan never re-arms.  Every
+    // registry stat is selected so each one's restore is compared.
     auto wl = WorkloadCatalog::byIndex(4);
     const std::string snap = path("steady.vips");
 
     SocConfig base = auditedCfg(SystemConfig::VIP, 0.4);
     base.ts.armed = true;
+    base.ts.glob = kEveryStat;
 
     Simulation ref(base, wl);
     ref.run();
@@ -297,4 +343,41 @@ TEST_F(TimeSeriesSnapshotTest, ArmingMustMatchAcrossRestore)
     bare.restorePath = snap;
     Simulation resumed(bare, wl);
     EXPECT_THROW(resumed.run(), SimFatal);
+}
+
+TEST_F(TimeSeriesSnapshotTest, IntervalMustMatchAcrossRestore)
+{
+    // The snapshot's sampler section records its interval: resuming
+    // rows sampled every 2 ms at a 1 ms cadence would change the
+    // spacing at the restore point while series.json claims one
+    // interval, so it must fail and name both values.
+    auto wl = WorkloadCatalog::byIndex(4);
+    const std::string snap = path("mid.vips");
+
+    SocConfig wcfg = auditedCfg(SystemConfig::VIP, 0.4);
+    wcfg.ts.armed = true;
+    wcfg.ts.intervalMs = 2.0;
+    Simulation writer(wcfg, wl);
+    writer.checkpointAt(fromMs(300), snap);
+    writer.run();
+    ASSERT_EQ(writer.checkpointsWritten(), 1u);
+
+    SocConfig rcfg = wcfg;
+    rcfg.restorePath = snap;
+    rcfg.ts.intervalMs = 1.0;
+    Simulation resumed(rcfg, wl);
+    try {
+        resumed.run();
+        ADD_FAILURE() << "restore at a different interval succeeded";
+    } catch (const SimFatal &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("every 2 ms"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("every 1 ms"), std::string::npos) << msg;
+    }
+
+    // The matching interval restores.
+    rcfg.ts.intervalMs = 2.0;
+    Simulation same(rcfg, wl);
+    same.run();
+    EXPECT_EQ(seriesOf(same), seriesOf(writer));
 }

@@ -98,9 +98,11 @@ usage()
         "                               fault, power (default all)\n"
         "  --trace-buffer <events>      trace ring capacity\n"
         "                               (default 524288, drop-oldest)\n"
-        "  --metrics-out <file>         periodic metrics CSV\n"
-        "                               (streamed row-by-row; survives\n"
-        "                               a killed run)\n"
+        "  --metrics-out <file>         stream every sample of the\n"
+        "                               --ts selection as a CSV row\n"
+        "                               (flushed per row; survives a\n"
+        "                               killed run; arms the sampler;\n"
+        "                               digest-neutral)\n"
         "  --metrics-interval-ms <ms>   sampling period (default 1)\n"
         "  --stats-out <file>           write every registered counter\n"
         "                               as self-describing JSON (the\n"
@@ -112,12 +114,18 @@ usage()
         "                               digest-neutral, <5%% overhead\n"
         "  --prof-sample-every <n>      steady_clock sampling stride\n"
         "                               (default 64)\n"
-        "  --ts[=<glob>]                sample glob-selected stats at\n"
-        "                               the metrics cadence into a\n"
-        "                               bounded decimating series ring\n"
-        "                               and run the steady-state\n"
-        "                               detector (default glob *);\n"
-        "                               digest-neutral\n"
+        "  --ts[=<glob>]                sample glob-selected stats\n"
+        "                               every interval into a bounded\n"
+        "                               decimating series ring and\n"
+        "                               run the steady-state detector;\n"
+        "                               digest-neutral.  Default glob:\n"
+        "                               per-IP credits and busy/stall\n"
+        "                               time, DRAM bytes and low-power\n"
+        "                               time, SA busy time, per-core\n"
+        "                               active/sleep time, per-flow\n"
+        "                               frame counters and\n"
+        "                               sim.eventq.live; '*' selects\n"
+        "                               every stat\n"
         "  --ts-out <file>              write the sampled series plus\n"
         "                               derived rates/EWMA/min/max as\n"
         "                               self-describing JSON (the\n"
@@ -333,7 +341,7 @@ report(const vip::RunStats &s)
     }
 }
 
-/** Write the trace JSON and metrics CSV, when requested. */
+/** Write the trace JSON and report the metrics CSV, when requested. */
 bool
 traceJson(vip::Simulation &sim, const vip::SocConfig &cfg,
           const std::string &workload, const std::string &config)
@@ -355,21 +363,13 @@ traceJson(vip::Simulation &sim, const vip::SocConfig &cfg,
                     static_cast<unsigned long long>(
                         sim.tracer()->dropped()));
     }
-    if (cfg.metrics.enabled()) {
-        // Rows were streamed (and flushed) as they were sampled;
-        // rewrite only if the incremental stream could not be opened.
-        if (!sim.metrics()->streaming()) {
-            std::ofstream out(cfg.metrics.out);
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             cfg.metrics.out.c_str());
-                return false;
-            }
-            sim.metrics()->writeCsv(out);
-        }
-        std::printf("metrics written to %s (%zu rows, %zu probes)\n",
-                    cfg.metrics.out.c_str(), sim.metrics()->rows(),
-                    sim.metrics()->probes());
+    // The CSV was streamed (and flushed) row by row as it was sampled.
+    if (!cfg.ts.metricsOut.empty()) {
+        std::printf("metrics written to %s (%llu rows x %zu stats)\n",
+                    cfg.ts.metricsOut.c_str(),
+                    static_cast<unsigned long long>(
+                        sim.timeseries()->samplesSeen()),
+                    sim.timeseries()->selected());
     }
     return true;
 }
@@ -503,9 +503,9 @@ main(int argc, char **argv)
                 vip::fatal("--trace-buffer needs a positive event "
                            "count, got '", v, "'");
         } else if (arg == "--metrics-out") {
-            cfg.metrics.out = next();
+            cfg.ts.metricsOut = next();
         } else if (arg.rfind("--metrics-out=", 0) == 0) {
-            cfg.metrics.out = arg.substr(14);
+            cfg.ts.metricsOut = arg.substr(14);
         } else if (arg == "--stats-out") {
             cfg.statsOut = next();
         } else if (arg.rfind("--stats-out=", 0) == 0) {
@@ -571,8 +571,8 @@ main(int argc, char **argv)
             cfg.restorePath = arg.substr(10);
         } else if (arg == "--metrics-interval-ms") {
             const std::string v = next();
-            cfg.metrics.intervalMs = std::atof(v.c_str());
-            if (!(cfg.metrics.intervalMs > 0.0))
+            cfg.ts.intervalMs = std::atof(v.c_str());
+            if (!(cfg.ts.intervalMs > 0.0))
                 vip::fatal("--metrics-interval-ms needs a positive "
                            "period, got '", v, "'");
         } else if (arg == "--list") {

@@ -12,8 +12,9 @@
  *   vip_top --series series.json     a vip_sim --ts-out report:
  *                                    steady verdict plus sparklines
  *                                    of the detector-tracked series
- *   vip_top --metrics metrics.csv    tail sparklines of a metrics
- *                                    stream's most active columns
+ *   vip_top --metrics metrics.csv    sparklines of a metrics CSV's
+ *                                    most active columns (per-row
+ *                                    deltas for counters)
  *
  * --watch re-renders every --interval seconds (ANSI clear); in fleet
  * mode it exits on its own when the status file turns "final".  A
@@ -305,39 +306,50 @@ renderMetrics(const std::string &file, std::size_t chartRows)
 
     std::printf("metrics %s  %zu rows x %zu columns\n", file.c_str(),
                 data.empty() ? 0 : data[0].size(), cols.size());
-    // Chart the busiest columns (widest dynamic range), skipping the
-    // time axis itself.
-    std::vector<std::size_t> order;
-    for (std::size_t c = 1; c < cols.size(); ++c)
-        order.push_back(c);
-    auto range = [&](std::size_t c) {
+    // Columns that never decrease are cumulative counters: chart their
+    // per-row delta (series.json's rate_per_s, up to the constant
+    // interval), not the ramp.  Gauges chart as sampled.  Then chart
+    // the busiest columns (widest range of what is charted), skipping
+    // the time axis itself.
+    struct Chart
+    {
+        std::size_t col;
+        const char *what;
+        std::vector<double> vals;
         double lo = 0.0, hi = 0.0;
-        if (!data[c].empty()) {
-            lo = hi = data[c][0];
-            for (double v : data[c]) {
-                lo = std::min(lo, v);
-                hi = std::max(hi, v);
-            }
-        }
-        return hi - lo;
     };
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return range(a) > range(b);
+    std::vector<Chart> charts;
+    for (std::size_t c = 1; c < cols.size(); ++c) {
+        const std::vector<double> &v = data[c];
+        if (v.empty())
+            continue;
+        bool counter = v.size() > 1;
+        for (std::size_t i = 1; counter && i < v.size(); ++i)
+            counter = v[i] >= v[i - 1];
+        Chart ch{c, counter ? "delta" : "value", {}};
+        if (counter) {
+            for (std::size_t i = 1; i < v.size(); ++i)
+                ch.vals.push_back(v[i] - v[i - 1]);
+        } else {
+            ch.vals = v;
+        }
+        ch.lo = *std::min_element(ch.vals.begin(), ch.vals.end());
+        ch.hi = *std::max_element(ch.vals.begin(), ch.vals.end());
+        charts.push_back(std::move(ch));
+    }
+    std::stable_sort(charts.begin(), charts.end(),
+                     [](const Chart &a, const Chart &b) {
+                         return a.hi - a.lo > b.hi - b.lo;
                      });
     const std::size_t kTop = 12;
-    for (std::size_t i = 0; i < order.size() && i < kTop; ++i) {
-        std::size_t c = order[i];
-        if (range(c) <= 0.0)
+    for (std::size_t i = 0; i < charts.size() && i < kTop; ++i) {
+        const Chart &ch = charts[i];
+        if (ch.hi - ch.lo <= 0.0)
             break;
-        double lo = data[c][0], hi = data[c][0];
-        for (double v : data[c]) {
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-        }
-        std::printf("%-28s [%s] %.6g..%.6g\n", cols[c].c_str(),
-                    sparkline(thin(data[c], chartRows)).c_str(), lo,
-                    hi);
+        std::printf("%-28s %-5s [%s] %.6g..%.6g\n",
+                    cols[ch.col].c_str(), ch.what,
+                    sparkline(thin(ch.vals, chartRows)).c_str(), ch.lo,
+                    ch.hi);
     }
 }
 
