@@ -202,11 +202,7 @@ writeStatsCells(const std::vector<SystemConfig> &configs,
     if (statsDir().empty())
         return;
     for (const std::string &wname : statsWorkloads()) {
-        Workload wl = wname.size() >= 2 && (wname[0] | 0x20) == 'a'
-                          ? WorkloadCatalog::single(
-                                std::atoi(wname.c_str() + 1))
-                          : WorkloadCatalog::byIndex(
-                                std::atoi(wname.c_str() + 1));
+        const Workload wl = WorkloadCatalog::byName(wname);
         for (SystemConfig config : configs) {
             SocConfig cfg;
             cfg.system = config;
@@ -216,14 +212,9 @@ writeStatsCells(const std::vector<SystemConfig> &configs,
             sim.run();
             // CLI-style config names keep the filenames shell-safe
             // ("IP-to-IP+FB" would glob badly).
-            const char *cname =
-                config == SystemConfig::Baseline     ? "baseline"
-                : config == SystemConfig::FrameBurst ? "frameburst"
-                : config == SystemConfig::IpToIp     ? "iptoip"
-                : config == SystemConfig::IpToIpBurst ? "iptoip-fb"
-                                                      : "vip";
-            std::string path = statsDir() + "/" + cname + "-" + wname +
-                               ".stats.json";
+            std::string path = statsDir() + "/" +
+                               systemConfigCliName(config) + "-" +
+                               wname + ".stats.json";
             std::ofstream out(path);
             if (!out) {
                 std::fprintf(stderr, "cannot write %s\n", path.c_str());

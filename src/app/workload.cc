@@ -1,5 +1,7 @@
 #include "app/workload.hh"
 
+#include <cstdlib>
+
 #include "sim/logging.hh"
 
 namespace vip
@@ -104,6 +106,16 @@ WorkloadCatalog::single(int app_index)
     w.apps = {AppCatalog::byIndex(app_index)};
     w.useCase = "single application " + w.apps[0].name;
     return w;
+}
+
+Workload
+WorkloadCatalog::byName(const std::string &name)
+{
+    if (name.size() >= 2 && (name[0] == 'A' || name[0] == 'a'))
+        return single(std::atoi(&name[1]));
+    if (name.size() >= 2 && (name[0] == 'W' || name[0] == 'w'))
+        return byIndex(std::atoi(&name[1]));
+    fatal("unknown workload '", name, "' (use A1..A7 or W1..W8)");
 }
 
 } // namespace vip

@@ -34,6 +34,10 @@ class WorkloadCatalog
 
     /** A single application as a workload (the A1..A7 columns). */
     static Workload single(int app_index);
+
+    /** "A1".."A7" (single()) or "W1".."W8" (byIndex()), either case;
+     *  SimFatal naming the valid names otherwise. */
+    static Workload byName(const std::string &name);
 };
 
 } // namespace vip

@@ -9,6 +9,7 @@
 #define VIP_CORE_SYSTEM_CONFIG_HH
 
 #include <cstdint>
+#include <string>
 
 namespace vip
 {
@@ -62,6 +63,21 @@ systemConfigName(SystemConfig c)
     return "?";
 }
 
+/** The command-line spelling `vip_sim --config` and fleet job specs
+ *  take: shell- and filename-safe, unlike the display names. */
+constexpr const char *
+systemConfigCliName(SystemConfig c)
+{
+    switch (c) {
+      case SystemConfig::Baseline: return "baseline";
+      case SystemConfig::FrameBurst: return "frameburst";
+      case SystemConfig::IpToIp: return "iptoip";
+      case SystemConfig::IpToIpBurst: return "iptoip-fb";
+      case SystemConfig::VIP: return "vip";
+    }
+    return "?";
+}
+
 /** All five configurations in the paper's plotting order. */
 constexpr SystemConfig kAllConfigs[] = {
     SystemConfig::Baseline,
@@ -70,6 +86,15 @@ constexpr SystemConfig kAllConfigs[] = {
     SystemConfig::IpToIpBurst,
     SystemConfig::VIP,
 };
+
+/** Inverse of systemConfigCliName(); SimFatal naming every valid
+ *  spelling otherwise. */
+SystemConfig systemConfigByCliName(const std::string &name);
+
+/** The CLI spelling of the configuration whose systemConfigName() is
+ *  @p display (as snapshots and crash bundles record it), or
+ *  @p display unchanged when it names none. */
+std::string systemConfigCliNameOf(const std::string &display);
 
 } // namespace vip
 

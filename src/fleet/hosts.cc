@@ -5,7 +5,6 @@
 
 #include "fleet/transport/faulty_transport.hh"
 #include "fleet/transport/local_transport.hh"
-#include "fleet/transport/thread_transport.hh"
 #include "obs/json.hh"
 
 namespace vip
@@ -55,12 +54,11 @@ parseHostsFile(const std::string &path, std::vector<HostSpec> *out,
         const std::string kind = json::strField(h, "transport");
         if (!kind.empty())
             spec.transport = kind;
-        if (spec.transport != "process" &&
-            spec.transport != "thread" && spec.transport != "ssh") {
+        if (spec.transport != "process" && spec.transport != "ssh") {
             if (err)
                 *err = path + ": host " + spec.name +
                        ": unknown transport \"" + spec.transport +
-                       "\"";
+                       "\" (use process | ssh)";
             return false;
         }
         const double slots = json::numField(h, "slots");
@@ -125,8 +123,6 @@ makeTransport(const HostSpec &host, const std::string &vipSimPath,
     std::unique_ptr<WorkerTransport> inner;
     if (host.transport == "process") {
         inner = std::make_unique<LocalTransport>(vipSimPath);
-    } else if (host.transport == "thread") {
-        inner = std::make_unique<ThreadTransport>();
     } else if (host.transport == "ssh") {
         RemoteHostOptions opt = host.remote;
         if (opt.vipSim.empty())
@@ -134,7 +130,8 @@ makeTransport(const HostSpec &host, const std::string &vipSimPath,
         inner = std::make_unique<RemoteTransport>(std::move(opt));
     } else {
         if (err)
-            *err = "unknown transport \"" + host.transport + "\"";
+            *err = "unknown transport \"" + host.transport +
+                   "\" (use process | ssh)";
         return nullptr;
     }
 

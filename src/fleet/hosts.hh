@@ -16,9 +16,10 @@
  *       { "name": "flaky", "transport": "process", "slots": 2,
  *         "fault": "seed=7,drop=0.1,partition@40+25" } ] }
  *
- * "transport" is "process" (local fork/exec), "thread" (in-process),
- * or "ssh".  A per-host "fault" spec wraps that host only; the
- * --fault CLI flag wraps every host that has no spec of its own.
+ * "transport" is "process" (local fork/exec of vip_sim) or "ssh"
+ * (vip_sim on a remote host).  A per-host "fault" spec wraps that
+ * host only; the --fault CLI flag wraps every host that has no spec
+ * of its own.
  */
 
 #ifndef VIP_FLEET_HOSTS_HH
@@ -39,7 +40,7 @@ namespace fleet
 struct HostSpec
 {
     std::string name;
-    std::string transport = "process"; ///< process | thread | ssh
+    std::string transport = "process"; ///< process | ssh
     int slots = 1;                     ///< concurrent attempts
     std::string faultSpec;             ///< "" = no injection
     RemoteHostOptions remote;          ///< ssh transport only
@@ -51,8 +52,8 @@ bool parseHostsFile(const std::string &path,
 
 /**
  * Build the transport for @p host.  @p vipSimPath is the local
- * worker binary (process/thread transports; also the default remote
- * binary when the host spec leaves "vip_sim" empty).
+ * worker binary (process transport; also the default remote binary
+ * when the host spec leaves "vip_sim" empty).
  * @p globalFaultSpec applies to hosts without their own "fault"
  * entry ("" = none).  Returns nullptr + *err on a bad fault spec or
  * unknown transport kind.

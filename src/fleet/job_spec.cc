@@ -5,6 +5,8 @@
 #include <set>
 #include <sstream>
 
+#include "app/workload.hh"
+#include "core/system_config.hh"
 #include "fault/fault_plan.hh"
 #include "obs/json.hh"
 #include "sim/audit.hh"
@@ -14,33 +16,6 @@ namespace vip
 {
 namespace fleet
 {
-
-SystemConfig
-configByCliName(const std::string &name)
-{
-    if (name == "baseline")
-        return SystemConfig::Baseline;
-    if (name == "frameburst")
-        return SystemConfig::FrameBurst;
-    if (name == "iptoip")
-        return SystemConfig::IpToIp;
-    if (name == "iptoip-fb")
-        return SystemConfig::IpToIpBurst;
-    if (name == "vip")
-        return SystemConfig::VIP;
-    fatal("unknown config '", name, "' (use baseline | frameburst | "
-          "iptoip | iptoip-fb | vip)");
-}
-
-Workload
-workloadByName(const std::string &name)
-{
-    if (name.size() >= 2 && (name[0] == 'A' || name[0] == 'a'))
-        return WorkloadCatalog::single(std::atoi(&name[1]));
-    if (name.size() >= 2 && (name[0] == 'W' || name[0] == 'w'))
-        return WorkloadCatalog::byIndex(std::atoi(&name[1]));
-    fatal("unknown workload '", name, "' (use A1..A7 or W1..W8)");
-}
 
 namespace
 {
@@ -234,9 +209,9 @@ JobSpec::parse(const std::string &text)
     // Validate every axis value once, up front: a bad cell must fail
     // at submit time, not attempts deep into a long sweep.
     for (const auto &c : configs)
-        configByCliName(c);
+        systemConfigByCliName(c);
     for (const auto &w : workloads)
-        workloadByName(w);
+        WorkloadCatalog::byName(w);
     for (const auto &f : faults) {
         if (f != "none" && !f.empty())
             FaultPlan::parse(f);

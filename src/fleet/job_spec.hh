@@ -43,9 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "app/workload.hh"
-#include "core/system_config.hh"
-
 namespace vip
 {
 namespace fleet
@@ -54,7 +51,7 @@ namespace fleet
 /** Supervision policy for one sweep. */
 struct FleetPolicy
 {
-    /** Concurrent workers (processes or threads). */
+    /** Concurrent workers (vip_sim processes). */
     int workers = 2;
 
     /** Total tries per job, first run included (>= 1). */
@@ -162,7 +159,7 @@ struct JobSpec
     double seconds = 0.1;
     std::string audit;  ///< --audit spec; "" = off
     FleetPolicy fleet;
-    /** Extra vip_sim flags appended verbatim (process mode only). */
+    /** Extra vip_sim flags appended verbatim to every attempt. */
     std::vector<std::string> extraArgs;
     /** The expanded cross product, spec order. */
     std::vector<FleetJob> jobs;
@@ -172,13 +169,6 @@ struct JobSpec
     /** Parse a spec file.  SimFatal when unreadable. */
     static JobSpec parseFile(const std::string &path);
 };
-
-/** CLI config name -> SystemConfig ("baseline" | "frameburst" |
- *  "iptoip" | "iptoip-fb" | "vip"); SimFatal on anything else. */
-SystemConfig configByCliName(const std::string &name);
-
-/** "A1".."A7" / "W1".."W8" -> catalog entry; SimFatal otherwise. */
-Workload workloadByName(const std::string &name);
 
 } // namespace fleet
 } // namespace vip

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "obs/json.hh"
 #include "sim/logging.hh"
 
 namespace vip
@@ -11,31 +12,6 @@ namespace fleet
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 jsonNum(double v)
@@ -81,8 +57,7 @@ FleetJournal::Record &
 FleetJournal::Record::str(const char *key, const std::string &v)
 {
     if (_j)
-        _line += ", \"" + std::string(key) + "\": \"" +
-                 jsonEscape(v) + "\"";
+        _line += ", \"" + std::string(key) + "\": " + json::quoted(v);
     return *this;
 }
 

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <deque>
@@ -15,6 +16,7 @@
 #include <utility>
 
 #include "fleet/transport/faulty_transport.hh"
+#include "obs/json.hh"
 #include "obs/stats_io.hh"
 #include "obs/stats_merge.hh"
 #include "sim/logging.hh"
@@ -30,31 +32,6 @@ namespace
 {
 
 std::string
-esc(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 fmtNum(double v)
 {
     char buf[40];
@@ -68,17 +45,26 @@ fileExists(const std::string &path)
     return ::access(path.c_str(), F_OK) == 0;
 }
 
-} // namespace
-
-const char *
-workerModeName(WorkerMode m)
+bool
+hasArtifact(const ArtifactManifest &m, const char *name)
 {
-    switch (m) {
-      case WorkerMode::Process: return "process";
-      case WorkerMode::Thread: return "thread";
-    }
-    return "?";
+    const Artifact *a = findArtifact(m, name);
+    return a && a->present;
 }
+
+/** Done jobs whose newest attempt ran on @p host.  Committing needs
+ *  the job's current fencing token, so that attempt is the one that
+ *  produced the shard — live or rescued zombie alike. */
+std::size_t
+jobsDoneOn(const std::vector<JobProgress> &jobs, const std::string &host)
+{
+    std::size_t n = 0;
+    for (const JobProgress &p : jobs)
+        n += p.state == JobState::Done && p.host == host ? 1 : 0;
+    return n;
+}
+
+} // namespace
 
 ShardPaths
 shardPaths(const std::string &outDir, const std::string &jobId)
@@ -159,7 +145,6 @@ struct FleetSupervisor::HostRuntime
     std::unique_ptr<WorkerTransport> transport;
     HostHealth health;
     FaultyTransport *faulty = nullptr; ///< non-owning, when wrapped
-    std::size_t jobsDone = 0;
 
     HostRuntime(HostSpec s, std::unique_ptr<WorkerTransport> t,
                 HealthPolicy hp)
@@ -197,13 +182,15 @@ struct FleetSupervisor::Slot
     int fetchAttempts = 0;
 
     std::unique_ptr<WorkerHandle> handle;
-};
 
-/** An attempt whose lease expired: detached from the scheduler's
- *  accounting but still worth watching — its result is fence-checked
- *  and either rescued or rejected when it finally lands. */
-struct FleetSupervisor::Zombie : FleetSupervisor::Slot
-{
+    /** Free the seat (reaping any handle left) but keep its host. */
+    void
+    vacate()
+    {
+        Slot empty;
+        empty.hostIdx = hostIdx;
+        *this = std::move(empty);
+    }
 };
 
 FleetSupervisor::FleetSupervisor(JobSpec spec, FleetOptions opt)
@@ -228,9 +215,7 @@ FleetSupervisor::buildHosts()
     if (roster.empty()) {
         HostSpec local;
         local.name = "local";
-        local.transport = _opt.mode == WorkerMode::Thread
-                              ? "thread"
-                              : "process";
+        local.transport = "process";
         local.slots = _spec.fleet.workers;
         roster.push_back(std::move(local));
     }
@@ -281,7 +266,6 @@ FleetSupervisor::hostOpFailure(std::size_t hostIdx, double nowMs,
     HostRuntime &h = _hosts[hostIdx];
     if (!h.health.onOpFailure(nowMs, detail))
         return;
-    ++_quarantineEvents;
     if (h.health.state() == HostState::Dead) {
         _journal.event(nowMs, "host_dead")
             .str("host", h.spec.name)
@@ -352,8 +336,6 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
     req.attemptDir = attemptDir(_opt.outDir, p.job.id, p.token);
     req.args = workerArgs(_spec, p.job);
     req.restoreFrom = resume ? paths.checkpoint : "";
-    req.spec = &_spec;
-    req.job = &p.job;
 
     std::string err;
     auto handle = h.transport->launch(req, &err);
@@ -372,9 +354,7 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
     }
     h.health.onOpSuccess();
 
-    const std::size_t hostIdx = slot.hostIdx;
-    slot = Slot{};
-    slot.hostIdx = hostIdx;
+    slot.vacate();
     slot.active = true;
     slot.jobIdx = jobIdx;
     slot.token = p.token;
@@ -382,8 +362,6 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
     slot.lastBeatMs = nowMs;
     slot.handle = std::move(handle);
 
-    if (p.attempts > 1)
-        ++_retries;
     if (resume)
         ++_resumes;
     _journal.event(nowMs, "launch")
@@ -448,6 +426,36 @@ FleetSupervisor::commitArtifacts(const std::string &jobId,
     return true;
 }
 
+bool
+FleetSupervisor::produced(const ArtifactManifest &m) const
+{
+    return hasArtifact(m, attempt_files::kStats) &&
+           (!_spec.fleet.digests ||
+            hasArtifact(m, attempt_files::kDigest));
+}
+
+bool
+FleetSupervisor::fetchVerified(Slot &slot, ArtifactManifest *m,
+                               std::string *err)
+{
+    if (!_hosts[slot.hostIdx].transport->fetch(*slot.handle, m, err))
+        return false;
+    // Verify the local bytes against the source manifest before
+    // anything is accepted or committed: a corrupted or torn fetch
+    // must read as a fetch failure, not a result.
+    for (const Artifact &a : *m) {
+        if (!a.present)
+            continue;
+        bool readable = false;
+        if (fnv1aFile(a.localPath, &readable) != a.fnv || !readable) {
+            *err = "artifact " + a.name +
+                   " failed checksum verification";
+            return false;
+        }
+    }
+    return true;
+}
+
 void
 FleetSupervisor::settleAttempt(Slot &slot, double nowMs,
                                const ArtifactManifest &m)
@@ -457,24 +465,14 @@ FleetSupervisor::settleAttempt(Slot &slot, double nowMs,
     HostRuntime &h = _hosts[slot.hostIdx];
     const JobProgress &p = _sched.job(idx);
     const std::string id = p.job.id;
-    const FleetPolicy &pol = _spec.fleet;
-
-    const Artifact *stats = findArtifact(m, attempt_files::kStats);
-    const Artifact *digest = findArtifact(m, attempt_files::kDigest);
-    const Artifact *ckpt =
-        findArtifact(m, attempt_files::kCheckpoint);
-    const bool produced =
-        stats && stats->present &&
-        (!pol.digests || (digest && digest->present));
     const int attempt = p.attempts;
 
-    if (slot.exitResult.ok && produced) {
+    if (slot.exitResult.ok && produced(m)) {
         if (_sched.acceptSuccess(idx, slot.token, elapsed)) {
             std::string err;
             if (!commitArtifacts(id, m, true, attempt, &err))
                 fatal("fleet: cannot commit accepted artifacts of ",
                       id, ": ", err);
-            ++h.jobsDone;
             // Surface the shard's steady-state verdict (if its
             // stats carry one) into fleet-status.json.
             if (_jobSteadyTickMs.size() < _sched.jobs().size())
@@ -511,15 +509,10 @@ FleetSupervisor::settleAttempt(Slot &slot, double nowMs,
         if (slot.chaosKilled && slot.exitResult.termSignal != 0)
             why = "chaos SIGKILL (injected)";
         else if (slot.hangKilled)
-            why = h.spec.transport == "thread"
-                      ? "hung (no heartbeat), cancelled: " +
-                            (slot.exitResult.error.empty()
-                                 ? std::string("failed")
-                                 : slot.exitResult.error)
-                      : "hung (no heartbeat), killed";
-        else if (slot.exitResult.ok && !produced)
+            why = "hung (no heartbeat), killed";
+        else if (slot.exitResult.ok)
             why = std::string("worker succeeded but ") +
-                  (stats && stats->present
+                  (hasArtifact(m, attempt_files::kStats)
                        ? attempt_files::kDigest
                        : attempt_files::kStats) +
                   " was not produced";
@@ -527,7 +520,8 @@ FleetSupervisor::settleAttempt(Slot &slot, double nowMs,
             why = slot.exitResult.error.empty()
                       ? "failed"
                       : slot.exitResult.error;
-        const bool canResume = ckpt && ckpt->present;
+        const bool canResume =
+            hasArtifact(m, attempt_files::kCheckpoint);
         if (_sched.acceptFailure(idx, slot.token, nowMs, elapsed,
                                  why, canResume)) {
             std::string err;
@@ -556,59 +550,31 @@ FleetSupervisor::tryFetch(Slot &slot, double nowMs)
 {
     HostRuntime &h = _hosts[slot.hostIdx];
     const std::size_t idx = slot.jobIdx;
-    const std::string id = _sched.job(idx).job.id;
-
     ArtifactManifest m;
     std::string err;
-    bool ok = h.transport->fetch(*slot.handle, &m, &err);
-    if (ok) {
-        // Verify the local bytes against the source manifest before
-        // anything is accepted or committed: a corrupted or torn
-        // fetch must read as a fetch failure, not a result.
-        for (const Artifact &a : m) {
-            if (!a.present)
-                continue;
-            bool readable = false;
-            const std::uint64_t got =
-                fnv1aFile(a.localPath, &readable);
-            if (!readable || got != a.fnv) {
-                ok = false;
-                err = "artifact " + a.name +
-                      " failed checksum verification";
-                break;
-            }
-        }
-    }
-    if (!ok) {
-        hostOpFailure(slot.hostIdx, nowMs,
-                      "fetch " + id + ": " + err);
-        if (++slot.fetchAttempts >=
-            _spec.fleet.fetchRetries) {
-            const double elapsed = nowMs - slot.startMs;
-            const std::string why =
-                "artifact fetch failed after " +
-                std::to_string(slot.fetchAttempts) +
-                " attempts: " + err;
-            _journal.event(nowMs, "fetch_fail")
-                .str("job", id)
-                .u64("token", slot.token)
-                .str("host", h.spec.name)
-                .str("error", err);
-            if (_sched.acceptFailure(idx, slot.token, nowMs,
-                                     elapsed, why, false))
-                note(id + ": " + why);
-            const std::size_t hostIdx = slot.hostIdx;
-            slot = Slot{};
-            slot.hostIdx = hostIdx;
-        }
+    if (fetchVerified(slot, &m, &err)) {
+        h.health.onOpSuccess();
+        _sched.renewLease(idx, nowMs);
+        settleAttempt(slot, nowMs, m);
+        slot.vacate();
         return;
     }
-    h.health.onOpSuccess();
-    _sched.renewLease(idx, nowMs);
-    settleAttempt(slot, nowMs, m);
-    const std::size_t hostIdx = slot.hostIdx;
-    slot = Slot{};
-    slot.hostIdx = hostIdx;
+    const std::string id = _sched.job(idx).job.id;
+    hostOpFailure(slot.hostIdx, nowMs, "fetch " + id + ": " + err);
+    if (++slot.fetchAttempts < _spec.fleet.fetchRetries)
+        return;
+    const std::string why = "artifact fetch failed after " +
+                            std::to_string(slot.fetchAttempts) +
+                            " attempts: " + err;
+    _journal.event(nowMs, "fetch_fail")
+        .str("job", id)
+        .u64("token", slot.token)
+        .str("host", h.spec.name)
+        .str("error", err);
+    if (_sched.acceptFailure(idx, slot.token, nowMs,
+                             nowMs - slot.startMs, why, false))
+        note(id + ": " + why);
+    slot.vacate();
 }
 
 void
@@ -675,7 +641,6 @@ FleetSupervisor::pollSlot(Slot &slot, double nowMs)
                     if (!_chaosFired && !_opt.killJobId.empty() &&
                         p.job.id == _opt.killJobId &&
                         p.attempts == 1 &&
-                        h.spec.transport != "thread" &&
                         hb.tickMs >= _opt.killAtSimMs) {
                         _chaosFired = true;
                         slot.chaosKilled = true;
@@ -690,14 +655,10 @@ FleetSupervisor::pollSlot(Slot &slot, double nowMs)
                 }
             }
 
-            const double grace =
-                _opt.heartbeatGraceMsOverride >= 0.0
-                    ? _opt.heartbeatGraceMsOverride
-                    : pol.heartbeatGraceMs;
             if (pol.heartbeatDeadlineMs > 0.0 &&
                 pol.heartbeatIntervalMs > 0.0 && !slot.hangKilled &&
                 !slot.chaosKilled &&
-                nowMs - slot.startMs > grace &&
+                nowMs - slot.startMs > pol.heartbeatGraceMs &&
                 nowMs - slot.lastBeatMs > pol.heartbeatDeadlineMs) {
                 slot.hangKilled = true;
                 ++_hangKills;
@@ -749,33 +710,21 @@ FleetSupervisor::expireLease(Slot &slot, double nowMs)
          "token " + std::to_string(slot.token) + " retired to "
          "zombie)");
 
-    Zombie z;
-    static_cast<Slot &>(z) = std::move(slot);
-    _zombies.push_back(std::move(z));
-
-    const std::size_t hostIdx = _zombies.back().hostIdx;
-    slot = Slot{};
-    slot.hostIdx = hostIdx;
+    _zombies.push_back(std::move(slot));
+    slot.vacate();
 }
 
 void
 FleetSupervisor::pollZombies(double nowMs)
 {
     for (std::size_t zi = 0; zi < _zombies.size();) {
-        Zombie &z = _zombies[zi];
-        HostRuntime &h = _hosts[z.hostIdx];
-        const std::string id = _sched.job(z.jobIdx).job.id;
-        bool drop = false;
-
+        Slot &z = _zombies[zi];
         if (!z.exited) {
-            const PollResult pr = h.transport->poll(*z.handle);
-            if (pr.state == WorkerState::Running) {
-                ++zi;
-                continue;
-            }
-            if (pr.state == WorkerState::Unreachable) {
-                // Still partitioned; keep waiting (bounded by the
-                // drain grace once the sweep settles).
+            // Running, or still partitioned: keep waiting (bounded by
+            // the drain grace once the sweep settles).
+            const PollResult pr =
+                _hosts[z.hostIdx].transport->poll(*z.handle);
+            if (pr.state != WorkerState::Exited) {
                 ++zi;
                 continue;
             }
@@ -783,97 +732,65 @@ FleetSupervisor::pollZombies(double nowMs)
             z.exitResult = pr;
         }
 
+        const std::string id = _sched.job(z.jobIdx).job.id;
         ArtifactManifest m;
         std::string err;
-        bool ok = h.transport->fetch(*z.handle, &m, &err);
-        if (ok) {
-            for (const Artifact &a : m) {
-                if (!a.present)
-                    continue;
-                bool readable = false;
-                if (fnv1aFile(a.localPath, &readable) != a.fnv ||
-                    !readable) {
-                    ok = false;
-                    err = "artifact " + a.name +
-                          " failed checksum verification";
-                    break;
-                }
+        if (!fetchVerified(z, &m, &err)) {
+            if (++z.fetchAttempts < _spec.fleet.fetchRetries) {
+                ++zi;
+                continue;
             }
-        }
-        if (!ok) {
-            if (++z.fetchAttempts >= _spec.fleet.fetchRetries) {
-                _journal.event(nowMs, "zombie_unfetchable")
-                    .str("job", id)
-                    .u64("token", z.token)
-                    .str("error", err);
-                note(id + ": zombie artifacts unfetchable (" + err +
-                     "); discarded");
-                drop = true;
-            }
-        } else {
-            const Artifact *stats =
-                findArtifact(m, attempt_files::kStats);
-            const Artifact *digest =
-                findArtifact(m, attempt_files::kDigest);
-            const bool produced =
-                stats && stats->present &&
-                (!_spec.fleet.digests ||
-                 (digest && digest->present));
-            if (z.exitResult.ok && produced) {
-                if (_sched.acceptSuccess(z.jobIdx, z.token,
-                                         nowMs - z.startMs)) {
-                    std::string cerr2;
-                    if (!commitArtifacts(id, m, true, 0, &cerr2))
-                        fatal("fleet: cannot commit rescued "
-                              "artifacts of ", id, ": ", cerr2);
-                    ++h.jobsDone;
-                    _journal.event(nowMs, "zombie_rescue")
-                        .str("job", id)
-                        .u64("token", z.token);
-                    note(id + ": zombie attempt (token " +
-                         std::to_string(z.token) +
-                         ") finished and was rescued");
-                } else {
-                    _journal.event(nowMs, "zombie_reject")
-                        .str("job", id)
-                        .u64("token", z.token);
-                    note(id + ": zombie result (token " +
-                         std::to_string(z.token) +
-                         ") rejected by fencing; not merged");
-                }
-            } else {
-                // A zombie's failure adds nothing: its attempt was
-                // written off at lease expiry.  Offer it anyway so
-                // stale tokens are counted uniformly.
-                (void)_sched.acceptFailure(
-                    z.jobIdx, z.token, nowMs, nowMs - z.startMs,
-                    "zombie attempt failed", false);
-                _journal.event(nowMs, "zombie_fail")
+            _journal.event(nowMs, "zombie_unfetchable")
+                .str("job", id)
+                .u64("token", z.token)
+                .str("error", err);
+            note(id + ": zombie artifacts unfetchable (" + err +
+                 "); discarded");
+        } else if (z.exitResult.ok && produced(m)) {
+            if (_sched.acceptSuccess(z.jobIdx, z.token,
+                                     nowMs - z.startMs)) {
+                if (!commitArtifacts(id, m, true, 0, &err))
+                    fatal("fleet: cannot commit rescued artifacts "
+                          "of ", id, ": ", err);
+                _journal.event(nowMs, "zombie_rescue")
                     .str("job", id)
                     .u64("token", z.token);
                 note(id + ": zombie attempt (token " +
-                     std::to_string(z.token) + ") failed; discarded");
+                     std::to_string(z.token) +
+                     ") finished and was rescued");
+            } else {
+                _journal.event(nowMs, "zombie_reject")
+                    .str("job", id)
+                    .u64("token", z.token);
+                note(id + ": zombie result (token " +
+                     std::to_string(z.token) +
+                     ") rejected by fencing; not merged");
             }
-            drop = true;
+        } else {
+            // A zombie's failure adds nothing: its attempt was
+            // written off at lease expiry.  Offer it anyway so stale
+            // tokens are counted uniformly.
+            (void)_sched.acceptFailure(z.jobIdx, z.token, nowMs,
+                                       nowMs - z.startMs,
+                                       "zombie attempt failed", false);
+            _journal.event(nowMs, "zombie_fail")
+                .str("job", id)
+                .u64("token", z.token);
+            note(id + ": zombie attempt (token " +
+                 std::to_string(z.token) + ") failed; discarded");
         }
-
-        if (drop)
-            _zombies.erase(_zombies.begin() +
-                           static_cast<long>(zi));
-        else
-            ++zi;
+        _zombies.erase(_zombies.begin() + static_cast<long>(zi));
     }
 }
 
 void
 FleetSupervisor::killZombies()
 {
-    for (Zombie &z : _zombies) {
-        HostRuntime &h = _hosts[z.hostIdx];
+    for (Slot &z : _zombies) {
         note(_sched.job(z.jobIdx).job.id +
              ": zombie attempt (token " + std::to_string(z.token) +
              ") force-killed at drain");
-        h.transport->forceKill(*z.handle);
+        _hosts[z.hostIdx].transport->forceKill(*z.handle);
     }
     _zombies.clear(); // handle destructors reap what remains
 }
@@ -884,7 +801,7 @@ FleetSupervisor::interruptAll()
     for (Slot &slot : _slots)
         if (slot.active)
             _hosts[slot.hostIdx].transport->interrupt(*slot.handle);
-    for (Zombie &z : _zombies)
+    for (Slot &z : _zombies)
         _hosts[z.hostIdx].transport->interrupt(*z.handle);
 }
 
@@ -919,8 +836,7 @@ FleetSupervisor::run()
         .str("name", _spec.name)
         .u64("jobs", _spec.jobs.size())
         .u64("hosts", _hosts.size())
-        .u64("slots", totalSlots)
-        .str("mode", workerModeName(_opt.mode));
+        .u64("slots", totalSlots);
 
     bool interrupted = false;
     double drainStartMs = -1.0;
@@ -967,9 +883,7 @@ FleetSupervisor::run()
                         continue;
                     _hosts[slot.hostIdx].transport->forceKill(
                         *slot.handle);
-                    const std::size_t hostIdx = slot.hostIdx;
-                    slot = Slot{};
-                    slot.hostIdx = hostIdx;
+                    slot.vacate();
                 }
             }
         }
@@ -997,7 +911,7 @@ FleetSupervisor::run()
                 break;
             if (drainStartMs < 0.0) {
                 drainStartMs = now;
-                for (Zombie &z : _zombies)
+                for (Slot &z : _zombies)
                     _hosts[z.hostIdx].transport->interrupt(
                         *z.handle);
             } else if (now - drainStartMs > _opt.zombieGraceMs) {
@@ -1021,15 +935,18 @@ FleetSupervisor::run()
     out.fatal = _fatal;
     out.done = _sched.doneCount();
     out.failed = _sched.failedCount();
-    out.retries = _retries;
     out.resumes = _resumes;
     out.hangKills = _hangKills;
     out.leaseExpiries = _sched.leaseExpiries();
     out.zombieRejects = _sched.zombieRejects();
     out.zombieRescues = _sched.zombieRescues();
-    out.hostsQuarantined = _quarantineEvents;
     out.reportPath = _opt.outDir + "/report.json";
     out.jobs = _sched.jobs();
+    // A failed launch hands its claim back (releaseClaim), so every
+    // attempt a job counts beyond its first is a retry that ran.
+    for (const JobProgress &p : out.jobs)
+        out.retries += static_cast<std::size_t>(
+            std::max(0, p.attempts - 1));
     for (const HostRuntime &h : _hosts) {
         HostReport hr;
         hr.name = h.spec.name;
@@ -1038,15 +955,13 @@ FleetSupervisor::run()
         hr.state = h.health.stateName();
         hr.quarantines = h.health.quarantines();
         hr.opFailures = h.health.opFailures();
-        hr.jobsDone = h.jobsDone;
+        hr.jobsDone = jobsDoneOn(out.jobs, h.spec.name);
         hr.lastError = h.health.lastError();
         if (h.faulty) {
             hr.faulty = true;
-            const FaultCounters &fc = h.faulty->counters();
-            hr.faultsInjected = fc.drops + fc.delays + fc.dups +
-                                fc.corrupts + fc.partitioned +
-                                (fc.died ? 1 : 0);
+            hr.faultsInjected = h.faulty->counters().injected();
         }
+        out.hostsQuarantined += hr.quarantines;
         if (h.health.state() == HostState::Dead)
             ++out.hostsDead;
         out.hosts.push_back(std::move(hr));
@@ -1137,7 +1052,7 @@ FleetSupervisor::writeStatus(double nowMs, bool final)
     os << "{\n"
        << "  \"kind\": \"vip-fleet-status\",\n"
        << "  \"schemaVersion\": 2,\n"
-       << "  \"name\": \"" << esc(_spec.name) << "\",\n"
+       << "  \"name\": " << json::quoted(_spec.name) << ",\n"
        << "  \"final\": " << (final ? "true" : "false") << ",\n"
        << "  \"wall_ms\": " << fmtNum(nowMs) << ",\n"
        << "  \"jobs\": {\n"
@@ -1157,13 +1072,14 @@ FleetSupervisor::writeStatus(double nowMs, bool final)
     os << "  \"job_detail\": [\n";
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const JobProgress &p = jobs[i];
-        os << "    {\"id\": \"" << esc(p.job.id) << "\", \"state\": "
-           << "\"" << jobStateName(p.state) << "\", \"attempts\": "
+        os << "    {\"id\": " << json::quoted(p.job.id)
+           << ", \"state\": \"" << jobStateName(p.state)
+           << "\", \"attempts\": "
            << p.attempts << ", \"sim_ms\": " << fmtNum(simMs[i]);
         if (rates[i] > 0.0)
             os << ", \"sim_ms_per_wall_s\": " << fmtNum(rates[i]);
         if (!p.host.empty())
-            os << ", \"host\": \"" << esc(p.host) << "\"";
+            os << ", \"host\": " << json::quoted(p.host);
         // Per-shard throughput window (newest last) plus the
         // steady-state verdict: a running shard is judged on the
         // relative spread of its rate window; a committed shard
@@ -1197,17 +1113,14 @@ FleetSupervisor::writeStatus(double nowMs, bool final)
     os << "  \"hosts\": [\n";
     for (std::size_t i = 0; i < _hosts.size(); ++i) {
         const HostRuntime &h = _hosts[i];
-        os << "    {\"name\": \"" << esc(h.spec.name)
-           << "\", \"state\": \"" << h.health.stateName()
+        os << "    {\"name\": " << json::quoted(h.spec.name)
+           << ", \"state\": \"" << h.health.stateName()
            << "\", \"quarantines\": " << h.health.quarantines()
            << ", \"op_failures\": " << h.health.opFailures()
-           << ", \"jobs_done\": " << h.jobsDone;
-        if (h.faulty) {
-            const FaultCounters &fc = h.faulty->counters();
+           << ", \"jobs_done\": " << jobsDoneOn(jobs, h.spec.name);
+        if (h.faulty)
             os << ", \"faults_injected\": "
-               << (fc.drops + fc.delays + fc.dups + fc.corrupts +
-                   fc.partitioned + (fc.died ? 1 : 0));
-        }
+               << h.faulty->counters().injected();
         os << "}" << (i + 1 < _hosts.size() ? ",\n" : "\n");
     }
     os << "  ]\n}\n";
@@ -1251,13 +1164,12 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
     os << "{\n"
        << "  \"kind\": \"vip-fleet-report\",\n"
        << "  \"schemaVersion\": 2,\n"
-       << "  \"name\": \"" << esc(_spec.name) << "\",\n"
+       << "  \"name\": " << json::quoted(_spec.name) << ",\n"
        << "  \"seconds\": " << fmtNum(_spec.seconds) << ",\n"
-       << "  \"mode\": \"" << workerModeName(_opt.mode) << "\",\n"
        << "  \"interrupted\": "
        << (out.interrupted ? "true" : "false") << ",\n";
     if (!out.fatal.empty())
-        os << "  \"fatal\": \"" << esc(out.fatal) << "\",\n";
+        os << "  \"fatal\": " << json::quoted(out.fatal) << ",\n";
     os << "  \"policy\": {\n"
        << "    \"workers\": " << pol.workers << ",\n"
        << "    \"max_attempts\": " << pol.maxAttempts << ",\n"
@@ -1273,10 +1185,7 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
        << "    \"heartbeat_interval_ms\": "
        << fmtNum(pol.heartbeatIntervalMs) << ",\n"
        << "    \"heartbeat_grace_ms\": "
-       << fmtNum(_opt.heartbeatGraceMsOverride >= 0.0
-                     ? _opt.heartbeatGraceMsOverride
-                     : pol.heartbeatGraceMs)
-       << ",\n"
+       << fmtNum(pol.heartbeatGraceMs) << ",\n"
        << "    \"quarantine_after\": " << pol.quarantineAfter
        << ",\n"
        << "    \"probe_interval_ms\": "
@@ -1306,11 +1215,11 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
     for (std::size_t i = 0; i < out.hosts.size(); ++i) {
         const HostReport &h = out.hosts[i];
         os << "    {\n"
-           << "      \"name\": \"" << esc(h.name) << "\",\n"
-           << "      \"transport\": \"" << esc(h.transport)
-           << "\",\n"
+           << "      \"name\": " << json::quoted(h.name) << ",\n"
+           << "      \"transport\": " << json::quoted(h.transport)
+           << ",\n"
            << "      \"slots\": " << h.slots << ",\n"
-           << "      \"state\": \"" << esc(h.state) << "\",\n"
+           << "      \"state\": " << json::quoted(h.state) << ",\n"
            << "      \"quarantines\": " << h.quarantines << ",\n"
            << "      \"op_failures\": " << h.opFailures << ",\n"
            << "      \"jobs_done\": " << h.jobsDone;
@@ -1318,8 +1227,8 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
             os << ",\n      \"faults_injected\": "
                << h.faultsInjected;
         if (!h.lastError.empty())
-            os << ",\n      \"last_error\": \"" << esc(h.lastError)
-               << "\"";
+            os << ",\n      \"last_error\": "
+               << json::quoted(h.lastError);
         os << "\n    }" << (i + 1 < out.hosts.size() ? ",\n" : "\n");
     }
     os << "  ],\n";
@@ -1332,8 +1241,7 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
         for (const JobProgress &p : out.jobs) {
             if (p.leaseExpiries == 0)
                 continue;
-            os << (first ? "" : ", ") << "\"" << esc(p.job.id)
-               << "\"";
+            os << (first ? "" : ", ") << json::quoted(p.job.id);
             first = false;
         }
     }
@@ -1344,8 +1252,7 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
         for (const HostReport &h : out.hosts) {
             if (h.quarantines == 0)
                 continue;
-            os << (first ? "" : ", ") << "\"" << esc(h.name)
-               << "\"";
+            os << (first ? "" : ", ") << json::quoted(h.name);
             first = false;
         }
     }
@@ -1353,21 +1260,22 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
 
     auto jobJson = [&os](const JobProgress &p, bool failedOnly) {
         os << "    {\n"
-           << "      \"id\": \"" << esc(p.job.id) << "\",\n"
-           << "      \"config\": \"" << esc(p.job.config) << "\",\n"
-           << "      \"workload\": \"" << esc(p.job.workload)
-           << "\",\n"
+           << "      \"id\": " << json::quoted(p.job.id) << ",\n"
+           << "      \"config\": " << json::quoted(p.job.config)
+           << ",\n"
+           << "      \"workload\": " << json::quoted(p.job.workload)
+           << ",\n"
            << "      \"seed\": " << p.job.seed << ",\n";
         if (!p.job.faultPlan.empty())
-            os << "      \"fault_plan\": \"" << esc(p.job.faultPlan)
-               << "\",\n";
+            os << "      \"fault_plan\": "
+               << json::quoted(p.job.faultPlan) << ",\n";
         os << "      \"state\": \"" << jobStateName(p.state)
            << "\",\n"
            << "      \"attempts\": " << p.attempts << ",\n"
            << "      \"resumed\": "
            << (p.everResumed ? "true" : "false") << ",\n";
         if (!p.host.empty())
-            os << "      \"host\": \"" << esc(p.host) << "\",\n";
+            os << "      \"host\": " << json::quoted(p.host) << ",\n";
         if (p.leaseExpiries > 0)
             os << "      \"lease_expiries\": " << p.leaseExpiries
                << ",\n";
@@ -1378,16 +1286,15 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
             os << "      \"rescued\": true,\n";
         os << "      \"wall_ms\": " << fmtNum(p.wallMs);
         if (!failedOnly && p.state == JobState::Done)
-            os << ",\n      \"stats\": \"shards/" << esc(p.job.id)
-               << "/stats.json\"";
+            os << ",\n      \"stats\": "
+               << json::quoted("shards/" + p.job.id + "/stats.json");
         if (!p.lastError.empty())
-            os << ",\n      \"last_error\": \"" << esc(p.lastError)
-               << "\"";
+            os << ",\n      \"last_error\": "
+               << json::quoted(p.lastError);
         if (!p.history.empty()) {
             os << ",\n      \"history\": [";
             for (std::size_t i = 0; i < p.history.size(); ++i)
-                os << (i ? ", " : "") << "\"" << esc(p.history[i])
-                   << "\"";
+                os << (i ? ", " : "") << json::quoted(p.history[i]);
             os << "]";
         }
         os << "\n    }";

@@ -6,13 +6,14 @@
  * The supervisor expands a JobSpec across a roster of hosts (local
  * by default; a --hosts file adds remote ssh workers), watches every
  * attempt's liveness, and drives the FleetScheduler's lease-fenced
- * retry state machine.  It never touches a process, thread, or
- * socket directly — all of that lives behind WorkerTransport
+ * retry state machine.  It never touches a process or socket
+ * directly — all of that lives behind WorkerTransport
  * (src/fleet/transport/), which is also where deterministic fault
  * injection plugs in for chaos testing.
  *
- *  - every attempt runs in its own attempt directory
- *    (<outDir>/shards/<job>/a<token>/) and streams a metrics CSV
+ *  - every attempt is one `vip_sim workerArgs()` run in its own
+ *    attempt directory (<outDir>/shards/<job>/a<token>/), started by
+ *    fork/exec or over ssh, and streams a metrics CSV
  *    (its *heartbeat*): the newest row's tick_ms is the shard's
  *    simulated progress, and a stream that stops growing for
  *    heartbeatDeadlineMs of wall time — after a heartbeatGraceMs
@@ -67,14 +68,6 @@ namespace vip
 namespace fleet
 {
 
-enum class WorkerMode
-{
-    Process, ///< fork/exec vip_sim per attempt (crash isolation)
-    Thread,  ///< run Simulation on a thread per attempt (in-process)
-};
-
-const char *workerModeName(WorkerMode m);
-
 /** Where one job's *canonical* (accepted, committed) artifacts
  *  live: <outDir>/shards/<jobId>/...  Attempts stage under
  *  <dir>/a<token>/ and only fence-checked results land here. */
@@ -102,18 +95,14 @@ struct FleetOptions
 {
     std::string outDir;     ///< report + shard tree root
     std::string vipSimPath; ///< worker binary (process/ssh hosts)
-    WorkerMode mode = WorkerMode::Process;
 
-    /** Host roster (--hosts).  Empty = one implicit local host named
-     *  "local" running policy.workers slots in `mode`. */
+    /** Host roster (--hosts).  Empty = one implicit "process" host
+     *  named "local" running policy.workers slots. */
     std::vector<HostSpec> hosts;
 
     /** Fault-injection spec (--fault) applied to every host without
      *  its own "fault" entry.  "" = none. */
     std::string faultSpec;
-
-    /** --heartbeat-grace-ms override; < 0 = use the policy value. */
-    double heartbeatGraceMsOverride = -1.0;
 
     /** How long after the sweep settles to keep waiting for zombie
      *  attempts to finish (their results are fence-checked, then
@@ -124,8 +113,7 @@ struct FleetOptions
      *  once its heartbeat reaches killAtSimMs simulated ms.  The
      *  threshold is simulated time, so a ring checkpoint (cadence
      *  checkpointEveryMs < killAtSimMs) provably exists before the
-     *  kill — no wall-clock races.  Needs a kill-capable transport
-     *  (process or ssh). */
+     *  kill — no wall-clock races. */
     std::string killJobId;
     double killAtSimMs = 0.0;
     /** @} */
@@ -220,8 +208,10 @@ class FleetSupervisor
 
   private:
     struct HostRuntime;
+    /** One worker seat.  An attempt whose lease expired moves out of
+     *  its seat into _zombies, still a Slot: its late result is
+     *  fence-checked, then rescued or rejected. */
     struct Slot;
-    struct Zombie;
 
     void buildHosts();
     bool hostUsable(std::size_t hostIdx) const;
@@ -231,6 +221,13 @@ class FleetSupervisor
     void launch(Slot &slot, std::size_t jobIdx, double nowMs);
     void pollSlot(Slot &slot, double nowMs);
     void expireLease(Slot &slot, double nowMs);
+    /** Fetch @p slot's artifacts and check each against its source
+     *  checksum (live attempts and zombies alike). */
+    bool fetchVerified(Slot &slot, ArtifactManifest *m,
+                       std::string *err);
+    /** The attempt left what a success needs: stats, plus the
+     *  digest stream when the policy records one. */
+    bool produced(const ArtifactManifest &m) const;
     void tryFetch(Slot &slot, double nowMs);
     void settleAttempt(Slot &slot, double nowMs,
                        const ArtifactManifest &m);
@@ -251,12 +248,14 @@ class FleetSupervisor
     FleetScheduler _sched;
     std::vector<HostRuntime> _hosts;
     std::vector<Slot> _slots;
-    std::vector<Zombie> _zombies;
+    std::vector<Slot> _zombies;
     bool _chaosFired = false;
-    std::size_t _retries = 0;
+    /** @{ Counted here because nothing else records them; retries,
+     *  quarantines and per-host jobs done are derived from the
+     *  scheduler and host health at report time. */
     std::size_t _resumes = 0;
     std::size_t _hangKills = 0;
-    int _quarantineEvents = 0;
+    /** @} */
     std::string _fatal;
     FleetJournal _journal;
     double _lastStatusMs = -1e300;

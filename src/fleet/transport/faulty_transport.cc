@@ -71,19 +71,6 @@ FaultSpec::parse(const std::string &s, FaultSpec *out,
                 *err = "fault spec token '" + tok + "': " + why;
             return false;
         };
-        auto window = [&](const std::string &v, double *at,
-                          double *len) {
-            const std::size_t plus = v.find('+');
-            if (plus == std::string::npos)
-                return false;
-            double a = 0, l = 0;
-            if (!parseNum(v.substr(0, plus), &a) ||
-                !parseNum(v.substr(plus + 1), &l) || a < 0 || l <= 0)
-                return false;
-            *at = a;
-            *len = l;
-            return true;
-        };
 
         const std::size_t at = tok.find('@');
         const std::size_t eq = tok.find('=');
@@ -97,8 +84,12 @@ FaultSpec::parse(const std::string &s, FaultSpec *out,
                     return bad("expected die@<op>");
                 out->dieAtOp = static_cast<long>(n);
             } else if (key == "partition") {
+                const std::size_t plus = val.find('+');
                 double a = 0, l = 0;
-                if (!window(val, &a, &l))
+                if (plus == std::string::npos ||
+                    !parseNum(val.substr(0, plus), &a) ||
+                    !parseNum(val.substr(plus + 1), &l) || a < 0 ||
+                    l <= 0)
                     return bad("expected partition@<op>+<ops>");
                 out->partitionAtOp = static_cast<long>(a);
                 out->partitionOps = static_cast<long>(l);
@@ -132,10 +123,6 @@ FaultSpec::parse(const std::string &s, FaultSpec *out,
             if (!parseNum(val, &n) || n < 0)
                 return bad("expected dieMs=<ms>");
             out->dieAtMs = n;
-        } else if (key == "partitionMs") {
-            if (!window(val, &out->partitionAtMs,
-                        &out->partitionMs))
-                return bad("expected partitionMs=<start>+<len>");
         } else {
             return bad("unknown key");
         }
@@ -193,11 +180,8 @@ FaultyTransport::nextOp(bool probabilistic, bool fetchOp)
         killAllOnce();
         return v;
     }
-    if ((_spec.partitionAtOp >= 0 && op >= _spec.partitionAtOp &&
-         op < _spec.partitionAtOp + _spec.partitionOps) ||
-        (_spec.partitionAtMs >= 0.0 &&
-         elapsed >= _spec.partitionAtMs &&
-         elapsed < _spec.partitionAtMs + _spec.partitionMs)) {
+    if (_spec.partitionAtOp >= 0 && op >= _spec.partitionAtOp &&
+        op < _spec.partitionAtOp + _spec.partitionOps) {
         v.partitioned = true;
         ++_counters.partitioned;
         return v;

@@ -16,7 +16,6 @@
  *   dup=P             op runs twice (idempotency exercise)
  *   corrupt=P         fetch succeeds but a manifest checksum lies
  *   partition@N+M     ops [N, N+M) all fail; workers keep running
- *   partitionMs=S+D   same window, on wall ms since construction
  *   die@N             from op N on, the host is permanently dead
  *                     (live workers are killed once — a host crash)
  *   dieMs=N           same, on wall ms since construction
@@ -47,8 +46,6 @@ struct FaultSpec
     double corrupt = 0.0;
     long partitionAtOp = -1; ///< first partitioned op, -1 = none
     long partitionOps = 0;   ///< window length in ops
-    double partitionAtMs = -1.0;
-    double partitionMs = 0.0;
     long dieAtOp = -1;    ///< first dead op, -1 = never
     double dieAtMs = -1.0;
 
@@ -67,6 +64,14 @@ struct FaultCounters
     long corrupts = 0;
     long partitioned = 0; ///< ops failed inside a partition window
     bool died = false;
+
+    /** Every fault injected, a death counting once. */
+    long
+    injected() const
+    {
+        return drops + delays + dups + corrupts + partitioned +
+               (died ? 1 : 0);
+    }
 };
 
 class FaultyTransport : public WorkerTransport

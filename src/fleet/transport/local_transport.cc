@@ -20,15 +20,6 @@ namespace vip
 namespace fleet
 {
 
-long
-statFileSize(const std::string &path)
-{
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0)
-        return -1;
-    return static_cast<long>(st.st_size);
-}
-
 /**
  * The shard's simulated progress: the tick_ms column (first field) of
  * the newest complete data row of its heartbeat CSV, or -1 before the
@@ -76,6 +67,15 @@ readLastTickMs(const std::string &metricsCsv)
 
 namespace
 {
+
+long
+statFileSize(const std::string &path)
+{
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0)
+        return -1;
+    return static_cast<long>(st.st_size);
+}
 
 struct LocalHandle : WorkerHandle
 {

@@ -1,10 +1,10 @@
 /**
  * @file
  * LocalTransport: fork/exec of vip_sim on this machine — the default
- * worker backend, extracted from the pre-transport supervisor.  Full
- * crash isolation, SIGKILL-able, stdout+stderr captured to the
- * attempt's log.txt.  The child chdir()s into the attempt directory,
- * so worker argv uses the fixed attempt-relative artifact names.
+ * worker backend.  Full crash isolation, SIGKILL-able, stdout+stderr
+ * captured to the attempt's log.txt.  The child chdir()s into the
+ * attempt directory, so worker argv uses the fixed attempt-relative
+ * artifact names.
  */
 
 #ifndef VIP_FLEET_TRANSPORT_LOCAL_TRANSPORT_HH
@@ -17,8 +17,8 @@ namespace vip
 namespace fleet
 {
 
-/** Heartbeat helpers shared with other local-disk transports. */
-long statFileSize(const std::string &path);
+/** The newest simulated tick in a heartbeat CSV (-1 before the first
+ *  complete row); exposed for tests. */
 double readLastTickMs(const std::string &metricsCsv);
 
 class LocalTransport : public WorkerTransport

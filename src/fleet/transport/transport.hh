@@ -4,15 +4,15 @@
  * wherever a worker actually runs.
  *
  * The supervisor never fork/execs, ssh-es, or stats a file directly;
- * it speaks this interface and nothing else.  Implementations:
+ * it speaks this interface and nothing else.  Every attempt is one
+ * `vip_sim` run; the implementations differ only in where it runs:
  *
  *  - LocalTransport   fork/exec of vip_sim on this machine;
- *  - ThreadTransport  an in-process Simulation per attempt;
  *  - RemoteTransport  vip_sim on a remote host over ssh exec, with
  *                     stage-out/fetch-back and FNV-1a verification;
  *  - FaultyTransport  a deterministic fault-injection decorator
  *                     (drop/delay/duplicate/corrupt/partition/die)
- *                     wrapping any of the above, so the partition-
+ *                     wrapping either of the above, so the partition-
  *                     tolerance machinery is testable hermetically.
  *
  * Every attempt runs inside its own *attempt directory* and writes
@@ -45,9 +45,6 @@ namespace vip
 namespace fleet
 {
 
-struct JobSpec;
-struct FleetJob;
-
 /** Fixed attempt-relative artifact names every transport agrees on. */
 namespace attempt_files
 {
@@ -66,20 +63,14 @@ struct LaunchRequest
 {
     std::string jobId;
     std::uint64_t token = 0; ///< fencing token of this attempt
-    /** Local staging directory for this attempt (created by the
-     *  supervisor).  Local/thread workers run here; remote workers
-     *  mirror into it at fetch time. */
+    /** Local staging directory for this attempt.  Local workers run
+     *  here; remote workers mirror into it at fetch time. */
     std::string attemptDir;
     /** vip_sim argv tail with attempt-relative artifact paths. */
     std::vector<std::string> args;
     /** Local checkpoint to restore from (staged to the worker as
      *  attempt_files::kRestore); "" = fresh run. */
     std::string restoreFrom;
-    /** @{ thread transport runs the simulation straight from these
-     *  instead of re-parsing argv. */
-    const JobSpec *spec = nullptr;
-    const FleetJob *job = nullptr;
-    /** @} */
 };
 
 enum class WorkerState

@@ -1,6 +1,7 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <istream>
 #include <iterator>
 
@@ -264,7 +265,15 @@ quoted(const std::string &s)
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
-          default: out += c; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
         }
     }
     out += '"';

@@ -53,7 +53,10 @@ std::string strField(const JsonValue &obj, const char *key);
 /** Object member as number (0.0 when missing or not a number). */
 double numField(const JsonValue &obj, const char *key);
 
-/** Escape a string for embedding in a JSON document (adds quotes). */
+/** Escape a string for embedding in a JSON document (adds quotes):
+ *  `"` and `\` get a backslash, newline, tab and carriage return
+ *  their short forms, and every other byte below 0x20 a `\u00XX`
+ *  escape.  The only JSON string escaper in the tree. */
 std::string quoted(const std::string &s);
 
 } // namespace json

@@ -155,7 +155,7 @@ EOF
 
 echo "== clean reference sweep"
 "$VIP_FLEET" --spec "$WORK/spec.json" --out "$WORK/clean" \
-    --vip-sim "$VIP_SIM" --heartbeat-grace-ms 500 --quiet
+    --vip-sim "$VIP_SIM" --quiet
 test -s "$WORK/clean/report.json"
 test -s "$WORK/clean/aggregate.json"
 journal_gate "$WORK/clean"

@@ -9,6 +9,8 @@
 #include "app/application.hh"
 #include "app/user_input.hh"
 #include "app/workload.hh"
+#include "core/system_config.hh"
+#include "sim/logging.hh"
 
 namespace vip
 {
@@ -256,6 +258,29 @@ TEST(UserInput, FactorySelectsByAppName)
                  "fruit-flick");
     EXPECT_STREQ(makeTouchModel("Game-1.render")->name(),
                  "flappy-tap");
+}
+
+TEST(CliNames, ConfigsAndWorkloadsRoundTrip)
+{
+    for (SystemConfig c : kAllConfigs) {
+        EXPECT_EQ(systemConfigByCliName(systemConfigCliName(c)), c);
+        EXPECT_EQ(systemConfigCliNameOf(systemConfigName(c)),
+                  systemConfigCliName(c));
+    }
+    EXPECT_EQ(systemConfigCliNameOf("custom"), "custom");
+    try {
+        systemConfigByCliName("turbo");
+        ADD_FAILURE() << "unknown config accepted";
+    } catch (const SimFatal &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "(use baseline | frameburst | iptoip | "
+                      "iptoip-fb | vip)"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(WorkloadCatalog::byName("W4").name, "W4");
+    EXPECT_EQ(WorkloadCatalog::byName("a3").name, "A3");
+    EXPECT_THROW(WorkloadCatalog::byName("Z9"), SimFatal);
 }
 
 } // namespace

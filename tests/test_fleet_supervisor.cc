@@ -3,12 +3,12 @@
  * Fleet supervision tests: the scheduler's lease-fenced retry state
  * machine under a fake clock (expiry, zombie rejection and rescue,
  * duplicate suppression), decorrelated-jitter backoff, worker argv
- * construction, the stats merge, and whole-fleet runs with in-process
- * thread workers — including graceful degradation (failed jobs never
- * abort a sweep), host quarantine and recovery under injected
- * transport faults, lease-expiry reassignment across hosts, the
- * all-hosts-dead terminal error, and bit-identical thread-shard
- * output.
+ * construction, the stats merge, and whole-fleet runs whose workers
+ * are real vip_sim processes (VIP_SIM_PATH) — including graceful
+ * degradation (failed jobs never abort a sweep), the hang watchdog,
+ * host quarantine and recovery under injected transport faults,
+ * lease-expiry reassignment across hosts, the all-hosts-dead
+ * terminal error, and shards bit-identical to an in-process run.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "fleet/backoff.hh"
 #include "fleet/hosts.hh"
 #include "fleet/supervisor.hh"
+#include "obs/json.hh"
 #include "obs/stats_merge.hh"
 #include "sim/logging.hh"
 
@@ -70,6 +71,17 @@ class FleetTest : public ::testing::Test
     path(const std::string &name) const
     {
         return (_dir / name).string();
+    }
+
+    /** A quiet sweep into <dir>/out whose workers are vip_sim. */
+    FleetOptions
+    options() const
+    {
+        FleetOptions opt;
+        opt.outDir = path("out");
+        opt.vipSimPath = VIP_SIM_PATH;
+        opt.verbose = false;
+        return opt;
     }
 
     fs::path _dir;
@@ -401,7 +413,7 @@ TEST(FleetWorkerArgs, ArgsAreAttemptRelativeAndHostIndependent)
 {
     // Artifact paths in the argv are attempt-relative names: the
     // transport picks the working directory, so the same argv runs
-    // locally, on a thread, or on any ssh host.  Checkpoint identity
+    // locally or on any ssh host.  Checkpoint identity
     // covers audit spec and metrics interval, so every attempt (and
     // any reference rerun) MUST repeat the same flags; --restore is
     // appended by the transport after it stages the checkpoint.
@@ -526,12 +538,11 @@ TEST(StatsMerge, JsonWriterEmitsEveryPath)
 }
 
 // ---------------------------------------------------------------
-// Whole-fleet runs (thread workers; process workers are exercised
-// by the CI smoke script, which needs the installed binaries).
+// Whole-fleet runs (every attempt is a vip_sim process).
 // ---------------------------------------------------------------
 
 JobSpec
-threadSpec(double seconds)
+smallSpec(double seconds)
 {
     JobSpec spec;
     spec.name = "unit";
@@ -547,15 +558,12 @@ threadSpec(double seconds)
     return spec;
 }
 
-TEST_F(FleetTest, ThreadFleetShardMatchesDirectRunBitForBit)
+TEST_F(FleetTest, FleetShardMatchesDirectRunBitForBit)
 {
-    JobSpec spec = threadSpec(0.05);
+    JobSpec spec = smallSpec(0.05);
     spec.jobs = {job("vip", "A1", 1), job("baseline", "A1", 1)};
 
-    FleetOptions opt;
-    opt.outDir = path("out");
-    opt.mode = WorkerMode::Thread;
-    opt.verbose = false;
+    FleetOptions opt = options();
     FleetSupervisor sup(spec, opt);
     const FleetOutcome out = sup.run();
     EXPECT_EQ(out.exitCode(), 0);
@@ -589,14 +597,11 @@ TEST_F(FleetTest, FailingJobsDegradeGracefullyIntoTheReport)
 {
     // /bin/false crashes every attempt: the sweep must still finish,
     // exhaust the attempt cap, and report the failures -- never abort.
-    JobSpec spec = threadSpec(0.05);
+    JobSpec spec = smallSpec(0.05);
     spec.jobs = {job("vip", "A1", 1), job("vip", "A1", 2)};
 
-    FleetOptions opt;
-    opt.outDir = path("out");
-    opt.mode = WorkerMode::Process;
+    FleetOptions opt = options();
     opt.vipSimPath = "/bin/false";
-    opt.verbose = false;
     FleetSupervisor sup(spec, opt);
     const FleetOutcome out = sup.run();
 
@@ -620,15 +625,12 @@ TEST_F(FleetTest, FailingJobsDegradeGracefullyIntoTheReport)
 
 TEST_F(FleetTest, StopFlagInterruptsTheSweepButStillWritesTheReport)
 {
-    JobSpec spec = threadSpec(0.05);
+    JobSpec spec = smallSpec(0.05);
     spec.jobs = {job("vip", "A1", 1)};
 
     std::atomic<int> stop{2}; // as if SIGINT already arrived
-    FleetOptions opt;
-    opt.outDir = path("out");
-    opt.mode = WorkerMode::Thread;
+    FleetOptions opt = options();
     opt.stopFlag = &stop;
-    opt.verbose = false;
     FleetSupervisor sup(spec, opt);
     const FleetOutcome out = sup.run();
     EXPECT_TRUE(out.interrupted);
@@ -643,30 +645,64 @@ TEST_F(FleetTest, StopFlagInterruptsTheSweepButStillWritesTheReport)
 
 TEST_F(FleetTest, MissingWorkerBinaryIsASetupError)
 {
-    JobSpec spec = threadSpec(0.05);
+    JobSpec spec = smallSpec(0.05);
     spec.jobs = {job("vip", "A1", 1)};
-    FleetOptions opt;
-    opt.outDir = path("out");
-    opt.mode = WorkerMode::Process;
+    FleetOptions opt = options();
     opt.vipSimPath = path("no-such-binary");
-    opt.verbose = false;
     FleetSupervisor sup(spec, opt);
     EXPECT_THROW(sup.run(), SimFatal);
 }
 
+TEST_F(FleetTest, SilentWorkerIsKilledAsHung)
+{
+    // A worker that never writes a heartbeat row: once the startup
+    // grace and the deadline pass, the watchdog SIGKILLs it, and the
+    // retry meets the same fate.
+    const std::string silent = path("silent.sh");
+    std::ofstream(silent) << "#!/bin/sh\nexec sleep 30\n";
+    fs::permissions(silent, fs::perms::owner_all);
+
+    JobSpec spec = smallSpec(0.05);
+    spec.jobs = {job("vip", "A1", 1)};
+    spec.fleet.heartbeatDeadlineMs = 100.0;
+    spec.fleet.heartbeatGraceMs = 50.0;
+    spec.fleet.maxAttempts = 2;
+
+    FleetOptions opt = options();
+    opt.vipSimPath = silent;
+    FleetSupervisor sup(spec, opt);
+    const FleetOutcome out = sup.run();
+
+    EXPECT_EQ(out.exitCode(), 1);
+    EXPECT_EQ(out.hangKills, 2u);
+    ASSERT_EQ(out.jobs.size(), 1u);
+    EXPECT_EQ(out.jobs[0].state, JobState::Failed);
+    EXPECT_EQ(out.jobs[0].history,
+              (std::vector<std::string>{
+                  "attempt 1: hung (no heartbeat), killed",
+                  "attempt 2: hung (no heartbeat), killed"}));
+
+    std::ifstream journal(path("out/journal.jsonl"));
+    int hangKillRecords = 0;
+    for (std::string line; std::getline(journal, line);)
+        hangKillRecords +=
+            json::strField(json::parse(line), "type") == "hang_kill";
+    EXPECT_EQ(hangKillRecords, 2);
+}
+
 // ---------------------------------------------------------------
 // Whole-fleet robustness: quarantine, reassignment, terminal death
-// (thread transports under deterministic fault injection — no
-// processes, no network).
+// (local process hosts under deterministic fault injection — no
+// network).
 // ---------------------------------------------------------------
 
 HostSpec
-threadHost(const std::string &name, int slots,
-           const std::string &fault)
+processHost(const std::string &name, int slots,
+            const std::string &fault)
 {
     HostSpec h;
     h.name = name;
-    h.transport = "thread";
+    h.transport = "process";
     h.slots = slots;
     h.faultSpec = fault;
     return h;
@@ -674,7 +710,7 @@ threadHost(const std::string &name, int slots,
 
 TEST_F(FleetTest, QuarantinedHostRecoversThroughAProbe)
 {
-    JobSpec spec = threadSpec(0.05);
+    JobSpec spec = smallSpec(0.05);
     // Two jobs, one slot: the second job can only start after the
     // quarantined host is probed back to health, so the sweep cannot
     // finish unless quarantine -> probe -> re-admission works.
@@ -684,15 +720,12 @@ TEST_F(FleetTest, QuarantinedHostRecoversThroughAProbe)
     spec.fleet.maxProbes = 50;
     spec.fleet.maxQuarantines = 50;
 
-    FleetOptions opt;
-    opt.outDir = path("out");
-    opt.mode = WorkerMode::Thread;
-    opt.verbose = false;
+    FleetOptions opt = options();
     opt.pollMs = 2.0;
     // Ops 1..3 after the launch fail: the first poll quarantines the
     // host, a probe inside the window fails, a later probe succeeds
     // and re-admits it; the first attempt keeps running throughout.
-    opt.hosts = {threadHost("flaky", 1, "partition@1+3")};
+    opt.hosts = {processHost("flaky", 1, "partition@1+3")};
     FleetSupervisor sup(spec, opt);
     const FleetOutcome out = sup.run();
 
@@ -712,25 +745,22 @@ TEST_F(FleetTest, QuarantinedHostRecoversThroughAProbe)
 
 TEST_F(FleetTest, ExpiredLeaseMovesTheJobToASurvivingHost)
 {
-    JobSpec spec = threadSpec(0.05);
+    JobSpec spec = smallSpec(0.05);
     spec.jobs = {job("vip", "A1", 1)};
     spec.fleet.maxAttempts = 3;
     spec.fleet.leaseMs = 40.0;
     spec.fleet.quarantineAfter = 1000; // isolate lease behavior
     spec.fleet.fetchRetries = 1;
 
-    FleetOptions opt;
-    opt.outDir = path("out");
-    opt.mode = WorkerMode::Thread;
-    opt.verbose = false;
+    FleetOptions opt = options();
     opt.pollMs = 2.0;
     opt.zombieGraceMs = 50.0;
     // Host "dark" answers the launch, then every op fails forever:
     // no liveness evidence ever arrives, the lease expires, and the
     // retry must land on "good".  The zombie's artifacts are
     // unfetchable and get discarded.
-    opt.hosts = {threadHost("dark", 1, "partition@1+100000"),
-                 threadHost("good", 1, "")};
+    opt.hosts = {processHost("dark", 1, "partition@1+100000"),
+                 processHost("good", 1, "")};
     FleetSupervisor sup(spec, opt);
     const FleetOutcome out = sup.run();
 
@@ -753,22 +783,19 @@ TEST_F(FleetTest, ExpiredLeaseMovesTheJobToASurvivingHost)
 
 TEST_F(FleetTest, AllHostsDeadIsTerminalButStillReports)
 {
-    JobSpec spec = threadSpec(0.05);
+    JobSpec spec = smallSpec(0.05);
     spec.jobs = {job("vip", "A1", 1), job("vip", "A1", 2)};
     spec.fleet.quarantineAfter = 1;
     spec.fleet.probeIntervalMs = 1.0;
     spec.fleet.maxProbes = 1;
     spec.fleet.maxQuarantines = 1;
 
-    FleetOptions opt;
-    opt.outDir = path("out");
-    opt.mode = WorkerMode::Thread;
-    opt.verbose = false;
+    FleetOptions opt = options();
     opt.pollMs = 2.0;
     // The host dies on its very first op: launches fail, the one
     // re-admission probe fails, and the sweep has nowhere left to
     // run — the one terminal error, reported, exit code 2.
-    opt.hosts = {threadHost("doomed", 2, "die@0")};
+    opt.hosts = {processHost("doomed", 2, "die@0")};
     FleetSupervisor sup(spec, opt);
     const FleetOutcome out = sup.run();
 
@@ -791,15 +818,12 @@ TEST_F(FleetTest, AllHostsDeadIsTerminalButStillReports)
 
 TEST_F(FleetTest, MultiHostSweepSpreadsWorkAndMergesEveryShard)
 {
-    JobSpec spec = threadSpec(0.05);
+    JobSpec spec = smallSpec(0.05);
     spec.jobs = {job("vip", "A1", 1), job("vip", "A1", 2),
                  job("baseline", "A1", 1), job("baseline", "A1", 2)};
 
-    FleetOptions opt;
-    opt.outDir = path("out");
-    opt.mode = WorkerMode::Thread;
-    opt.verbose = false;
-    opt.hosts = {threadHost("h1", 2, ""), threadHost("h2", 2, "")};
+    FleetOptions opt = options();
+    opt.hosts = {processHost("h1", 2, ""), processHost("h2", 2, "")};
     FleetSupervisor sup(spec, opt);
     const FleetOutcome out = sup.run();
 

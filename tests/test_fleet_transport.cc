@@ -277,12 +277,11 @@ TEST(FaultSpecParse, ParsesTheFullGrammar)
     EXPECT_EQ(f.dieAtOp, 90);
 
     FaultSpec t;
-    ASSERT_TRUE(FaultSpec::parse("partitionMs=100+50,dieMs=400", &t,
-                                 &err))
-        << err;
-    EXPECT_DOUBLE_EQ(t.partitionAtMs, 100.0);
-    EXPECT_DOUBLE_EQ(t.partitionMs, 50.0);
+    ASSERT_TRUE(FaultSpec::parse("dieMs=400", &t, &err)) << err;
     EXPECT_DOUBLE_EQ(t.dieAtMs, 400.0);
+    // The wall-clock partition window is not part of the grammar.
+    EXPECT_FALSE(FaultSpec::parse("partitionMs=1+2", &t, &err));
+    EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
 
     FaultSpec empty;
     ASSERT_TRUE(FaultSpec::parse("", &empty, &err));
@@ -576,7 +575,7 @@ TEST_F(TransportTest, HostsFileParsesEveryField)
        "ssh": ["ssh", "-oBatchMode=yes", "node7"],
        "remote_dir": "/tmp/vip-fleet", "vip_sim": "/opt/vip/vip_sim",
        "op_timeout_ms": 1500, "op_retries": 5},
-      {"name": "flaky", "transport": "thread", "slots": 2,
+      {"name": "flaky", "transport": "process", "slots": 2,
        "fault": "seed=7,drop=0.1"}]})");
     std::vector<HostSpec> hosts;
     std::string err;
@@ -617,17 +616,24 @@ TEST_F(TransportTest, HostsFileRejectsDuplicatesAndBadInput)
                   nullptr);
     }
     EXPECT_FALSE(err.empty());
+
+    // Every attempt is a vip_sim run: there is no in-process backend.
+    const std::string thread = write("thread.json", R"({"hosts": [
+      {"name": "t", "transport": "thread"}]})");
+    err.clear();
+    EXPECT_FALSE(parseHostsFile(thread, &hosts, &err));
+    EXPECT_NE(err.find("process | ssh"), std::string::npos) << err;
 }
 
 TEST_F(TransportTest, MakeTransportWrapsFaultyHosts)
 {
     HostSpec plain;
     plain.name = "plain";
-    plain.transport = "thread";
+    plain.transport = "process";
     std::string err;
     auto t = makeTransport(plain, "", "", &err);
     ASSERT_NE(t, nullptr) << err;
-    EXPECT_STREQ(t->kind(), "thread");
+    EXPECT_STREQ(t->kind(), "process");
     EXPECT_EQ(dynamic_cast<FaultyTransport *>(t.get()), nullptr);
 
     HostSpec flaky = plain;

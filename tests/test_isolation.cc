@@ -5,8 +5,8 @@
  * global is the logging verbosity, which is deliberate and atomic),
  * so multiple simulations in one process — alive at once, sequential,
  * or on concurrent threads — must produce digest streams and stats
- * bit-identical to the same runs executed alone.  This property is
- * what lets vip_fleet run thread-backed workers at all.
+ * bit-identical to the same runs executed alone.  vip_bench and the
+ * gtests rely on it: each runs many simulations in one process.
  */
 
 #include <gtest/gtest.h>
@@ -99,9 +99,8 @@ TEST(Isolation, ConcurrentThreadsMatchSoloRunsBitForBit)
     const Fingerprint wantA = soloRun(SystemConfig::VIP, 1);
     const Fingerprint wantB = soloRun(SystemConfig::FrameBurst, 3);
 
-    // The thread-mode fleet in miniature: two full platforms running
-    // simultaneously on different threads.  Each must be oblivious to
-    // the other.
+    // Two full platforms running simultaneously on different
+    // threads.  Each must be oblivious to the other.
     Fingerprint gotA, gotB;
     std::thread ta([&gotA] {
         Simulation sim(cfgFor(SystemConfig::VIP, 1),

@@ -18,6 +18,7 @@
 #include <sstream>
 
 #include "core/simulation.hh"
+#include "obs/json.hh"
 #include "obs/trace_check.hh"
 
 namespace vip
@@ -159,6 +160,21 @@ TEST(TraceCatTest, ParseRoundTrips)
                      | static_cast<std::uint32_t>(TraceCat::Fault));
     EXPECT_EQ(parseTraceCats(traceCatsToString(m)), m);
     EXPECT_THROW(parseTraceCats("bogus"), SimFatal);
+}
+
+TEST(JsonQuoted, EscapesEveryControlByteAndRoundTrips)
+{
+    // A raw control byte inside a JSON string is invalid JSON.
+    const std::string s = "a\x01" "b\n"; // split: \x01b is one byte
+    EXPECT_EQ(json::quoted(s), "\"a\\u0001b\\n\"");
+    EXPECT_EQ(json::parse(json::quoted(s)).str, s);
+    std::string all;
+    for (int c = 1; c < 0x80; ++c)
+        all += static_cast<char>(c);
+    const std::string q = json::quoted(all);
+    for (std::size_t i = 1; i + 1 < q.size(); ++i)
+        EXPECT_FALSE(static_cast<unsigned char>(q[i]) < 0x20) << i;
+    EXPECT_EQ(json::parse(q).str, all);
 }
 
 /** Trace JSON parses and every span/async pairing is well-formed. */

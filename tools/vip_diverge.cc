@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "core/system_config.hh"
 #include "sim/audit.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -60,26 +61,6 @@ usage()
         "                      first diverging tick and the command\n"
         "                      that replays the divergence window\n"
         "  --checkpoints <dir> directory of .vips snapshots\n");
-}
-
-/**
- * Snapshot headers stamp the display name from systemConfigName();
- * map it back to the spelling vip_sim --config accepts.
- */
-std::string
-cliConfigName(const std::string &display)
-{
-    if (display == "Baseline")
-        return "baseline";
-    if (display == "FrameBurst")
-        return "frameburst";
-    if (display == "IP-to-IP")
-        return "iptoip";
-    if (display == "IP-to-IP+FB")
-        return "iptoip-fb";
-    if (display == "VIP")
-        return "vip";
-    return display;
 }
 
 /** One checkpoint candidate for the bisection. */
@@ -172,8 +153,8 @@ reportBisection(const std::vector<Candidate> &cands,
         " --seed %llu \\\n"
         "            --restore %s \\\n"
         "            --audit periodic:1 --digest-out replay.dig\n",
-        m.workloadName.c_str(), cliConfigName(m.configName).c_str(),
-        m.simSeconds,
+        m.workloadName.c_str(),
+        vip::systemConfigCliNameOf(m.configName).c_str(), m.simSeconds,
         static_cast<unsigned long long>(m.seed), good.path.c_str());
     return true;
 }

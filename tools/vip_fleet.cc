@@ -3,15 +3,16 @@
  * vip_fleet: crash-surviving sweep orchestrator.
  *
  * Expands a declarative JSON job spec (configs x workloads x seeds x
- * fault plans) into shards, runs them across N supervised workers,
- * and merges the per-shard stats into one percentile report.  Workers
- * that crash, hang, or get killed are retried with exponential
- * backoff, resuming from their flight-recorder checkpoint ring; jobs
- * that exhaust the attempt cap land in the report's failed_jobs
- * section instead of aborting the sweep.
+ * fault plans) into shards, runs each attempt as one vip_sim worker
+ * across N supervised slots, and merges the per-shard stats into one
+ * percentile report.  Workers that crash, hang, or get killed are
+ * retried with exponential backoff, resuming from their
+ * flight-recorder checkpoint ring; jobs that exhaust the attempt cap
+ * land in the report's failed_jobs section instead of aborting the
+ * sweep.
  *
  *   vip_fleet --spec sweep.json --out runs/nightly
- *   vip_fleet --spec sweep.json --out runs/x --mode thread
+ *   vip_fleet --spec sweep.json --out runs/x --hosts hosts.json
  *   vip_fleet --spec sweep.json --out runs/x --kill vip-W4-s1@30
  *
  * Exit codes: 0 every job done, 1 completed with failed jobs,
@@ -53,28 +54,22 @@ usage()
         "                       shards/<job>/{stats.json,metrics.csv,\n"
         "                       pm/,log.txt}\n"
         "  --vip-sim <path>     worker binary (default: vip_sim next\n"
-        "                       to this executable)\n"
-        "  --mode <m>           process (default; fork/exec, full\n"
-        "                       crash isolation) | thread (in-process\n"
-        "                       workers, graceful cancel only)\n"
+        "                       to this executable); every attempt\n"
+        "                       is one run of it\n"
         "  --workers <n>        override the spec's worker count\n"
         "  --max-attempts <n>   override the spec's attempt cap\n"
         "  --kill <job>@<ms>    chaos: SIGKILL the named job's first\n"
         "                       attempt once its heartbeat reaches\n"
-        "                       <ms> simulated ms (process mode;\n"
-        "                       exercises kill->backoff->resume)\n"
+        "                       <ms> simulated ms (exercises\n"
+        "                       kill->backoff->resume)\n"
         "  --hosts <file>       JSON host roster (name, transport\n"
-        "                       process|thread|ssh, slots, optional\n"
-        "                       per-host fault spec).  Default: one\n"
-        "                       local host with the spec's workers\n"
+        "                       process|ssh, slots, optional per-host\n"
+        "                       fault spec).  Default: one local\n"
+        "                       process host with the spec's workers\n"
         "  --fault <spec>       deterministic transport fault\n"
         "                       injection on every host, e.g.\n"
         "                       'seed=7,drop=0.1,corrupt=0.05' or\n"
         "                       'partition@20+15' / 'die@40'\n"
-        "  --heartbeat-grace-ms <ms>\n"
-        "                       startup grace before the liveness\n"
-        "                       watchdog may declare a worker hung\n"
-        "                       (overrides the spec policy)\n"
         "  --status             one-shot: print <out>/fleet-status\n"
         "                       .json (the rolling snapshot a running\n"
         "                       sweep maintains) and exit\n"
@@ -121,15 +116,6 @@ main(int argc, char **argv)
                 opt.outDir = next();
             } else if (arg == "--vip-sim") {
                 opt.vipSimPath = next();
-            } else if (arg == "--mode") {
-                const std::string m = next();
-                if (m == "process")
-                    opt.mode = vip::fleet::WorkerMode::Process;
-                else if (m == "thread")
-                    opt.mode = vip::fleet::WorkerMode::Thread;
-                else
-                    vip::fatal("unknown worker mode '", m,
-                               "' (process|thread)");
             } else if (arg == "--workers") {
                 workersOverride = std::atoi(next().c_str());
                 if (workersOverride < 1)
@@ -165,15 +151,6 @@ main(int argc, char **argv)
                 if (!vip::fleet::FaultSpec::parse(opt.faultSpec,
                                                   &parsed, &err))
                     vip::fatal("--fault: ", err);
-            } else if (arg == "--heartbeat-grace-ms") {
-                char *end = nullptr;
-                const std::string ms = next();
-                opt.heartbeatGraceMsOverride =
-                    std::strtod(ms.c_str(), &end);
-                if (end == ms.c_str() || *end != '\0' ||
-                    !(opt.heartbeatGraceMsOverride >= 0.0))
-                    vip::fatal("--heartbeat-grace-ms: bad value '",
-                               ms, "'");
             } else if (arg == "--status") {
                 statusOnly = true;
             } else if (arg == "--status-interval-ms") {

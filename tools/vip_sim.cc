@@ -166,32 +166,6 @@ usage()
         "  --list                       list workloads and exit\n");
 }
 
-vip::SystemConfig
-parseConfig(const std::string &name)
-{
-    if (name == "baseline")
-        return vip::SystemConfig::Baseline;
-    if (name == "frameburst")
-        return vip::SystemConfig::FrameBurst;
-    if (name == "iptoip")
-        return vip::SystemConfig::IpToIp;
-    if (name == "iptoip-fb")
-        return vip::SystemConfig::IpToIpBurst;
-    if (name == "vip")
-        return vip::SystemConfig::VIP;
-    vip::fatal("unknown config '", name, "'");
-}
-
-vip::Workload
-parseWorkload(const std::string &name)
-{
-    if (name.size() >= 2 && (name[0] == 'A' || name[0] == 'a'))
-        return vip::WorkloadCatalog::single(std::atoi(&name[1]));
-    if (name.size() >= 2 && (name[0] == 'W' || name[0] == 'w'))
-        return vip::WorkloadCatalog::byIndex(std::atoi(&name[1]));
-    vip::fatal("unknown workload '", name, "' (use A1..A7 or W1..W8)");
-}
-
 void
 listWorkloads()
 {
@@ -588,13 +562,13 @@ main(int argc, char **argv)
         }
     }
 
-        cfg.system = parseConfig(config);
+        cfg.system = vip::systemConfigByCliName(config);
         if (!digestFile.empty() && !cfg.audit.enabled())
             cfg.audit = vip::AuditConfig::parse("periodic:1");
         std::signal(SIGINT, onSignal);
         std::signal(SIGTERM, onSignal);
         cfg.interruptFlag = &gSignal;
-        vip::Simulation sim(cfg, parseWorkload(workload));
+        vip::Simulation sim(cfg, vip::WorkloadCatalog::byName(workload));
         auto s = sim.run();
         report(s);
         if (sim.interrupted()) {

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "core/system_config.hh"
 #include "obs/json.hh"
 #include "obs/stats_io.hh"
 #include "obs/trace_check.hh"
@@ -65,26 +66,6 @@ double
 ms(std::uint64_t ticks)
 {
     return static_cast<double>(ticks) / 1e9;
-}
-
-/**
- * Crash bundles stamp the display name from systemConfigName();
- * map it back to the spelling vip_sim --config accepts.
- */
-std::string
-cliConfigName(const std::string &display)
-{
-    if (display == "Baseline")
-        return "baseline";
-    if (display == "FrameBurst")
-        return "frameburst";
-    if (display == "IP-to-IP")
-        return "iptoip";
-    if (display == "IP-to-IP+FB")
-        return "iptoip-fb";
-    if (display == "VIP")
-        return "vip";
-    return display;
 }
 
 /** A reconstructed span: X events and matched B/E pairs. */
@@ -285,8 +266,9 @@ printCrash(const std::string &path)
             auto field = [&](const char *key, const char *flag) {
                 const auto *v = run->find(key);
                 if (v && !v->str.empty()) {
+                    // Crash bundles record the display name.
                     auto val = std::strcmp(key, "config") == 0
-                                   ? cliConfigName(v->str)
+                                   ? vip::systemConfigCliNameOf(v->str)
                                    : v->str;
                     std::printf(" %s %s", flag, val.c_str());
                 }
