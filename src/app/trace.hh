@@ -48,9 +48,10 @@ class FrameTrace
     void record(FrameEvent ev) { _events.push_back(std::move(ev)); }
 
     const std::vector<FrameEvent> &events() const { return _events; }
+    /** Mutable records: only checkpoint restore replaces them. */
+    std::vector<FrameEvent> &events() { return _events; }
     std::size_t size() const { return _events.size(); }
     bool empty() const { return _events.empty(); }
-    void clear() { _events.clear(); }
 
     /** @{ Aggregates. */
     std::uint64_t countViolations() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -310,73 +311,57 @@ ChainManager::stateDigest(StateDigest &d) const
             d.add(static_cast<std::int64_t>(lane));
     }
     d.add(static_cast<std::uint64_t>(_waiters.size()));
-    // The ledger is keyed by IpCore pointer; digest by component name
-    // in sorted order so the value is stable across runs.
-    std::vector<std::pair<std::string, double>> loads;
-    loads.reserve(_ipLoad.size());
-    for (const auto &[ip, load] : _ipLoad)
-        loads.emplace_back(ip->name(), load);
-    std::sort(loads.begin(), loads.end());
-    for (const auto &[name, load] : loads) {
+    for (const auto &[name, load] : loadsByName()) {
         d.add(name);
         d.add(load);
     }
 }
 
-void
-ChainManager::saveState(SnapshotWriter &w) const
+std::vector<std::pair<std::string, double>>
+ChainManager::loadsByName() const
 {
-    vip_assert(_waiters.empty(),
-               "checkpointing with chain acquisitions queued");
-    w.u32(static_cast<std::uint32_t>(_chains.size()));
-    for (const Chain &c : _chains) {
-        w.u64(static_cast<std::uint64_t>(c.flow));
-        w.b(c.isBound);
-        w.b(c.persistent);
-        w.u32(static_cast<std::uint32_t>(c.lanes.size()));
-        for (int lane : c.lanes)
-            w.i64(lane);
-    }
-    // The admission ledger accumulates doubles in call order, so the
-    // values are not reproducible by replaying recordAdmission();
-    // store the exact bits keyed by IP name, sorted for stability.
     std::vector<std::pair<std::string, double>> loads;
     loads.reserve(_ipLoad.size());
     for (const auto &[ip, load] : _ipLoad)
         loads.emplace_back(ip->name(), load);
     std::sort(loads.begin(), loads.end());
-    w.u32(static_cast<std::uint32_t>(loads.size()));
-    for (const auto &[name, load] : loads) {
-        w.str(name);
-        w.d(load);
-    }
+    return loads;
 }
 
 void
-ChainManager::loadState(SnapshotReader &r,
-                        const std::function<ChainId(FlowId)> &recreate,
-                        const std::function<IpCore *(const std::string &)>
-                            &ip_by_name)
+ChainManager::io(StateIO &io,
+                 const std::function<ChainId(FlowId)> &recreate,
+                 const std::function<IpCore *(const std::string &)>
+                     &ip_by_name)
 {
-    vip_assert(_chains.empty(),
-               "restoring into a non-empty chain manager");
-    std::uint32_t nChains = r.u32();
-    for (std::uint32_t i = 0; i < nChains; ++i) {
-        FlowId flow = static_cast<FlowId>(r.u64());
-        bool isBound = r.b();
-        bool persistent = r.b();
-        ChainId id = recreate(flow);
-        if (id != i)
-            fatal("chain restore out of order: flow ", flow,
-                  " recreated chain ", id, ", snapshot expects ", i);
-        Chain &c = _chains.at(id);
-        std::uint32_t nLanes = r.u32();
-        if (nLanes != c.lanes.size())
-            fatal("chain ", id, ": snapshot has ", nLanes,
-                  " stages, flow rebuilds ", c.lanes.size(),
-                  " (config mismatch)");
-        for (std::uint32_t j = 0; j < nLanes; ++j)
-            c.lanes[j] = static_cast<int>(r.i64());
+    if (io.saving())
+        vip_assert(_waiters.empty(),
+                   "checkpointing with chain acquisitions queued");
+    else
+        vip_assert(_chains.empty(),
+                   "restoring into a non-empty chain manager");
+    const std::size_t nChains = io.seq32(_chains.size(), "chains");
+    for (std::size_t i = 0; i < nChains; ++i) {
+        // On load the chain does not exist until its flow re-creates
+        // it, so its identity goes through locals.
+        FlowId flow = io.saving() ? _chains[i].flow : 0;
+        bool isBound = io.saving() && _chains[i].isBound;
+        bool persistent = io.saving() && _chains[i].persistent;
+        io.u64(flow);
+        io.b(isBound);
+        io.b(persistent);
+        if (io.loading()) {
+            ChainId id = recreate(flow);
+            if (id != i)
+                fatal("chain restore out of order: flow ", flow,
+                      " recreated chain ", id, ", snapshot expects ", i);
+        }
+        Chain &c = _chains.at(i);
+        io.shape("chain " + std::to_string(i), "stages", c.lanes.size());
+        for (int &lane : c.lanes)
+            io.i64(lane);
+        if (io.saving())
+            continue;
         c.isBound = isBound;
         c.persistent = persistent;
         if (!c.isBound)
@@ -392,10 +377,19 @@ ChainManager::loadState(SnapshotReader &r,
         if (c.onStart)
             c.ips[0]->setLaneFrameStartCb(c.lanes[0], c.onStart);
     }
-    std::uint32_t nLoads = r.u32();
-    for (std::uint32_t i = 0; i < nLoads; ++i) {
-        std::string name = r.str();
-        double load = r.d();
+    // The admission ledger accumulates doubles in call order, so the
+    // values are not reproducible by replaying recordAdmission();
+    // store the exact bits keyed by IP name, sorted for stability.
+    std::vector<std::pair<std::string, double>> loads;
+    if (io.saving())
+        loads = loadsByName();
+    io.seq32(loads, "admission loads", [&](auto &load) {
+        io.str(load.first);
+        io.d(load.second);
+    });
+    if (io.saving())
+        return;
+    for (const auto &[name, load] : loads) {
         IpCore *ip = ip_by_name(name);
         if (!ip)
             fatal("admission ledger references unknown IP '", name,

@@ -142,22 +142,21 @@ class ChainManager : public Auditable
     void stateDigest(StateDigest &d) const override;
     /** @} */
 
-    /** @{ checkpoint serialization (driven by the Simulation).
-     *
-     * Chains hold continuation lambdas and IpCore pointers, so the
-     * snapshot stores only their POD identity (flow, binding, lane
-     * indices) in creation order plus the admission ledger by IP
-     * name.  loadState() re-creates every chain through @p recreate
-     * (the owning FlowRuntime re-issues its create() call, minting
-     * identical ids) and rewires bound chains exactly as tryBind()
-     * did, against lane bindings the IPs restored beforehand.
+    /**
+     * Checkpoint/restore (driven by the Simulation).  Chains hold
+     * continuation lambdas and IpCore pointers, so the snapshot
+     * stores only their POD identity (flow, binding, lane indices) in
+     * creation order plus the admission ledger by IP name.  On load
+     * every chain is re-created through @p recreate (the owning
+     * FlowRuntime re-issues its create() call, minting identical ids)
+     * and bound chains are rewired exactly as tryBind() did, against
+     * lane bindings the IPs restored beforehand; @p ip_by_name maps
+     * the ledger's names back to IPs.
      */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r,
-                   const std::function<ChainId(FlowId)> &recreate,
-                   const std::function<IpCore *(const std::string &)>
-                       &ip_by_name);
-    /** @} */
+    void io(StateIO &io,
+            const std::function<ChainId(FlowId)> &recreate,
+            const std::function<IpCore *(const std::string &)>
+                &ip_by_name);
 
   private:
     struct Chain
@@ -173,6 +172,8 @@ class ChainManager : public Auditable
         IpCore::FrameStartFn onStart;
     };
 
+    /** The admission ledger by IP name, sorted (stable across runs). */
+    std::vector<std::pair<std::string, double>> loadsByName() const;
     bool tryBind(Chain &c);
     void unbind(Chain &c);
     void retryWaiters();

@@ -5,6 +5,7 @@
 #include "core/header_packet.hh"
 #include "obs/latency.hh"
 #include "obs/tracer.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -371,14 +372,15 @@ FlowRuntime::armGen(std::uint64_t k)
 {
     _genNextK = k;
     _genEvent = _p.sys->eventq().schedule(
-        frameTick(k), [this, k] { dispatchGen(k); },
+        frameTick(k), [this] { dispatchGen(); },
         EventPriority::Default, "flow.gen");
 }
 
 void
-FlowRuntime::dispatchGen(std::uint64_t k)
+FlowRuntime::dispatchGen()
 {
     _genEvent = InvalidEventId;
+    const std::uint64_t k = _genNextK;
     if (_traits.frameBurst) {
         if (!_traits.ipToIp)
             genBurstJobs(k);
@@ -430,16 +432,16 @@ FlowRuntime::scheduleNextInput()
     Tick dur = _touch->inputDuration(_p.sys->random());
     _nextInput = _p.sys->curTick() + gap;
     _inputDur = dur;
-    _inputEvent = _p.sys->eventq().schedule(_nextInput, [this, dur] {
-        _inputEvent = InvalidEventId;
-        onInputEvent(dur);
-    }, EventPriority::Default, "flow.input");
+    _inputEvent = _p.sys->eventq().schedule(
+        _nextInput, [this] { onInputEvent(); }, EventPriority::Default,
+        "flow.input");
 }
 
 void
-FlowRuntime::onInputEvent(Tick duration)
+FlowRuntime::onInputEvent()
 {
-    _inputBusyUntil = _p.sys->curTick() + duration;
+    _inputEvent = InvalidEventId;
+    _inputBusyUntil = _p.sys->curTick() + _inputDur;
 
     // Touch processing wakes the CPU in every configuration.
     _p.stack->runTask(kInputProcInstr, [] {});
@@ -862,106 +864,52 @@ FlowRuntime::recreateChain()
 }
 
 void
-FlowRuntime::saveState(SnapshotWriter &w) const
+FlowRuntime::io(StateIO &io)
 {
-    vip_assert(quiescent(), "checkpointing flow ", _spec.name,
-               " with frames in flight");
-    w.d(_spec.fps);
-    w.d(_nominalFps);
-    w.u32(_chain);
-    w.b(_chainCreated);
-    w.b(_vipFallback);
-    w.b(_stopping);
-    w.b(_tornDown);
-    w.b(_rejected);
-    w.b(_admitted);
-    w.u32(_consecLate);
-    w.tick(_nextInput);
-    w.tick(_inputBusyUntil);
-    w.b(static_cast<bool>(_activeBurstLeft));
-    w.u32(_activeBurstLeft ? *_activeBurstLeft : 0);
-    w.u32(_activeBurstSize);
-    w.u64(_activeBurstFirst);
-    w.u64(_generated);
-    w.u64(_completed);
-    w.u64(_violations);
-    w.u64(_drops);
-    w.u64(_shed);
-    w.d(_flowTimeSumMs);
-    w.d(_transitSumMs);
+    vip_assert(io.loading() || quiescent(), "checkpointing flow ",
+               _spec.name, " with frames in flight");
+    io.d(_spec.fps);
+    io.d(_nominalFps);
+    io.u32(_chain);
+    io.b(_chainCreated);
+    io.b(_vipFallback);
+    io.b(_stopping);
+    io.b(_tornDown);
+    io.b(_rejected);
+    io.b(_admitted);
+    io.u32(_consecLate);
+    io.tick(_nextInput);
+    io.tick(_inputBusyUntil);
+    bool haveBurst = _activeBurstLeft != nullptr;
+    std::uint32_t burstLeft = haveBurst ? *_activeBurstLeft : 0;
+    io.b(haveBurst);
+    io.u32(burstLeft);
+    if (io.loading()) {
+        _activeBurstLeft = haveBurst
+            ? std::make_shared<std::uint32_t>(burstLeft) : nullptr;
+    }
+    io.u32(_activeBurstSize);
+    io.u64(_activeBurstFirst);
+    io.u64(_generated);
+    io.u64(_completed);
+    io.u64(_violations);
+    io.u64(_drops);
+    io.u64(_shed);
+    io.d(_flowTimeSumMs);
+    io.d(_transitSumMs);
+    // Burst policies size bursts from the (possibly down-rated) spec.
+    if (io.loading())
+        buildBurstPolicy();
 
     // Pending cadence events.  A stopped flow's generation event may
     // still be live as a no-op; it is saved and re-armed all the same
     // so the restored event queue matches the snapshot exactly.
-    const EventQueue &eq = _p.sys->eventq();
-    bool genLive = _genEvent != InvalidEventId && eq.isLive(_genEvent);
-    w.b(genLive);
-    if (genLive) {
-        w.u64(_genEvent);
-        w.tick(eq.scheduledWhen(_genEvent));
-        w.u64(_genNextK);
-    }
-    bool inputLive =
-        _inputEvent != InvalidEventId && eq.isLive(_inputEvent);
-    w.b(inputLive);
-    if (inputLive) {
-        w.u64(_inputEvent);
-        w.tick(eq.scheduledWhen(_inputEvent));
-        w.tick(_inputDur);
-    }
-}
-
-void
-FlowRuntime::loadState(SnapshotReader &r)
-{
-    _spec.fps = r.d();
-    _nominalFps = r.d();
-    _chain = r.u32();
-    _chainCreated = r.b();
-    _vipFallback = r.b();
-    _stopping = r.b();
-    _tornDown = r.b();
-    _rejected = r.b();
-    _admitted = r.b();
-    _consecLate = r.u32();
-    _nextInput = r.tick();
-    _inputBusyUntil = r.tick();
-    bool haveBurst = r.b();
-    std::uint32_t burstLeft = r.u32();
-    _activeBurstLeft = haveBurst
-        ? std::make_shared<std::uint32_t>(burstLeft) : nullptr;
-    _activeBurstSize = r.u32();
-    _activeBurstFirst = r.u64();
-    _generated = r.u64();
-    _completed = r.u64();
-    _violations = r.u64();
-    _drops = r.u64();
-    _shed = r.u64();
-    _flowTimeSumMs = r.d();
-    _transitSumMs = r.d();
-    // Burst policies size bursts from the (possibly down-rated) spec.
-    buildBurstPolicy();
-
-    auto &eq = _p.sys->eventq();
-    if (r.b()) {
-        _genEvent = r.u64();
-        Tick when = r.tick();
-        _genNextK = r.u64();
-        std::uint64_t k = _genNextK;
-        eq.restoreEvent(_genEvent, when,
-                        [this, k] { dispatchGen(k); },
-                        EventPriority::Default, "flow.gen");
-    }
-    if (r.b()) {
-        _inputEvent = r.u64();
-        Tick when = r.tick();
-        _inputDur = r.tick();
-        Tick dur = _inputDur;
-        eq.restoreEvent(_inputEvent, when, [this, dur] {
-            _inputEvent = InvalidEventId;
-            onInputEvent(dur);
-        }, EventPriority::Default, "flow.input");
-    }
+    if (io.event(_genEvent, [this] { dispatchGen(); },
+                 EventPriority::Default, "flow.gen"))
+        io.u64(_genNextK);
+    if (io.event(_inputEvent, [this] { onInputEvent(); },
+                 EventPriority::Default, "flow.input"))
+        io.tick(_inputDur);
 }
 
 } // namespace vip

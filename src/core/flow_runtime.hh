@@ -127,15 +127,13 @@ class FlowRuntime : public Auditable
     /**
      * Re-create this flow's chain during checkpoint restore,
      * mirroring the create() call start() issued.  Driven by
-     * ChainManager::loadState in saved chain order so the ids come
+     * ChainManager::io on load, in saved chain order, so the ids come
      * out identical; returns the new ChainId.
      */
     ChainId recreateChain();
 
-    /** @{ checkpoint serialization (driven by the Simulation) */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    /** Checkpoint/restore (driven by the Simulation). */
+    void io(StateIO &io);
 
   private:
     struct FrameCtx
@@ -191,14 +189,16 @@ class FlowRuntime : public Auditable
 
     /** @{ user input (game flows) */
     void scheduleNextInput();
-    void onInputEvent(Tick duration);
+    /** The armed input event fired: a touch of _inputDur. */
+    void onInputEvent();
     /** @} */
 
     /** @{ frame-generation cadence (tracked for checkpointing) */
     /** Schedule generation of frame/burst @p k at its nominal tick. */
     void armGen(std::uint64_t k);
-    /** The armed event fired: dispatch on the mode traits. */
-    void dispatchGen(std::uint64_t k);
+    /** The armed event fired for _genNextK: dispatch on the mode
+     *  traits. */
+    void dispatchGen();
     /** @} */
 
     PlatformRefs _p;

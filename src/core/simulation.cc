@@ -371,12 +371,15 @@ void
 Simulation::scheduleAudit()
 {
     _auditEvent = _sys.eventq().scheduleIn(
-        fromMs(_cfg.audit.periodMs),
-        [this] {
-            _auditor.runAudit(_sys.curTick());
-            scheduleAudit();
-        },
+        fromMs(_cfg.audit.periodMs), [this] { auditTick(); },
         EventPriority::Audit, "sim.audit");
+}
+
+void
+Simulation::auditTick()
+{
+    _auditor.runAudit(_sys.curTick());
+    scheduleAudit();
 }
 
 IpCore *
@@ -767,94 +770,105 @@ Simulation::saveCheckpoint(const std::string &path)
                "saveCheckpoint at a non-quiescent point (tick ",
                _sys.curTick(), ")");
     SnapshotWriter w;
-
-    w.beginSection("kernel");
-    _sys.eventq().saveState(w);
-    w.u64(_sys.random().state());
-
-    w.beginSection("mem");
-    _mem->saveState(w);
-    w.beginSection("sa");
-    _sa->saveState(w);
-    w.beginSection("cpu");
-    _cpus->saveState(w);
-
-    w.beginSection("ips");
-    w.u32(static_cast<std::uint32_t>(_ips.size()));
-    for (const auto &[kind, ip] : _ips) {
-        w.str(ip->name());
-        ip->saveState(w);
-    }
-
-    // Flows before chains: chain restore re-creates every chain
-    // through FlowRuntime::recreateChain(), which checks the chain id
-    // the flow restored in its own section.
-    w.beginSection("flows");
-    w.u32(static_cast<std::uint32_t>(_flows.size()));
-    for (const auto &f : _flows)
-        f->saveState(w);
-
-    w.beginSection("chains");
-    _chains->saveState(w);
-
-    w.beginSection("fault");
-    w.b(_faults != nullptr);
-    if (_faults)
-        _faults->saveState(w);
-
-    w.beginSection("auditor");
-    _auditor.saveState(w);
-    w.beginSection("latency");
-    _latency->saveState(w);
-    w.beginSection("energy");
-    _ledger.saveState(w);
-
-    w.beginSection("timeseries");
-    w.b(_ts != nullptr);
-    if (_ts) {
-        w.b(_steadyPlanArmed);
-        _ts->saveState(w);
-    }
-
-    w.beginSection("sim");
-    w.u64(_alloc.cursor());
-    w.u64(_lastRetired);
-    const EventQueue &eq = _sys.eventq();
-    auto saveEvent = [&](EventId id) {
-        bool live = id != InvalidEventId && eq.isLive(id);
-        w.b(live);
-        if (live) {
-            w.u64(id);
-            w.tick(eq.scheduledWhen(id));
-        }
-    };
-    saveEvent(_auditEvent);
-    saveEvent(_progressEvent);
-    w.u32(static_cast<std::uint32_t>(_stopEvents.size()));
-    for (const StopEvent &s : _stopEvents) {
-        w.u64(s.flow);
-        saveEvent(s.id);
-    }
-    w.b(_cfg.recordTrace);
-    if (_cfg.recordTrace) {
-        w.u64(_trace.size());
-        for (const FrameEvent &ev : _trace.events()) {
-            w.u32(ev.flowId);
-            w.str(ev.flowName);
-            w.u64(ev.frameId);
-            w.tick(ev.generated);
-            w.tick(ev.started);
-            w.tick(ev.completed);
-            w.tick(ev.deadline);
-            w.b(ev.violated);
-            w.b(ev.dropped);
-        }
-    }
-
+    StateIO io(w, _sys.eventq());
+    stateIO(io);
     w.writeFile(path, checkpointMeta());
     ++_checkpointsWritten;
     _lastCheckpointPath = path;
     _lastCheckpointTick = _sys.curTick();
+}
+
+void
+Simulation::stateIO(StateIO &io)
+{
+    io.section("kernel", [&] {
+        _sys.eventq().io(io);
+        std::uint64_t rng = _sys.random().state();
+        io.u64(rng);
+        if (io.loading())
+            _sys.random().setState(rng);
+    });
+    io.section("mem", [&] { _mem->io(io); });
+    io.section("sa", [&] { _sa->io(io); });
+    io.section("cpu", [&] { _cpus->io(io); });
+    io.section("ips", [&] {
+        io.shape("restore", "IP cores", _ips.size());
+        for (auto &[kind, ip] : _ips) {
+            io.expect("restore", "IP", ip->name());
+            ip->io(io);
+        }
+    });
+    // Flows before chains: chain restore re-creates every chain
+    // through FlowRuntime::recreateChain(), which checks the chain id
+    // the flow restored in its own section.
+    io.section("flows", [&] {
+        io.shape("restore", "flows", _flows.size());
+        for (auto &f : _flows)
+            f->io(io);
+    });
+    io.section("chains", [&] {
+        _chains->io(
+            io,
+            [this](FlowId f) {
+                vip_assert(static_cast<std::size_t>(f) < _flows.size(),
+                           "chain restore references flow ", f);
+                return _flows[f]->recreateChain();
+            },
+            [this](const std::string &n) -> IpCore * {
+                for (auto &[kind, ip] : _ips) {
+                    if (ip->name() == n)
+                        return ip.get();
+                }
+                return nullptr;
+            });
+    });
+    io.section("fault", [&] {
+        if (io.presence("restore", "fault injector", _faults != nullptr))
+            _faults->io(io);
+    });
+    io.section("auditor", [&] { _auditor.io(io); });
+    io.section("latency", [&] { _latency->io(io); });
+    io.section("energy", [&] { _ledger.io(io); });
+    io.section("timeseries", [&] {
+        if (io.presence("restore", "sampler (--ts/--metrics-out)",
+                        _ts != nullptr)) {
+            io.b(_steadyPlanArmed);
+            _ts->io(io);
+        }
+    });
+    io.section("sim", [&] {
+        std::uint64_t cursor = _alloc.cursor();
+        io.u64(cursor);
+        if (io.loading())
+            _alloc.setCursor(cursor);
+        io.u64(_lastRetired);
+        io.event(_auditEvent, [this] { auditTick(); },
+                 EventPriority::Audit, "sim.audit");
+        io.event(_progressEvent, [this] { checkProgress(); },
+                 EventPriority::Teardown, "sim.guard");
+        io.shape("restore", "app-stop events (stopAppAt)",
+                 _stopEvents.size());
+        for (StopEvent &s : _stopEvents) {
+            io.expect("restore", "app-stop flow",
+                      static_cast<std::uint64_t>(s.flow));
+            FlowRuntime *fr = _flows[s.flow].get();
+            io.event(s.id, [fr] { fr->stop(); }, EventPriority::Default,
+                     "sim.stop");
+        }
+        if (!io.presence("restore", "frame trace", _cfg.recordTrace))
+            return;
+        io.seq64(_trace.events(), "trace records", [&](FrameEvent &ev) {
+            io.u32(ev.flowId);
+            io.str(ev.flowName);
+            io.u64(ev.frameId);
+            io.tick(ev.generated);
+            io.tick(ev.started);
+            io.tick(ev.completed);
+            io.tick(ev.deadline);
+            io.b(ev.violated);
+            io.b(ev.dropped);
+        });
+    });
 }
 
 void
@@ -894,156 +908,8 @@ Simulation::restoreFrom(const std::string &path)
     check("run knobs", m.extraIdentity, identityString());
 
     EventQueue &eq = _sys.eventq();
-    r.openSection("kernel");
-    eq.loadState(r);
-    _sys.random().setState(r.u64());
-    r.closeSection();
-
-    r.openSection("mem");
-    _mem->loadState(r);
-    r.closeSection();
-    r.openSection("sa");
-    _sa->loadState(r);
-    r.closeSection();
-    r.openSection("cpu");
-    _cpus->loadState(r);
-    r.closeSection();
-
-    r.openSection("ips");
-    std::uint32_t nIps = r.u32();
-    if (nIps != _ips.size())
-        fatal("restore: snapshot has ", nIps, " IP cores, this run "
-              "builds ", _ips.size(), " (config mismatch)");
-    for (auto &[kind, ip] : _ips) {
-        std::string name = r.str();
-        if (name != ip->name())
-            fatal("restore: snapshot IP '", name, "' != built '",
-                  ip->name(), "' (config mismatch)");
-        ip->loadState(r);
-    }
-    r.closeSection();
-
-    r.openSection("flows");
-    std::uint32_t nFlows = r.u32();
-    if (nFlows != _flows.size())
-        fatal("restore: snapshot has ", nFlows, " flows, this run "
-              "builds ", _flows.size(), " (workload mismatch)");
-    for (auto &f : _flows)
-        f->loadState(r);
-    r.closeSection();
-
-    r.openSection("chains");
-    _chains->loadState(
-        r,
-        [this](FlowId f) {
-            vip_assert(static_cast<std::size_t>(f) < _flows.size(),
-                       "chain restore references flow ", f);
-            return _flows[f]->recreateChain();
-        },
-        [this](const std::string &n) -> IpCore * {
-            for (auto &[kind, ip] : _ips) {
-                if (ip->name() == n)
-                    return ip.get();
-            }
-            return nullptr;
-        });
-    r.closeSection();
-
-    r.openSection("fault");
-    bool hadFaults = r.b();
-    if (hadFaults != (_faults != nullptr))
-        fatal("restore: snapshot ", hadFaults ? "had" : "had no",
-              " fault injector, this run ",
-              _faults ? "has one" : "has none", " (config mismatch)");
-    if (_faults)
-        _faults->loadState(r);
-    r.closeSection();
-
-    r.openSection("auditor");
-    _auditor.loadState(r);
-    r.closeSection();
-    r.openSection("latency");
-    _latency->loadState(r);
-    r.closeSection();
-    r.openSection("energy");
-    _ledger.loadState(r);
-    r.closeSection();
-
-    r.openSection("timeseries");
-    bool hadTs = r.b();
-    if (hadTs != (_ts != nullptr))
-        fatal("restore: snapshot ", hadTs ? "had" : "had no",
-              " sampler (--ts/--metrics-out), this run ",
-              _ts ? "has one" : "has none", " (config mismatch)");
-    if (_ts) {
-        _steadyPlanArmed = r.b();
-        _ts->loadState(r);
-    }
-    r.closeSection();
-
-    r.openSection("sim");
-    _alloc.setCursor(r.u64());
-    _lastRetired = r.u64();
-    if (r.b()) {
-        _auditEvent = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(
-            _auditEvent, when,
-            [this] {
-                _auditor.runAudit(_sys.curTick());
-                scheduleAudit();
-            },
-            EventPriority::Audit, "sim.audit");
-    }
-    if (r.b()) {
-        _progressEvent = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(_progressEvent, when,
-                        [this] { checkProgress(); },
-                        EventPriority::Teardown, "sim.guard");
-    }
-    std::uint32_t nStops = r.u32();
-    if (nStops != _stopEvents.size())
-        fatal("restore: snapshot has ", nStops, " app-stop events, "
-              "this run scheduled ", _stopEvents.size(),
-              " (stopAppAt mismatch)");
-    for (StopEvent &s : _stopEvents) {
-        std::uint64_t flow = r.u64();
-        if (flow != s.flow)
-            fatal("restore: app-stop event targets flow ", flow,
-                  ", this run expects ", s.flow);
-        if (r.b()) {
-            s.id = r.u64();
-            s.when = r.tick();
-            FlowRuntime *fr = _flows[s.flow].get();
-            eq.restoreEvent(s.id, s.when, [fr] { fr->stop(); },
-                            EventPriority::Default, "sim.stop");
-        }
-    }
-    bool hadTrace = r.b();
-    if (hadTrace != _cfg.recordTrace)
-        fatal("restore: snapshot ", hadTrace ? "recorded" : "did not "
-              "record", " a frame trace, this run ",
-              _cfg.recordTrace ? "does" : "does not",
-              " (config mismatch)");
-    if (hadTrace) {
-        std::uint64_t n = r.u64();
-        _trace.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            FrameEvent ev;
-            ev.flowId = r.u32();
-            ev.flowName = r.str();
-            ev.frameId = r.u64();
-            ev.generated = r.tick();
-            ev.started = r.tick();
-            ev.completed = r.tick();
-            ev.deadline = r.tick();
-            ev.violated = r.b();
-            ev.dropped = r.b();
-            _trace.record(std::move(ev));
-        }
-    }
-    r.closeSection();
+    StateIO io(r, eq);
+    stateIO(io);
 
     eq.verifyRestore();
     std::uint64_t digest = _auditor.snapshotDigest();

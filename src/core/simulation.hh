@@ -164,6 +164,8 @@ class Simulation
     void attachAuditors();
     void buildStatsRegistry();
     void scheduleAudit();
+    /** The periodic audit event fired: audit, then re-arm. */
+    void auditTick();
     RunStats collect(double seconds);
 
     /** @{ checkpoint/restore internals */
@@ -179,6 +181,9 @@ class Simulation
     std::string identityString() const;
     /** Load @p path into the freshly built platform (run() entry). */
     void restoreFrom(const std::string &path);
+    /** The snapshot schema: every section, in order, for both
+     *  saveCheckpoint() and restoreFrom(). */
+    void stateIO(StateIO &io);
     /** Run the event loop, threading the pre-service hook when a
      *  checkpoint plan, the sampler, an interrupt flag or the
      *  quiescence probe needs it; otherwise the hook-free loop. */

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cpu/cpu_core.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -63,23 +64,14 @@ class CpuCluster : public Auditable
         return true;
     }
 
-    /** @{ Serializable: the round-robin cursor plus every core. */
+    /** Checkpoint/restore: the round-robin cursor plus every core. */
     void
-    saveState(SnapshotWriter &w) const
+    io(StateIO &io)
     {
-        w.u64(_rr);
-        for (const auto &c : _cores)
-            c->saveState(w);
-    }
-
-    void
-    loadState(SnapshotReader &r)
-    {
-        _rr = r.u64();
+        io.u64(_rr);
         for (auto &c : _cores)
-            c->loadState(r);
+            c->io(io);
     }
-    /** @} */
 
   private:
     CpuCore &pickForTask();

@@ -5,6 +5,7 @@
 
 #include "obs/stat_registry.hh"
 #include "obs/tracer.hh"
+#include "sim/state_io.hh"
 #include "sim/system.hh"
 
 namespace vip
@@ -305,72 +306,27 @@ CpuCore::auditInvariants(AuditContext &ctx) const
 }
 
 void
-CpuCore::saveState(SnapshotWriter &w) const
+CpuCore::io(StateIO &io)
 {
-    vip_assert(quiescent(), "checkpointing a non-quiescent core ",
-               name());
-    EventQueue &eq = system().eventq();
-    w.u8(static_cast<std::uint8_t>(_state));
-    w.tick(_stateSince);
-    w.tick(_activeTicks);
-    w.tick(_sleepTicks);
-    w.u64(_instructions);
-    w.u64(_interrupts);
-    w.d(_curFreqHz);
-    w.u64(_curStep);
-    w.tick(_lastGovActive);
-    w.u64(_dvfsTransitions);
+    vip_assert(io.loading() || quiescent(),
+               "checkpointing a non-quiescent core ", name());
+    io.u8(_state);
+    io.tick(_stateSince);
+    io.tick(_activeTicks);
+    io.tick(_sleepTicks);
+    io.u64(_instructions);
+    io.u64(_interrupts);
+    io.d(_curFreqHz);
+    io.u64(_curStep);
+    io.tick(_lastGovActive);
+    io.u64(_dvfsTransitions);
     // Pending timers: the sleep countdown (idle cores) and the DVFS
-    // governor tick.  Ids + fire times; callbacks are re-created.
-    bool sleepLive =
-        _sleepEvent != InvalidEventId && eq.isLive(_sleepEvent);
-    w.b(sleepLive);
-    if (sleepLive) {
-        w.u64(_sleepEvent);
-        w.tick(eq.scheduledWhen(_sleepEvent));
-    }
-    bool govLive = _govEvent != InvalidEventId && eq.isLive(_govEvent);
-    w.b(govLive);
-    if (govLive) {
-        w.u64(_govEvent);
-        w.tick(eq.scheduledWhen(_govEvent));
-    }
-}
-
-void
-CpuCore::loadState(SnapshotReader &r)
-{
-    EventQueue &eq = system().eventq();
-    _state = static_cast<State>(r.u8());
-    _stateSince = r.tick();
-    _activeTicks = r.tick();
-    _sleepTicks = r.tick();
-    _instructions = r.u64();
-    _interrupts = r.u64();
-    _curFreqHz = r.d();
-    _curStep = r.u64();
-    _lastGovActive = r.tick();
-    _dvfsTransitions = r.u64();
-    if (r.b()) {
-        EventId id = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(id, when, [this] { sleepTimerFired(); },
-                        EventPriority::Default, "cpu.sleep");
-        _sleepEvent = id;
-    } else {
-        _sleepEvent = InvalidEventId;
-    }
-    if (r.b()) {
-        EventId id = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(id, when, [this] { governorTick(); },
-                        EventPriority::Stats, "cpu.gov");
-        _govEvent = id;
-    } else {
-        _govEvent = InvalidEventId;
-    }
-    // The restored power level is re-integrated by the energy ledger
-    // (serialized separately); nothing to re-apply here.
+    // governor tick.  The restored power level is re-integrated by
+    // the energy ledger (serialized separately).
+    io.event(_sleepEvent, [this] { sleepTimerFired(); },
+             EventPriority::Default, "cpu.sleep");
+    io.event(_govEvent, [this] { governorTick(); }, EventPriority::Stats,
+             "cpu.gov");
 }
 
 void

@@ -133,10 +133,8 @@ class CpuCore : public ClockedObject
                (_state == State::Idle || _state == State::Sleep);
     }
 
-    /** @{ Serializable */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Checkpoint/restore. */
+    void io(StateIO &io);
 
   private:
     void enterState(State s);

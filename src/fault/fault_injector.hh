@@ -20,7 +20,7 @@
 #include "fault/fault_plan.hh"
 #include "sim/audit.hh"
 #include "sim/random.hh"
-#include "sim/snapshot.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -151,43 +151,27 @@ class FaultInjector : public Auditable
     }
     /** @} */
 
-    /** @{ checkpoint serialization (driven by the Simulation) */
+    /** Checkpoint/restore (driven by the Simulation). */
     void
-    saveState(SnapshotWriter &w) const
+    io(StateIO &io)
     {
-        w.u64(_rng.state());
-        w.u64(_stats.engineHangs);
-        w.u64(_stats.corruptions);
-        w.u64(_stats.transferErrors);
-        w.u64(_stats.eccCorrectable);
-        w.u64(_stats.eccUncorrectable);
-        w.u64(_stats.watchdogResets);
-        w.u64(_stats.unitRetries);
-        w.u64(_stats.transferRetries);
-        w.u64(_stats.framesDegraded);
-        w.u64(_stats.recoveries);
-        w.d(_stats.recoverySumMs);
-        w.d(_stats.recoveryMaxMs);
+        std::uint64_t rng = _rng.state();
+        io.u64(rng);
+        if (io.loading())
+            _rng.setState(rng);
+        io.u64(_stats.engineHangs);
+        io.u64(_stats.corruptions);
+        io.u64(_stats.transferErrors);
+        io.u64(_stats.eccCorrectable);
+        io.u64(_stats.eccUncorrectable);
+        io.u64(_stats.watchdogResets);
+        io.u64(_stats.unitRetries);
+        io.u64(_stats.transferRetries);
+        io.u64(_stats.framesDegraded);
+        io.u64(_stats.recoveries);
+        io.d(_stats.recoverySumMs);
+        io.d(_stats.recoveryMaxMs);
     }
-
-    void
-    loadState(SnapshotReader &r)
-    {
-        _rng.setState(r.u64());
-        _stats.engineHangs = r.u64();
-        _stats.corruptions = r.u64();
-        _stats.transferErrors = r.u64();
-        _stats.eccCorrectable = r.u64();
-        _stats.eccUncorrectable = r.u64();
-        _stats.watchdogResets = r.u64();
-        _stats.unitRetries = r.u64();
-        _stats.transferRetries = r.u64();
-        _stats.framesDegraded = r.u64();
-        _stats.recoveries = r.u64();
-        _stats.recoverySumMs = r.d();
-        _stats.recoveryMaxMs = r.d();
-    }
-    /** @} */
 
   private:
     FaultPlan _plan;

@@ -8,6 +8,7 @@
 #include "obs/latency.hh"
 #include "obs/stat_registry.hh"
 #include "obs/tracer.hh"
+#include "sim/state_io.hh"
 #include "sim/system.hh"
 
 namespace vip
@@ -1456,79 +1457,43 @@ IpCore::quiescent() const
 }
 
 void
-IpCore::saveState(SnapshotWriter &w) const
+IpCore::io(StateIO &io)
 {
-    vip_assert(quiescent(),
+    vip_assert(io.loading() || quiescent(),
                "checkpointing ", name(), " with work in flight");
-    w.u8(static_cast<std::uint8_t>(_engineState));
-    w.tick(_stateSince);
-    w.tick(_activeTicks);
-    w.tick(_stallTicks);
-    w.tick(_bpStallTicks);
-    w.u64(_jobsCompleted);
-    w.u64(_subframes);
-    w.u64(_framesExited);
-    w.u64(_contextSwitches);
-    w.u64(_bytesProcessed);
-    w.u64(_bytesSpilled);
-    w.u64(_laneOverflows);
-    w.u64(_creditStalls);
-    w.u64(_creditsReserved);
-    w.u64(_creditsReturned);
-    w.u64(_watchdogResets);
-    w.u64(_unitRetries);
-    w.u64(_framesDegraded);
-    w.u64(_spillNext);
-    w.i64(_currentLane);
-    w.i64(_stickyLane);
+    io.u8(_engineState);
+    io.tick(_stateSince);
+    io.tick(_activeTicks);
+    io.tick(_stallTicks);
+    io.tick(_bpStallTicks);
+    io.u64(_jobsCompleted);
+    io.u64(_subframes);
+    io.u64(_framesExited);
+    io.u64(_contextSwitches);
+    io.u64(_bytesProcessed);
+    io.u64(_bytesSpilled);
+    io.u64(_laneOverflows);
+    io.u64(_creditStalls);
+    io.u64(_creditsReserved);
+    io.u64(_creditsReturned);
+    io.u64(_watchdogResets);
+    io.u64(_unitRetries);
+    io.u64(_framesDegraded);
+    io.u64(_spillNext);
+    io.i64(_currentLane);
+    io.i64(_stickyLane);
     // Lane topology: bindings are restored here; the inter-IP wiring
     // (next/nextLane/sink/callbacks) is structural and re-created by
-    // ChainManager::loadState, which runs after every IP's section.
-    w.u32(static_cast<std::uint32_t>(_lanes.size()));
-    for (const Lane &l : _lanes) {
-        w.b(l.bound);
-        w.u64(static_cast<std::uint64_t>(l.flow));
-        w.tick(l.headArrival);
-    }
-    _jobLatencyMs.saveState(w);
-}
-
-void
-IpCore::loadState(SnapshotReader &r)
-{
-    _engineState = static_cast<EngineState>(r.u8());
-    _stateSince = r.tick();
-    _activeTicks = r.tick();
-    _stallTicks = r.tick();
-    _bpStallTicks = r.tick();
-    _jobsCompleted = r.u64();
-    _subframes = r.u64();
-    _framesExited = r.u64();
-    _contextSwitches = r.u64();
-    _bytesProcessed = r.u64();
-    _bytesSpilled = r.u64();
-    _laneOverflows = r.u64();
-    _creditStalls = r.u64();
-    _creditsReserved = r.u64();
-    _creditsReturned = r.u64();
-    _watchdogResets = r.u64();
-    _unitRetries = r.u64();
-    _framesDegraded = r.u64();
-    _spillNext = r.u64();
-    _currentLane = static_cast<int>(r.i64());
-    _stickyLane = static_cast<int>(r.i64());
-    std::uint32_t nLanes = r.u32();
-    if (nLanes != _lanes.size())
-        fatal(name(), ": snapshot has ", nLanes, " lanes, config has ",
-              _lanes.size(), " (config mismatch)");
+    // ChainManager::io, whose section follows every IP's.
+    io.shape(name(), "lanes", _lanes.size());
     for (Lane &l : _lanes) {
-        l.bound = r.b();
-        l.flow = static_cast<FlowId>(r.u64());
-        l.headArrival = r.tick();
+        io.b(l.bound);
+        io.u64(l.flow);
+        io.tick(l.headArrival);
     }
-    _jobLatencyMs.loadState(r);
     // The restored power level is re-integrated by the energy ledger
-    // (serialized separately); nothing to re-apply here.
+    // (serialized separately).
+    _jobLatencyMs.io(io);
 }
 
 } // namespace vip

@@ -256,10 +256,8 @@ class IpCore : public ClockedObject
      */
     bool quiescent() const;
 
-    /** @{ Serializable */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Checkpoint/restore. */
+    void io(StateIO &io);
 
   private:
     /** Occupancy/power accounting state. */

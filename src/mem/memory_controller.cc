@@ -3,6 +3,7 @@
 #include "obs/latency.hh"
 #include "obs/stat_registry.hh"
 #include "obs/tracer.hh"
+#include "sim/state_io.hh"
 #include "sim/system.hh"
 
 #include <algorithm>
@@ -540,156 +541,70 @@ MemoryController::stateDigest(StateDigest &d) const
 }
 
 void
-MemoryController::saveState(SnapshotWriter &w) const
+MemoryController::io(StateIO &io)
 {
-    vip_assert(quiescent(),
+    vip_assert(io.loading() || quiescent(),
                "checkpointing a memory controller with bursts in "
                "flight");
-    EventQueue &eq = system().eventq();
-
-    w.u64(_windowBytes);
-    w.tick(_windowStart);
-    w.u64(_bytesRead);
-    w.u64(_bytesWritten);
-    w.u64(_rowHits);
-    w.u64(_rowMisses);
-    w.u64(_eccCorrected);
-    w.u64(_eccUncorrected);
-    w.u64(_burstsAccepted);
-    w.u64(_burstsCompleted);
-    w.tick(_wakePenalty);
+    io.u64(_windowBytes);
+    io.tick(_windowStart);
+    io.u64(_bytesRead);
+    io.u64(_bytesWritten);
+    io.u64(_rowHits);
+    io.u64(_rowMisses);
+    io.u64(_eccCorrected);
+    io.u64(_eccUncorrected);
+    io.u64(_burstsAccepted);
+    io.u64(_burstsCompleted);
+    io.tick(_wakePenalty);
 
     // Per-requester attribution, in sorted-key order so the snapshot
     // bytes are independent of hash iteration order.
-    std::vector<std::uint32_t> ids;
-    ids.reserve(_byRequester.size());
-    for (const auto &[id, bytes] : _byRequester)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.u32(static_cast<std::uint32_t>(ids.size()));
-    for (std::uint32_t id : ids) {
-        w.u32(id);
-        w.u64(_byRequester.at(id));
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> byRequester;
+    if (io.saving()) {
+        byRequester.assign(_byRequester.begin(), _byRequester.end());
+        std::sort(byRequester.begin(), byRequester.end());
     }
+    io.seq32(byRequester, "requesters", [&](auto &req) {
+        io.u32(req.first);
+        io.u64(req.second);
+    });
+    if (io.loading())
+        _byRequester = {byRequester.begin(), byRequester.end()};
 
     // Per-channel open-row state and accounting.  Queues are empty
     // and no channel is busy at a quiescent point.
-    w.u32(static_cast<std::uint32_t>(_channels.size()));
-    for (const auto &c : _channels) {
-        vip_assert(c.queue.empty() && !c.busy,
-                   "channel not idle at checkpoint");
-        w.u32(static_cast<std::uint32_t>(c.banks.size()));
-        for (const auto &b : c.banks) {
-            w.b(b.open);
-            w.u64(b.row);
-        }
-        w.u64(c.rowHits);
-        w.u64(c.rowMisses);
-        w.u64(c.bursts);
-        w.u64(c.bytes);
-    }
-
-    // Low-power state machine.
-    w.u8(static_cast<std::uint8_t>(_lpState));
-    w.tick(_lpSince);
-    w.tick(_powerDownTicks);
-    w.tick(_selfRefreshTicks);
-    w.u64(_lpEntries);
-    bool lpLive = _lpTimer != InvalidEventId && eq.isLive(_lpTimer);
-    w.b(lpLive);
-    if (lpLive) {
-        w.u64(_lpTimer);
-        w.tick(eq.scheduledWhen(_lpTimer));
-    }
-
-    // Bandwidth sampler event.
-    bool bwLive = _bwEvent != InvalidEventId && eq.isLive(_bwEvent);
-    w.b(bwLive);
-    if (bwLive) {
-        w.u64(_bwEvent);
-        w.tick(eq.scheduledWhen(_bwEvent));
-    }
-
-    _latency.saveState(w);
-    _bwHist.saveState(w);
-    _busyChannels.saveState(w);
-}
-
-void
-MemoryController::loadState(SnapshotReader &r)
-{
-    EventQueue &eq = system().eventq();
-
-    _windowBytes = r.u64();
-    _windowStart = r.tick();
-    _bytesRead = r.u64();
-    _bytesWritten = r.u64();
-    _rowHits = r.u64();
-    _rowMisses = r.u64();
-    _eccCorrected = r.u64();
-    _eccUncorrected = r.u64();
-    _burstsAccepted = r.u64();
-    _burstsCompleted = r.u64();
-    _wakePenalty = r.tick();
-
-    _byRequester.clear();
-    std::uint32_t nReq = r.u32();
-    for (std::uint32_t i = 0; i < nReq; ++i) {
-        std::uint32_t id = r.u32();
-        _byRequester[id] = r.u64();
-    }
-
-    std::uint32_t nCh = r.u32();
-    if (nCh != _channels.size()) {
-        fatal(name(), ": snapshot has ", nCh, " channels, config has ",
-              _channels.size(), " (config mismatch)");
-    }
+    io.shape(name(), "channels", _channels.size());
     for (auto &c : _channels) {
-        std::uint32_t nBanks = r.u32();
-        if (nBanks != c.banks.size()) {
-            fatal(name(), ": snapshot has ", nBanks,
-                  " banks/channel, config has ", c.banks.size(),
-                  " (config mismatch)");
-        }
+        vip_assert(io.loading() || (c.queue.empty() && !c.busy),
+                   "channel not idle at checkpoint");
+        io.shape(name(), "banks/channel", c.banks.size());
         for (auto &b : c.banks) {
-            b.open = r.b();
-            b.row = r.u64();
+            io.b(b.open);
+            io.u64(b.row);
         }
-        c.rowHits = r.u64();
-        c.rowMisses = r.u64();
-        c.bursts = r.u64();
-        c.bytes = r.u64();
+        io.u64(c.rowHits);
+        io.u64(c.rowMisses);
+        io.u64(c.bursts);
+        io.u64(c.bytes);
     }
 
-    _lpState = static_cast<LpState>(r.u8());
-    _lpSince = r.tick();
-    _powerDownTicks = r.tick();
-    _selfRefreshTicks = r.tick();
-    _lpEntries = r.u64();
-    if (r.b()) {
-        EventId id = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(id, when, [this] { lpTimerFired(); },
-                        EventPriority::Default, "dram.lp");
-        _lpTimer = id;
-    } else {
-        _lpTimer = InvalidEventId;
-    }
-    if (r.b()) {
-        EventId id = r.u64();
-        Tick when = r.tick();
-        eq.restoreEvent(id, when, [this] { sampleBandwidth(); },
-                        EventPriority::Stats, "dram.bw");
-        _bwEvent = id;
-    } else {
-        _bwEvent = InvalidEventId;
-    }
+    // Low-power state machine and bandwidth sampler.  The restored
+    // power level is re-integrated by the energy ledger (serialized
+    // separately).
+    io.u8(_lpState);
+    io.tick(_lpSince);
+    io.tick(_powerDownTicks);
+    io.tick(_selfRefreshTicks);
+    io.u64(_lpEntries);
+    io.event(_lpTimer, [this] { lpTimerFired(); },
+             EventPriority::Default, "dram.lp");
+    io.event(_bwEvent, [this] { sampleBandwidth(); },
+             EventPriority::Stats, "dram.bw");
 
-    _latency.loadState(r);
-    _bwHist.loadState(r);
-    _busyChannels.loadState(r);
-    // The restored power level is re-integrated by the energy ledger
-    // (serialized separately); nothing to re-apply here.
+    _latency.io(io);
+    _bwHist.io(io);
+    _busyChannels.io(io);
 }
 
 } // namespace vip

@@ -116,10 +116,8 @@ class MemoryController : public SimObject
         return inFlight() == 0 && _idealInFlight == 0;
     }
 
-    /** @{ Serializable */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Checkpoint/restore. */
+    void io(StateIO &io);
 
   private:
     struct Pending

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "obs/stat_registry.hh"
-#include "sim/snapshot.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -154,65 +154,35 @@ LatencyCollector::registerStats(StatRegistry &r) const
 }
 
 void
-LogHistogram::saveState(SnapshotWriter &w) const
+LogHistogram::io(StateIO &io)
 {
-    w.u32(static_cast<std::uint32_t>(_bins.size()));
-    for (std::uint64_t b : _bins)
-        w.u64(b);
-    w.u64(_count);
-    w.tick(_min);
-    w.tick(_max);
-    w.d(_sum);
+    io.seq32(_bins, "histogram bins", [&](std::uint64_t &b) { io.u64(b); });
+    io.u64(_count);
+    io.tick(_min);
+    io.tick(_max);
+    io.d(_sum);
 }
 
 void
-LogHistogram::loadState(SnapshotReader &r)
+LatencyCollector::io(StateIO &io)
 {
-    std::uint32_t n = r.u32();
-    _bins.assign(n, 0);
-    for (std::uint32_t i = 0; i < n; ++i)
-        _bins[i] = r.u64();
-    _count = r.u64();
-    _min = r.tick();
-    _max = r.tick();
-    _sum = r.d();
-}
-
-void
-LatencyCollector::saveState(SnapshotWriter &w) const
-{
-    _endToEnd.saveState(w);
-    _transit.saveState(w);
-    _sa.saveState(w);
-    _dram.saveState(w);
+    _endToEnd.io(io);
+    _transit.io(io);
+    _sa.io(io);
+    _dram.io(io);
     // The stage map is ordered by name, so iteration is stable.
-    w.u32(static_cast<std::uint32_t>(_stages.size()));
-    for (const auto &[name, hists] : _stages) {
-        w.str(name);
-        hists.wait.saveState(w);
-        hists.compute.saveState(w);
-        hists.blocked.saveState(w);
-        hists.total.saveState(w);
-    }
-}
-
-void
-LatencyCollector::loadState(SnapshotReader &r)
-{
-    _endToEnd.loadState(r);
-    _transit.loadState(r);
-    _sa.loadState(r);
-    _dram.loadState(r);
-    std::uint32_t n = r.u32();
-    _stages.clear();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::string name = r.str();
-        StageHists &hists = _stages[name];
-        hists.wait.loadState(r);
-        hists.compute.loadState(r);
-        hists.blocked.loadState(r);
-        hists.total.loadState(r);
-    }
+    std::vector<std::pair<std::string, StageHists>> stages;
+    if (io.saving())
+        stages.assign(_stages.begin(), _stages.end());
+    io.seq32(stages, "latency stages", [&](auto &stage) {
+        io.str(stage.first);
+        stage.second.wait.io(io);
+        stage.second.compute.io(io);
+        stage.second.blocked.io(io);
+        stage.second.total.io(io);
+    });
+    if (io.loading())
+        _stages = {stages.begin(), stages.end()};
 }
 
 } // namespace vip

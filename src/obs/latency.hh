@@ -27,8 +27,7 @@
 namespace vip
 {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIO;
 
 /**
  * Log-linear histogram over non-negative tick values.  Values below
@@ -51,10 +50,8 @@ class LogHistogram
     /** Value at percentile @p p in [0, 100]. */
     Tick percentile(double p) const;
 
-    /** @{ checkpoint serialization */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    /** Checkpoint/restore. */
+    void io(StateIO &io);
 
   private:
     static std::size_t bucketOf(Tick v);
@@ -121,10 +118,8 @@ class LatencyCollector
      */
     void registerStats(StatRegistry &registry) const;
 
-    /** @{ checkpoint serialization (stage map re-grown on load) */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    /** Checkpoint/restore (stage map re-grown on load). */
+    void io(StateIO &io);
 
   private:
     struct StageHists

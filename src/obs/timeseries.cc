@@ -7,7 +7,7 @@
 
 #include "obs/provenance.hh"
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -389,90 +389,37 @@ TimeSeries::writeJson(
 }
 
 void
-TimeSeries::saveState(SnapshotWriter &w) const
+TimeSeries::io(StateIO &io)
 {
-    w.tick(_interval);
-    w.u32(static_cast<std::uint32_t>(_sel.size()));
-    for (const Sel &s : _sel)
-        w.str(s.path);
-    w.tick(_nextBoundary);
-    w.u64(_samples);
-    w.u64(_stride);
-    w.u64(_skip);
-    w.u64(_rows.size());
-    for (const Row &r : _rows) {
-        w.tick(r.tick);
-        for (double v : r.vals)
-            w.d(v);
-    }
-    w.b(_steady);
-    w.tick(_steadyTick);
-    w.u32(static_cast<std::uint32_t>(_tracks.size()));
-    for (const Track &t : _tracks) {
-        w.u32(static_cast<std::uint32_t>(t.sel));
-        w.u32(static_cast<std::uint32_t>(t.vals.size()));
-        for (double v : t.vals)
-            w.d(v);
-        w.u32(static_cast<std::uint32_t>(t.metric.size()));
-        for (double v : t.metric)
-            w.d(v);
-    }
-}
-
-void
-TimeSeries::loadState(SnapshotReader &r)
-{
-    const Tick interval = r.tick();
+    Tick interval = _interval;
+    io.tick(interval);
     if (interval != _interval)
-        fatal("restore: snapshot samples every ", toMs(interval),
+        fatal("timeseries: snapshot samples every ", toMs(interval),
               " ms, this run every ", toMs(_interval),
               " ms (--metrics-interval-ms mismatch)");
-    std::uint32_t nSel = r.u32();
-    if (nSel != _sel.size())
-        fatal("restore: snapshot time series selects ", nSel,
-              " stats, this run selects ", _sel.size(),
-              " (--ts glob mismatch)");
-    for (const Sel &s : _sel) {
-        std::string path = r.str();
-        if (path != s.path)
-            fatal("restore: snapshot time-series stat '", path,
-                  "' != this run's '", s.path,
-                  "' (--ts glob mismatch)");
-    }
-    _nextBoundary = r.tick();
-    _samples = r.u64();
-    _stride = r.u64();
-    _skip = r.u64();
-    std::uint64_t nRows = r.u64();
-    _rows.clear();
-    _rows.reserve(nRows);
-    for (std::uint64_t i = 0; i < nRows; ++i) {
-        Row row;
-        row.tick = r.tick();
-        row.vals.reserve(_sel.size());
-        for (std::size_t j = 0; j < _sel.size(); ++j)
-            row.vals.push_back(r.d());
-        _rows.push_back(std::move(row));
-    }
-    _steady = r.b();
-    _steadyTick = r.tick();
-    std::uint32_t nTracks = r.u32();
-    if (nTracks != _tracks.size())
-        fatal("restore: snapshot tracks ", nTracks,
-              " steady-state series, this run tracks ",
-              _tracks.size(), " (steadyStats mismatch)");
+    io.shape("timeseries", "selected stats (--ts glob)", _sel.size());
+    for (const Sel &s : _sel)
+        io.expect("timeseries", "stat (--ts glob)", s.path);
+    io.tick(_nextBoundary);
+    io.u64(_samples);
+    io.u64(_stride);
+    io.u64(_skip);
+    io.seq64(_rows, "series rows", [&](Row &row) {
+        io.tick(row.tick);
+        if (io.loading())
+            row.vals.resize(_sel.size());
+        for (double &v : row.vals)
+            io.d(v);
+    });
+    io.b(_steady);
+    io.tick(_steadyTick);
+    io.shape("timeseries", "steady-state tracks (steadyStats)",
+             _tracks.size());
     for (Track &t : _tracks) {
-        std::uint32_t sel = r.u32();
-        if (sel != t.sel)
-            fatal("restore: steady-state track index mismatch");
-        t.vals.clear();
-        std::uint32_t nv = r.u32();
-        for (std::uint32_t i = 0; i < nv; ++i)
-            t.vals.push_back(r.d());
-        t.metric.clear();
-        std::uint32_t nm = r.u32();
-        for (std::uint32_t i = 0; i < nm; ++i)
-            t.metric.push_back(r.d());
+        io.expect("timeseries", "steady-state track stat index",
+                  static_cast<std::uint32_t>(t.sel));
+        io.seq32(t.vals, "track samples", [&](double &v) { io.d(v); });
+        io.seq32(t.metric, "track values", [&](double &v) { io.d(v); });
     }
 }
 

@@ -57,8 +57,7 @@
 namespace vip
 {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIO;
 
 class TimeSeries
 {
@@ -145,10 +144,8 @@ class TimeSeries
         const std::vector<std::pair<std::string, std::string>> &meta
         = {}) const;
 
-    /** @{ checkpoint/restore ("timeseries" snapshot section). */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    /** Checkpoint/restore ("timeseries" snapshot section). */
+    void io(StateIO &io);
 
     /**
      * Glob match: '*' matches any run of characters, '?' one

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
+#include "sim/state_io.hh"
 #include "sim/types.hh"
 
 namespace vip
@@ -66,32 +66,22 @@ class EnergyAccount
 
     double currentWatts() const { return _watts; }
 
-    /** @{ checkpoint serialization.
-     *
-     * The integrals accumulate doubles in event order and cannot be
-     * reproduced by replay, so the exact bits are stored.  Component
-     * loadState() must therefore never call setPower() — the ledger
-     * section restores the whole integration state, including the
-     * current power level, after every component's section.
+    /**
+     * Checkpoint/restore.  The integrals accumulate doubles in event
+     * order and cannot be reproduced by replay, so the exact bits are
+     * stored.  A component's io() must therefore never call
+     * setPower() on load — the ledger section restores the whole
+     * integration state, including the current power level, after
+     * every component's section.
      */
     void
-    saveState(SnapshotWriter &w) const
+    io(StateIO &io)
     {
-        w.d(_watts);
-        w.d(_staticNj);
-        w.d(_dynamicNj);
-        w.tick(_lastTick);
+        io.d(_watts);
+        io.d(_staticNj);
+        io.d(_dynamicNj);
+        io.tick(_lastTick);
     }
-
-    void
-    loadState(SnapshotReader &r)
-    {
-        _watts = r.d();
-        _staticNj = r.d();
-        _dynamicNj = r.d();
-        _lastTick = r.tick();
-    }
-    /** @} */
 
   private:
     std::string _name;
@@ -163,39 +153,21 @@ class EnergyLedger
         return out;
     }
 
-    /** @{ checkpoint serialization.
-     *
-     * Accounts live in an ordered map, so iteration order is stable;
-     * every account must already exist on load (they are created by
-     * component constructors), making a name mismatch a config skew.
+    /**
+     * Checkpoint/restore.  Accounts live in an ordered map, so
+     * iteration order is stable; every account must already exist on
+     * load (they are created by component constructors), making a
+     * name mismatch a config skew.
      */
     void
-    saveState(SnapshotWriter &w) const
+    io(StateIO &io)
     {
-        w.u32(static_cast<std::uint32_t>(_accounts.size()));
-        for (const auto &[key, acc] : _accounts) {
-            w.str(key);
-            acc.saveState(w);
-        }
-    }
-
-    void
-    loadState(SnapshotReader &r)
-    {
-        std::uint32_t n = r.u32();
-        if (n != _accounts.size())
-            fatal("energy ledger: snapshot has ", n,
-                  " accounts, platform built ", _accounts.size(),
-                  " (config mismatch)");
+        io.shape("energy ledger", "accounts", _accounts.size());
         for (auto &[key, acc] : _accounts) {
-            std::string name = r.str();
-            if (name != key)
-                fatal("energy ledger: snapshot account '", name,
-                      "' != expected '", key, "' (config mismatch)");
-            acc.loadState(r);
+            io.expect("energy ledger", "account", key);
+            acc.io(io);
         }
     }
-    /** @} */
 
   private:
     std::map<std::string, EnergyAccount> _accounts;

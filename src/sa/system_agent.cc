@@ -6,6 +6,7 @@
 #include "obs/latency.hh"
 #include "obs/stat_registry.hh"
 #include "obs/tracer.hh"
+#include "sim/state_io.hh"
 #include "sim/system.hh"
 
 namespace vip
@@ -192,36 +193,21 @@ SystemAgent::stateDigest(StateDigest &d) const
 }
 
 void
-SystemAgent::saveState(SnapshotWriter &w) const
+SystemAgent::io(StateIO &io)
 {
-    vip_assert(quiescent(),
+    vip_assert(io.loading() || quiescent(),
                "checkpointing the SA with payload or signals in "
                "flight");
-    w.tick(_busyUntil);
-    w.tick(_busyTicks);
-    w.u64(_bytesMoved);
-    w.u64(_peerBytes);
-    w.u64(_signals);
-    w.u64(_xferRetries);
-    w.u64(_bytesAccepted);
-    w.u64(_bytesDelivered);
-    w.u64(_bytesInFlight);
-    w.u64(_bytesRetransmitted);
-}
-
-void
-SystemAgent::loadState(SnapshotReader &r)
-{
-    _busyUntil = r.tick();
-    _busyTicks = r.tick();
-    _bytesMoved = r.u64();
-    _peerBytes = r.u64();
-    _signals = r.u64();
-    _xferRetries = r.u64();
-    _bytesAccepted = r.u64();
-    _bytesDelivered = r.u64();
-    _bytesInFlight = r.u64();
-    _bytesRetransmitted = r.u64();
+    io.tick(_busyUntil);
+    io.tick(_busyTicks);
+    io.u64(_bytesMoved);
+    io.u64(_peerBytes);
+    io.u64(_signals);
+    io.u64(_xferRetries);
+    io.u64(_bytesAccepted);
+    io.u64(_bytesDelivered);
+    io.u64(_bytesInFlight);
+    io.u64(_bytesRetransmitted);
 }
 
 } // namespace vip

@@ -111,10 +111,8 @@ class SystemAgent : public SimObject
         return _bytesInFlight == 0 && _signalsInFlight == 0;
     }
 
-    /** @{ Serializable */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Checkpoint/restore. */
+    void io(StateIO &io);
 
   private:
     /** Charge occupancy for @p bytes; returns the delivery tick. */

@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -224,67 +224,25 @@ Auditor::loadDigestFile(const std::string &path)
 }
 
 void
-Auditor::saveState(SnapshotWriter &w) const
+Auditor::io(StateIO &io)
 {
-    w.u64(_passes);
-    w.u32(static_cast<std::uint32_t>(_violations.size()));
-    for (const AuditViolation &v : _violations) {
-        w.tick(v.tick);
-        w.str(v.component);
-        w.str(v.invariant);
-        w.u64(v.lhs);
-        w.u64(v.rhs);
-        w.str(v.detail);
-    }
-    w.u32(static_cast<std::uint32_t>(_stream.components.size()));
+    io.u64(_passes);
+    io.seq32(_violations, "audit violations", [&](AuditViolation &v) {
+        io.tick(v.tick);
+        io.str(v.component);
+        io.str(v.invariant);
+        io.u64(v.lhs);
+        io.u64(v.rhs);
+        io.str(v.detail);
+    });
+    io.shape("auditor", "components", _stream.components.size());
     for (const std::string &name : _stream.components)
-        w.str(name);
-    w.u32(static_cast<std::uint32_t>(_stream.records.size()));
-    for (const DigestRecord &rec : _stream.records) {
-        w.tick(rec.tick);
-        w.u32(rec.component);
-        w.u64(rec.digest);
-    }
-}
-
-void
-Auditor::loadState(SnapshotReader &r)
-{
-    _passes = r.u64();
-    std::uint32_t nViol = r.u32();
-    _violations.clear();
-    _violations.reserve(nViol);
-    for (std::uint32_t i = 0; i < nViol; ++i) {
-        AuditViolation v;
-        v.tick = r.tick();
-        v.component = r.str();
-        v.invariant = r.str();
-        v.lhs = r.u64();
-        v.rhs = r.u64();
-        v.detail = r.str();
-        _violations.push_back(std::move(v));
-    }
-    std::uint32_t nComp = r.u32();
-    if (nComp != _stream.components.size())
-        fatal("auditor: snapshot has ", nComp,
-              " components, platform attached ",
-              _stream.components.size(), " (config mismatch)");
-    for (const std::string &name : _stream.components) {
-        std::string saved = r.str();
-        if (saved != name)
-            fatal("auditor: snapshot component '", saved,
-                  "' != attached '", name, "' (config mismatch)");
-    }
-    std::uint32_t nRec = r.u32();
-    _stream.records.clear();
-    _stream.records.reserve(nRec);
-    for (std::uint32_t i = 0; i < nRec; ++i) {
-        DigestRecord rec;
-        rec.tick = r.tick();
-        rec.component = r.u32();
-        rec.digest = r.u64();
-        _stream.records.push_back(rec);
-    }
+        io.expect("auditor", "component", name);
+    io.seq32(_stream.records, "digest records", [&](DigestRecord &rec) {
+        io.tick(rec.tick);
+        io.u32(rec.component);
+        io.u64(rec.digest);
+    });
 }
 
 Divergence

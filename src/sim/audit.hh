@@ -35,8 +35,7 @@
 namespace vip
 {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIO;
 
 /** Rolling FNV-1a (64-bit) over typed state words. */
 class StateDigest
@@ -298,16 +297,14 @@ class Auditor
     static Divergence firstDivergence(const DigestStream &a,
                                       const DigestStream &b);
 
-    /** @{ checkpoint serialization (driven by the Simulation).
-     *
-     * The recorded digest stream and violation list are part of the
-     * run's output, so a restored run must carry the prefix recorded
-     * before the checkpoint; components must already be re-attached
-     * (in build order) on load — a name mismatch is a config skew.
+    /**
+     * Checkpoint/restore (driven by the Simulation).  The recorded
+     * digest stream and violation list are part of the run's output,
+     * so a restored run must carry the prefix recorded before the
+     * checkpoint; components must already be re-attached (in build
+     * order) on load — a name mismatch is a config skew.
      */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    void io(StateIO &io);
 
   private:
     AuditConfig _cfg;

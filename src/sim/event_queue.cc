@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "obs/profiler.hh"
-#include "sim/snapshot.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -224,35 +224,24 @@ EventQueue::liveIds() const
 }
 
 void
-EventQueue::saveState(SnapshotWriter &w) const
+EventQueue::io(StateIO &io)
 {
-    w.tick(_curTick);
-    w.u64(_nextSeq);
-    w.u64(_serviced);
-    w.u64(_tickServiced);
+    vip_assert(io.saving() || _heap.empty(),
+               "restoring into a non-empty event queue");
+    io.tick(_curTick);
+    io.u64(_nextSeq);
+    io.u64(_serviced);
+    io.u64(_tickServiced);
     // The live-id set, sorted: ids identify which periodic events are
     // pending and the slot each occupies.  Their (when, prio,
     // callback) are re-created by the owning components; restore is
     // verified against this exact set.
-    const std::vector<EventId> ids = liveIds();
-    w.u64(ids.size());
-    for (EventId id : ids)
-        w.u64(id);
-}
-
-void
-EventQueue::loadState(SnapshotReader &r)
-{
-    vip_assert(_heap.empty(), "restoring into a non-empty event queue");
-    _curTick = r.tick();
-    _nextSeq = r.u64();
-    _serviced = r.u64();
-    _tickServiced = r.u64();
-    std::uint64_t n = r.u64();
-    _restoreIds.clear();
-    _restoreIds.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        _restoreIds.push_back(r.u64());
+    std::vector<EventId> ids;
+    if (io.saving())
+        ids = liveIds();
+    io.seq64(ids, "pending event ids", [&](EventId &id) { io.u64(id); });
+    if (io.loading())
+        _restoreIds = std::move(ids);
 }
 
 void

@@ -128,8 +128,7 @@ class EventCallback
     const Ops *_ops = nullptr;
 };
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIO;
 class Profiler;
 
 /**
@@ -218,15 +217,14 @@ class EventQueue : public Auditable
 
     /** @{ Checkpoint/restore (quiescent-point snapshots).
      *
-     * saveState() records the kernel counters and the sorted live-id
-     * set; loadState() restores the counters and remembers the ids.
-     * Each component then re-arms its own pending events with
-     * restoreEvent() using the id and scheduledWhen() it saved, and
+     * io() carries the kernel counters and the sorted live-id set; on
+     * load it remembers the ids.  Each component then re-arms its own
+     * pending events (StateIO::event, which saves the id and
+     * scheduledWhen() and calls restoreEvent() on load), and
      * verifyRestore() checks that the re-armed set matches the
      * snapshot exactly.
      */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
+    void io(StateIO &io);
 
     /** True when @p id is scheduled and not yet run or cancelled. */
     bool
@@ -241,7 +239,7 @@ class EventQueue : public Auditable
 
     /**
      * Re-create a pending event with its original id, in the pool
-     * slot that id names.  Only valid between loadState() and
+     * slot that id names.  Only valid between io() loading and
      * verifyRestore(); ids must come from the snapshot (already
      * issued, i.e. below the restored sequence counter).
      */

@@ -14,7 +14,6 @@
 
 #include "sim/audit.hh"
 #include "sim/event_queue.hh"
-#include "sim/snapshot.hh"
 #include "sim/system.hh"
 #include "sim/types.hh"
 
@@ -24,7 +23,7 @@ namespace vip
 class StatRegistry;
 
 /** Base class for all named simulation components. */
-class SimObject : public Auditable, public Serializable
+class SimObject : public Auditable
 {
   public:
     /**
@@ -90,17 +89,6 @@ class SimObject : public Auditable, public Serializable
     {
         (void)registry;
     }
-
-    /**
-     * @{ Serializable (checkpoint/restore; see sim/snapshot.hh).
-     * Stateless components inherit the no-ops; every stateful
-     * component overrides both.  loadState() runs against a freshly
-     * built platform at a quiescent tick and must also re-arm any
-     * pending events the component owns (EventQueue::restoreEvent).
-     */
-    void saveState(SnapshotWriter &w) const override { (void)w; }
-    void loadState(SnapshotReader &r) override { (void)r; }
-    /** @} */
 
   private:
     System &_system;

@@ -311,11 +311,17 @@ SnapshotReader::closeSection()
 {
     vip_assert(_open, "closeSection without an open section");
     if (_pos != _secEnd) {
-        fatal("snapshot '", _path, "': section '",
-              _sectionTab[_nextSection - 1].name, "' has ",
-              _secEnd - _pos, " unread bytes (version skew)");
+        fatal("snapshot '", _path, "': section '", sectionName(),
+              "' has ", _secEnd - _pos, " unread bytes (version skew)");
     }
     _open = false;
+}
+
+const std::string &
+SnapshotReader::sectionName() const
+{
+    vip_assert(_open, "sectionName without an open section");
+    return _sectionTab[_nextSection - 1].name;
 }
 
 SnapshotMeta

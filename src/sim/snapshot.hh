@@ -44,22 +44,6 @@
 namespace vip
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
-/** Implemented by every stateful component of a simulation. */
-class Serializable
-{
-  public:
-    virtual ~Serializable() = default;
-
-    /** Append this component's state to the open section of @p w. */
-    virtual void saveState(SnapshotWriter &w) const = 0;
-
-    /** Restore state previously written by saveState(). */
-    virtual void loadState(SnapshotReader &r) = 0;
-};
-
 constexpr std::uint32_t kSnapshotMagic = 0x53504956; // "VIPS"
 constexpr std::uint32_t kSnapshotVersion = 4;
 
@@ -149,6 +133,13 @@ class SnapshotReader
 
     /** Close the current section; trailing unread bytes are fatal. */
     void closeSection();
+
+    /** @{ The open section: its name and the bytes not yet read. */
+    const std::string &sectionName() const;
+    std::size_t sectionBytesLeft() const { return _secEnd - _pos; }
+    /** @} */
+
+    const std::string &path() const { return _path; }
 
     /** @{ Primitives (SimFatal past the end of the section). */
     std::uint8_t u8();

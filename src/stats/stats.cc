@@ -1,6 +1,6 @@
 #include "stats/stats.hh"
 
-#include "sim/snapshot.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -8,67 +8,33 @@ namespace stats
 {
 
 void
-TimeWeighted::saveState(SnapshotWriter &w) const
+TimeWeighted::io(StateIO &io)
 {
-    w.d(_current);
-    w.d(_weighted);
-    w.d(_timeAbove);
-    w.tick(_elapsed);
-    w.tick(_last);
+    io.d(_current);
+    io.d(_weighted);
+    io.d(_timeAbove);
+    io.tick(_elapsed);
+    io.tick(_last);
 }
 
 void
-TimeWeighted::loadState(SnapshotReader &r)
+Accumulator::io(StateIO &io)
 {
-    _current = r.d();
-    _weighted = r.d();
-    _timeAbove = r.d();
-    _elapsed = r.tick();
-    _last = r.tick();
+    io.u64(_n);
+    io.d(_sum);
+    io.d(_meanRun);
+    io.d(_m2);
+    io.d(_min);
+    io.d(_max);
 }
 
 void
-Accumulator::saveState(SnapshotWriter &w) const
+Histogram::io(StateIO &io)
 {
-    w.u64(_n);
-    w.d(_sum);
-    w.d(_meanRun);
-    w.d(_m2);
-    w.d(_min);
-    w.d(_max);
-}
-
-void
-Accumulator::loadState(SnapshotReader &r)
-{
-    _n = r.u64();
-    _sum = r.d();
-    _meanRun = r.d();
-    _m2 = r.d();
-    _min = r.d();
-    _max = r.d();
-}
-
-void
-Histogram::saveState(SnapshotWriter &w) const
-{
-    w.u32(static_cast<std::uint32_t>(_bins.size()));
-    for (std::uint64_t b : _bins)
-        w.u64(b);
-    w.u64(_total);
-}
-
-void
-Histogram::loadState(SnapshotReader &r)
-{
-    std::uint32_t n = r.u32();
-    if (n != _bins.size()) {
-        fatal("histogram: snapshot has ", n, " bins, this build has ",
-              _bins.size(), " (version skew)");
-    }
-    for (auto &b : _bins)
-        b = r.u64();
-    _total = r.u64();
+    io.shape("histogram", "bins", _bins.size());
+    for (std::uint64_t &b : _bins)
+        io.u64(b);
+    io.u64(_total);
 }
 
 } // namespace stats

@@ -3,7 +3,7 @@
  * Distribution value types for the quantities a plain counter cannot
  * hold.  Components own them as fields; the StatRegistry names the
  * values worth exporting (addAccumulator/addTimeWeighted) and the
- * owner's saveState/loadState carries them through a snapshot.
+ * owner's io(StateIO&) carries them through a snapshot.
  *
  *  - TimeWeighted:  time-weighted average of a piecewise-constant
  *                   signal (e.g. queue occupancy, power state).
@@ -24,8 +24,7 @@
 namespace vip
 {
 
-class SnapshotWriter;
-class SnapshotReader;
+class StateIO;
 
 namespace stats
 {
@@ -61,10 +60,8 @@ class TimeWeighted
     /** Total ticks during which the signal was > 0. */
     double timeAbove() const { return _timeAbove; }
 
-    /** @{ Checkpoint/restore: bit-exact state round-trip. */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    /** Checkpoint/restore: bit-exact state round-trip. */
+    void io(StateIO &io);
 
   private:
     void
@@ -126,10 +123,8 @@ class Accumulator
         return var > 0.0 ? std::sqrt(var) : 0.0;
     }
 
-    /** @{ Checkpoint/restore: bit-exact state round-trip. */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    /** Checkpoint/restore: bit-exact state round-trip. */
+    void io(StateIO &io);
 
   private:
     std::uint64_t _n = 0;
@@ -189,10 +184,8 @@ class Histogram
     /** Upper edge of bin @p i. */
     double binHi(std::size_t i) const { return binLo(i + 1); }
 
-    /** @{ Checkpoint/restore: bit-exact state round-trip. */
-    void saveState(SnapshotWriter &w) const;
-    void loadState(SnapshotReader &r);
-    /** @} */
+    /** Checkpoint/restore: bit-exact state round-trip. */
+    void io(StateIO &io);
 
   private:
     double _lo, _hi;

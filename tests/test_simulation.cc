@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
+
 #include "core/simulation.hh"
 
 namespace vip
@@ -226,6 +231,40 @@ TEST(Simulation, GameAppProcessesTouchInput)
                              WorkloadCatalog::single(1));
     EXPECT_GT(s.framesCompleted, 20u);
     EXPECT_GT(s.achievedFps, 30.0);
+}
+
+TEST(VipSimCli, RejectsBadFlagValues)
+{
+    // Each bad value must fail fast with exit 1 and a "fatal:" line:
+    // no wrap-around to a huge run, no std::bad_alloc abort, no
+    // silent zero or default.
+    const char *bad[] = {
+        "--seconds -1",        "--seconds abc",
+        "--seconds inf",       "--lanes -3",
+        "--lane-bytes -1",     "--burst 2.5",
+        "--sched bogus",       "--guard-ms -1",
+        "--trace-buffer 0",    "--prof-sample-every x",
+        "--checkpoint-every-ms 0", "--metrics-interval-ms -1",
+        "--fault-hang 2",      "--seed 1x",
+    };
+    for (const char *args : bad) {
+        SCOPED_TRACE(args);
+        const std::string cmd = std::string("timeout 10 ") +
+                                VIP_SIM_PATH + " " + args +
+                                " --seconds 0.01 2>&1";
+        FILE *p = ::popen(cmd.c_str(), "r");
+        ASSERT_NE(p, nullptr);
+        std::string out;
+        char buf[256];
+        while (std::fgets(buf, sizeof(buf), p))
+            out += buf;
+        const int status = ::pclose(p);
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 1) << out;
+        EXPECT_TRUE(out.rfind("fatal: ", 0) == 0 ||
+                    out.find("\nfatal: ") != std::string::npos)
+            << out;
+    }
 }
 
 } // namespace

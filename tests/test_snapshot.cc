@@ -13,13 +13,16 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/simulation.hh"
+#include "obs/latency.hh"
 #include "sim/snapshot.hh"
+#include "sim/state_io.hh"
 
 namespace vip
 {
@@ -158,6 +161,168 @@ TEST_F(SnapshotTest, RoundTripBitIdenticalAllConfigs)
             EXPECT_EQ(bwBins(resumed), bwBins(ref));
         }
     }
+}
+
+TEST_F(SnapshotTest, RoundTripWithFaultsAndFrameTrace)
+{
+    // Baseline x W7 under the light fault preset with the frame trace
+    // recorded: the "fault" section (injector RNG and counters) and
+    // the trace records in the "sim" section must resume exactly.
+    auto wl = WorkloadCatalog::byIndex(7);
+    auto cfgFor = [] {
+        SocConfig cfg = auditedCfg(SystemConfig::Baseline);
+        cfg.fault = FaultPlan::preset("light");
+        cfg.recordTrace = true;
+        return cfg;
+    };
+    auto traceCsv = [](const RunStats &s) {
+        std::ostringstream os;
+        s.trace.dumpCsv(os);
+        return os.str();
+    };
+
+    Simulation ref(cfgFor(), wl);
+    RunStats refStats = ref.run();
+    RunOutput want = outputs(ref);
+    const std::string wantTrace = traceCsv(refStats);
+    ASSERT_GT(refStats.faults.injected(), 0u);
+    ASSERT_GT(refStats.trace.size(), 0u);
+
+    // Quiescent points are sparse here (a 100 ms cadence first lands
+    // at 231.8 ms); each of these requests meets a distinct one.
+    const Tick points[] = {fromMs(100), fromMs(250), fromMs(320)};
+    std::vector<std::string> snaps;
+    {
+        Simulation writer(cfgFor(), wl);
+        for (std::size_t i = 0; i < std::size(points); ++i) {
+            snaps.push_back(path("w7-" + std::to_string(i) + ".vips"));
+            writer.checkpointAt(points[i], snaps.back());
+        }
+        RunStats got = writer.run();
+        ASSERT_EQ(writer.checkpointsWritten(), std::size(points));
+        EXPECT_EQ(outputs(writer).statsJson, want.statsJson);
+        EXPECT_EQ(traceCsv(got), wantTrace);
+    }
+
+    Tick last = 0;
+    for (const auto &snap : snaps) {
+        SCOPED_TRACE(snap);
+        const Tick tick = SnapshotReader::readMeta(snap).tick;
+        EXPECT_GT(tick, last);
+        last = tick;
+
+        SocConfig cfg = cfgFor();
+        cfg.restorePath = snap;
+        Simulation resumed(cfg, wl);
+        RunStats got = resumed.run();
+        RunOutput out = outputs(resumed);
+        EXPECT_EQ(out.statsJson, want.statsJson);
+        EXPECT_EQ(out.streamDigest, want.streamDigest);
+        EXPECT_EQ(traceCsv(got), wantTrace);
+    }
+}
+
+/** Writes one crafted, checksum-valid snapshot section. */
+std::string
+writeSection(const std::string &file, const std::string &section,
+             const std::function<void(SnapshotWriter &)> &fill)
+{
+    SnapshotWriter w;
+    w.beginSection(section);
+    fill(w);
+    w.writeFile(file, SnapshotMeta{});
+    return file;
+}
+
+/** The SimFatal message @p load throws, or "" when it does not. */
+std::string
+fatalOf(const std::function<void()> &load)
+{
+    try {
+        load();
+    } catch (const SimFatal &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(SnapshotTest, BoundsCountsAndNamesMismatches)
+{
+    EventQueue eq;
+    auto loadFrom = [&](const std::string &file,
+                        const std::string &section,
+                        const std::function<void(StateIO &)> &body) {
+        SnapshotReader r(file);
+        StateIO io(r, eq);
+        io.section(section, [&] { body(io); });
+    };
+
+    // A pending-event id count of 2^62 and a histogram bin count of
+    // 2^32 - 1 in otherwise valid files: each count exceeds the bytes
+    // left in its section, so it is rejected before anything is
+    // sized from it.
+    auto ids = writeSection(path("ids.vips"), "kernel",
+                            [](SnapshotWriter &w) {
+        for (int i = 0; i < 4; ++i)
+            w.u64(1);
+        w.u64(std::uint64_t(1) << 62);
+    });
+    std::string msg = fatalOf(
+        [&] { loadFrom(ids, "kernel", [&](StateIO &io) { eq.io(io); }); });
+    EXPECT_NE(msg.find("section 'kernel'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("4611686018427387904"), std::string::npos) << msg;
+
+    auto bins = writeSection(path("bins.vips"), "latency",
+                             [](SnapshotWriter &w) {
+        w.u32(0xFFFFFFFFu);
+    });
+    LogHistogram h;
+    msg = fatalOf([&] {
+        loadFrom(bins, "latency", [&](StateIO &io) { h.io(io); });
+    });
+    EXPECT_NE(msg.find("section 'latency'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("4294967295"), std::string::npos) << msg;
+
+    // Configuration-fixed parts name the owner and both values.
+    auto fixed = writeSection(path("fixed.vips"), "fixed",
+                              [](SnapshotWriter &w) {
+        w.u32(3);
+        w.str("alpha");
+        w.b(true);
+    });
+    msg = fatalOf([&] {
+        loadFrom(fixed, "fixed",
+                 [](StateIO &io) { io.shape("widget", "lanes", 5); });
+    });
+    EXPECT_NE(msg.find("widget: snapshot has 3 lanes, this run has 5"),
+              std::string::npos) << msg;
+    msg = fatalOf([&] {
+        loadFrom(fixed, "fixed", [](StateIO &io) {
+            io.shape("widget", "lanes", 3);
+            io.expect("widget", "name", std::string("beta"));
+        });
+    });
+    EXPECT_NE(msg.find("widget: snapshot name 'alpha' != this run's "
+                       "'beta'"),
+              std::string::npos) << msg;
+    msg = fatalOf([&] {
+        loadFrom(fixed, "fixed", [](StateIO &io) {
+            io.shape("widget", "lanes", 3);
+            io.expect("widget", "name", std::string("alpha"));
+            io.presence("widget", "spill buffer", false);
+        });
+    });
+    EXPECT_NE(msg.find("widget: snapshot has spill buffer, this run "
+                       "has none"),
+              std::string::npos) << msg;
+    // All three matching load cleanly.
+    EXPECT_EQ(fatalOf([&] {
+        loadFrom(fixed, "fixed", [](StateIO &io) {
+            io.shape("widget", "lanes", 3);
+            io.expect("widget", "name", std::string("alpha"));
+            EXPECT_TRUE(io.presence("widget", "spill buffer", true));
+        });
+    }), "");
 }
 
 TEST_F(SnapshotTest, RejectsVersionSkew)

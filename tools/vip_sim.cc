@@ -15,12 +15,14 @@
  */
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "core/simulation.hh"
 #include "fleet/transport/artifact.hh"
@@ -44,21 +46,80 @@ onSignal(int sig)
     gSignal.store(sig, std::memory_order_relaxed);
 }
 
+/** Longest simulated span a time flag may name: one day, far inside
+ *  the picosecond tick range (~213 days). */
+constexpr double kMaxSeconds = 86400.0;
+
+/**
+ * The value of @p flag, parsed strictly: the whole token must be a T
+ * (finite, for reals) with lo <= x <= hi, or lo < x when @p lo_open.
+ * Anything else is a fatal error that names the flag and the range.
+ */
+template <class T>
+T
+flagValue(const std::string &flag, const std::string &v, T lo,
+          T hi = std::numeric_limits<T>::max(), bool lo_open = false)
+{
+    T x{};
+    const char *end = v.data() + v.size();
+    auto [p, ec] = std::from_chars(v.data(), end, x);
+    bool ok = ec == std::errc() && p == end &&
+              (lo_open ? x > lo : x >= lo) && x <= hi;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(x);
+    if (!ok) {
+        const bool bounded = hi < std::numeric_limits<T>::max();
+        vip::fatal(flag, " needs ",
+                   std::is_integral_v<T> ? "a whole number" : "a number",
+                   lo_open ? " > " : " >= ", lo,
+                   bounded ? " and <= " : "",
+                   bounded ? vip::logging::format(hi) : "", ", got '",
+                   v, "'");
+    }
+    return x;
+}
+
+/** @{ The value ranges vip_sim accepts, per kind of flag. */
+std::uint32_t
+countArg(const std::string &flag, const std::string &v)
+{
+    return flagValue<std::uint32_t>(flag, v, 1);
+}
+
+/** A span of simulated time in @p unit_per_sec units: > 0. */
+double
+periodArg(const std::string &flag, const std::string &v,
+          double unit_per_sec)
+{
+    return flagValue(flag, v, 0.0, kMaxSeconds * unit_per_sec, true);
+}
+
+double
+probabilityArg(const std::string &flag, const std::string &v)
+{
+    return flagValue(flag, v, 0.0, 1.0);
+}
+/** @} */
+
 void
 usage()
 {
     std::printf(
         "usage: vip_sim [options]\n"
+        "numeric values must be a whole token in range: counts are\n"
+        "whole numbers >= 1, seeds >= 0, times > 0 (at most one\n"
+        "simulated day), probabilities in [0, 1].\n"
         "  --workload <A1..A7|W1..W8>   workload (default W4)\n"
         "  --config <name>              baseline | frameburst |\n"
         "                               iptoip | iptoip-fb | vip\n"
         "  --seconds <s>                simulated time (default 0.4)\n"
         "  --seed <n>                   RNG seed (default 1)\n"
-        "  --burst <frames>             default burst size\n"
-        "  --lanes <n>                  VIP buffer lanes per IP\n"
+        "  --burst <frames>             default burst size (count)\n"
+        "  --lanes <n>                  VIP buffer lanes per IP (count)\n"
         "  --sched <fifo|rr|edf>        VIP hardware scheduler\n"
-        "  --lane-bytes <n>             per-lane buffer bytes\n"
+        "  --lane-bytes <n>             per-lane buffer bytes (count)\n"
         "  --deadline <periods>         QoS deadline in frame periods\n"
+        "                               (> 0, at most 1e6)\n"
         "  --ideal-memory               zero-latency DRAM (Fig 3)\n"
         "  --no-lowpower                disable DRAM sleep states\n"
         "  --dvfs                       ondemand CPU governor\n"
@@ -67,9 +128,10 @@ usage()
         "  --overload-policy <p>        reject | degrade | besteffort\n"
         "                               (admission control at open())\n"
         "  --admission-headroom <f>     IP capacity fraction admission\n"
-        "                               keeps free (default 0.05)\n"
+        "                               keeps free, in [0, 1]\n"
+        "                               (default 0.05)\n"
         "  --shed-after <frames>        degrade: shed a frame after N\n"
-        "                               consecutive late frames\n"
+        "                               consecutive late frames (count)\n"
         "  --fault-plan <spec>          fault plan: a preset name\n"
         "                               (none|light|moderate|heavy) or\n"
         "                               key=value pairs, e.g.\n"
@@ -80,10 +142,11 @@ usage()
         "  --fault-ecc <p>              correctable ECC prob./burst\n"
         "  --fault-ecc-fatal <p>        uncorrectable ECC probability\n"
         "  --fault-seed <n>             fault RNG seed (default 1)\n"
-        "  --fault-watchdog-us <us>     IP watchdog timeout (0 = off)\n"
-        "  --fault-retries <n>          per-unit retry budget\n"
-        "  --guard-ms <ms>              no-progress guard interval\n"
-        "                               (default 250, 0 disables)\n"
+        "  --fault-watchdog-us <us>     IP watchdog timeout, >= 0\n"
+        "                               (0 = off)\n"
+        "  --fault-retries <n>          per-unit retry budget, >= 0\n"
+        "  --guard-ms <ms>              no-progress guard interval,\n"
+        "                               >= 0 (default 250, 0 disables)\n"
         "  --audit <mode>               invariant audits: off | final |\n"
         "                               periodic[:<ms>] | strict\n"
         "                               (default off)\n"
@@ -96,8 +159,8 @@ usage()
         "  --trace <cat,...>            categories to record: ip,\n"
         "                               frame, sa, dram, cpu, sched,\n"
         "                               fault, power (default all)\n"
-        "  --trace-buffer <events>      trace ring capacity\n"
-        "                               (default 524288, drop-oldest)\n"
+        "  --trace-buffer <events>      trace ring capacity (count;\n"
+        "                               default 524288, drop-oldest)\n"
         "  --metrics-out <file>         stream every sample of the\n"
         "                               --ts selection as a CSV row\n"
         "                               (flushed per row; survives a\n"
@@ -113,7 +176,7 @@ usage()
         "                               write prof.json (or <file>);\n"
         "                               digest-neutral, <5%% overhead\n"
         "  --prof-sample-every <n>      steady_clock sampling stride\n"
-        "                               (default 64)\n"
+        "                               (count; default 64)\n"
         "  --ts[=<glob>]                sample glob-selected stats\n"
         "                               every interval into a bounded\n"
         "                               decimating series ring and\n"
@@ -384,22 +447,28 @@ main(int argc, char **argv)
         } else if (arg == "--config") {
             config = next();
         } else if (arg == "--seconds") {
-            cfg.simSeconds = std::atof(next().c_str());
+            cfg.simSeconds = periodArg(arg, next(), 1.0);
         } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(next().c_str(), nullptr, 10);
+            cfg.seed = flagValue<std::uint64_t>(arg, next(), 0);
         } else if (arg == "--burst") {
-            cfg.burstFrames = std::atoi(next().c_str());
+            cfg.burstFrames = countArg(arg, next());
         } else if (arg == "--lanes") {
-            cfg.vipLanes = std::atoi(next().c_str());
+            cfg.vipLanes = countArg(arg, next());
         } else if (arg == "--sched") {
             auto v = next();
-            cfg.vipSched = v == "fifo" ? vip::SchedPolicy::FIFO
-                : v == "rr" ? vip::SchedPolicy::RoundRobin
-                : vip::SchedPolicy::EDF;
+            if (v == "fifo")
+                cfg.vipSched = vip::SchedPolicy::FIFO;
+            else if (v == "rr")
+                cfg.vipSched = vip::SchedPolicy::RoundRobin;
+            else if (v == "edf")
+                cfg.vipSched = vip::SchedPolicy::EDF;
+            else
+                vip::fatal("unknown scheduler '", v,
+                           "' (expected fifo, rr or edf)");
         } else if (arg == "--lane-bytes") {
-            cfg.laneBytes = std::atoi(next().c_str());
+            cfg.laneBytes = countArg(arg, next());
         } else if (arg == "--deadline") {
-            cfg.deadlineFrames = std::atof(next().c_str());
+            cfg.deadlineFrames = flagValue(arg, next(), 0.0, 1e6, true);
         } else if (arg == "--ideal-memory") {
             cfg.dram.ideal = true;
         } else if (arg == "--no-lowpower") {
@@ -421,32 +490,32 @@ main(int argc, char **argv)
             else
                 vip::fatal("unknown overload policy '", v, "'");
         } else if (arg == "--admission-headroom") {
-            cfg.admissionHeadroom = std::atof(next().c_str());
+            cfg.admissionHeadroom = probabilityArg(arg, next());
         } else if (arg == "--shed-after") {
-            cfg.shedAfterLateFrames = std::atoi(next().c_str());
+            cfg.shedAfterLateFrames = countArg(arg, next());
         } else if (arg == "--fault-plan") {
             cfg.fault = vip::FaultPlan::parse(next());
         } else if (arg == "--fault-hang") {
-            cfg.fault.engineHangProb = std::atof(next().c_str());
+            cfg.fault.engineHangProb = probabilityArg(arg, next());
         } else if (arg == "--fault-corrupt") {
-            cfg.fault.subframeCorruptProb = std::atof(next().c_str());
+            cfg.fault.subframeCorruptProb = probabilityArg(arg, next());
         } else if (arg == "--fault-xfer") {
-            cfg.fault.transferErrorProb = std::atof(next().c_str());
+            cfg.fault.transferErrorProb = probabilityArg(arg, next());
         } else if (arg == "--fault-ecc") {
-            cfg.fault.eccCorrectableProb = std::atof(next().c_str());
+            cfg.fault.eccCorrectableProb = probabilityArg(arg, next());
         } else if (arg == "--fault-ecc-fatal") {
             cfg.fault.eccUncorrectableProb =
-                std::atof(next().c_str());
+                probabilityArg(arg, next());
         } else if (arg == "--fault-seed") {
-            cfg.fault.seed =
-                std::strtoull(next().c_str(), nullptr, 10);
+            cfg.fault.seed = flagValue<std::uint64_t>(arg, next(), 0);
         } else if (arg == "--fault-watchdog-us") {
-            cfg.fault.watchdogTimeout =
-                vip::fromUs(std::atof(next().c_str()));
+            cfg.fault.watchdogTimeout = vip::fromUs(
+                flagValue(arg, next(), 0.0, kMaxSeconds * 1e6));
         } else if (arg == "--fault-retries") {
-            cfg.fault.maxRetries = std::atoi(next().c_str());
+            cfg.fault.maxRetries = flagValue<std::uint32_t>(arg, next(), 0);
         } else if (arg == "--guard-ms") {
-            cfg.noProgressSec = std::atof(next().c_str()) / 1000.0;
+            cfg.noProgressSec =
+                flagValue(arg, next(), 0.0, kMaxSeconds * 1e3) / 1000.0;
         } else if (arg == "--audit") {
             cfg.audit = vip::AuditConfig::parse(next());
         } else if (arg.rfind("--audit=", 0) == 0) {
@@ -468,14 +537,7 @@ main(int argc, char **argv)
             cfg.trace.categories =
                 vip::parseTraceCats(arg.substr(8));
         } else if (arg == "--trace-buffer") {
-            const std::string v = next();
-            char *end = nullptr;
-            cfg.trace.bufferEvents =
-                std::strtoull(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0'
-                || cfg.trace.bufferEvents == 0)
-                vip::fatal("--trace-buffer needs a positive event "
-                           "count, got '", v, "'");
+            cfg.trace.bufferEvents = countArg(arg, next());
         } else if (arg == "--metrics-out") {
             cfg.ts.metricsOut = next();
         } else if (arg.rfind("--metrics-out=", 0) == 0) {
@@ -493,12 +555,7 @@ main(int argc, char **argv)
         } else if (arg == "--prof-sample-every" ||
                    arg.rfind("--prof-sample-every=", 0) == 0) {
             std::string v = arg[19] == '=' ? arg.substr(20) : next();
-            char *end = nullptr;
-            cfg.prof.sampleEvery = std::strtoull(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0'
-                || cfg.prof.sampleEvery == 0)
-                vip::fatal("--prof-sample-every needs a positive "
-                           "count, got '", v, "'");
+            cfg.prof.sampleEvery = countArg("--prof-sample-every", v);
         } else if (arg == "--ts") {
             cfg.ts.armed = true;
         } else if (arg.rfind("--ts=", 0) == 0) {
@@ -532,23 +589,13 @@ main(int argc, char **argv)
         } else if (arg.rfind("--checkpoint-out=", 0) == 0) {
             cfg.checkpointOut = arg.substr(17);
         } else if (arg == "--checkpoint-every-ms") {
-            const std::string v = next();
-            char *end = nullptr;
-            cfg.checkpointEveryMs = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' ||
-                !(cfg.checkpointEveryMs > 0.0))
-                vip::fatal("--checkpoint-every-ms needs a "
-                           "positive period, got '", v, "'");
+            cfg.checkpointEveryMs = periodArg(arg, next(), 1e3);
         } else if (arg == "--restore") {
             cfg.restorePath = next();
         } else if (arg.rfind("--restore=", 0) == 0) {
             cfg.restorePath = arg.substr(10);
         } else if (arg == "--metrics-interval-ms") {
-            const std::string v = next();
-            cfg.ts.intervalMs = std::atof(v.c_str());
-            if (!(cfg.ts.intervalMs > 0.0))
-                vip::fatal("--metrics-interval-ms needs a positive "
-                           "period, got '", v, "'");
+            cfg.ts.intervalMs = periodArg(arg, next(), 1e3);
         } else if (arg == "--list") {
             listWorkloads();
             return 0;
