@@ -8,8 +8,8 @@
 #define VIP_MEM_MEM_TYPES_HH
 
 #include <cstdint>
-#include <functional>
 
+#include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace vip
@@ -26,8 +26,9 @@ struct MemRequest
     bool write = false;
     /** Requester id, used for per-agent accounting. */
     std::uint32_t requesterId = 0;
-    /** Invoked when the transaction completes (may be empty). */
-    std::function<void()> onComplete;
+    /** Invoked when the transaction completes (may be empty).  Held
+     *  inline, so issuing a request never allocates. */
+    EventCallback onComplete;
 };
 
 /**

@@ -7,7 +7,6 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <memory>
 
 namespace vip
 {
@@ -198,56 +197,64 @@ MemoryController::access(MemRequest req)
     if (!_cfg.ideal)
         _wakePenalty = std::max(_wakePenalty, wakeForAccess());
 
+    // Transactions larger than the interleave granularity stripe
+    // across consecutive channels (this is what the interleaving is
+    // for); the completion fires when every stripe is done.  Ideal
+    // mode delivers the whole transaction as one burst.
+    const std::uint32_t stripes = _cfg.ideal
+        ? 1
+        : (req.bytes + _cfg.interleaveBytes - 1) / _cfg.interleaveBytes;
+    std::uint32_t t;
+    if (_txnFree.empty()) {
+        t = static_cast<std::uint32_t>(_txns.size());
+        _txns.emplace_back();
+    } else {
+        t = _txnFree.back();
+        _txnFree.pop_back();
+    }
+    _txns[t].onComplete = std::move(req.onComplete);
+    _txns[t].left = stripes;
+
     if (_cfg.ideal) {
-        auto cb = std::move(req.onComplete);
         Tick lat = _cfg.idealLatency;
         _latency.sample(toNs(lat));
         ++_idealInFlight;
-        scheduleIn(lat, [this, cb = std::move(cb)] {
+        scheduleIn(lat, [this, t] {
             --_idealInFlight;
-            if (cb)
-                cb();
+            finishStripe(t);
         }, EventPriority::Default, "dram.burst");
         return;
     }
 
-    // Transactions larger than the interleave granularity stripe
-    // across consecutive channels (this is what the interleaving is
-    // for); the original completion fires when every stripe is done.
-    if (req.bytes > _cfg.interleaveBytes) {
-        std::uint32_t stripes =
-            (req.bytes + _cfg.interleaveBytes - 1) /
-            _cfg.interleaveBytes;
-        auto left = std::make_shared<std::uint32_t>(stripes);
-        auto cb = std::make_shared<std::function<void()>>(
-            std::move(req.onComplete));
-        std::uint32_t remaining = req.bytes;
-        for (std::uint32_t s = 0; s < stripes; ++s) {
-            Pending p;
-            p.req.addr = req.addr + static_cast<Addr>(s) *
-                         _cfg.interleaveBytes;
-            p.req.bytes =
-                std::min(remaining, _cfg.interleaveBytes);
-            remaining -= p.req.bytes;
-            p.req.write = req.write;
-            p.req.requesterId = req.requesterId;
-            p.req.onComplete = [left, cb] {
-                if (--*left == 0 && *cb)
-                    (*cb)();
-            };
-            p.enqueued = curTick();
-            std::uint32_t ch = channelOf(p.req.addr);
-            ++_burstsAccepted;
-            _channels[ch].queue.push_back(std::move(p));
-            trySchedule(ch);
-        }
-        return;
+    std::uint32_t remaining = req.bytes;
+    for (std::uint32_t s = 0; s < stripes; ++s) {
+        const Addr addr =
+            req.addr + static_cast<Addr>(s) * _cfg.interleaveBytes;
+        const std::uint32_t bytes =
+            std::min(remaining, _cfg.interleaveBytes);
+        remaining -= bytes;
+        const std::uint32_t ch = channelOf(addr);
+        ++_burstsAccepted;
+        ++_inFlight;
+        _channels[ch].queue.push_back(Pending{bytes, req.requesterId, t,
+                                              bankOf(addr), rowOf(addr),
+                                              curTick()});
+        trySchedule(ch);
     }
+}
 
-    std::uint32_t ch = channelOf(req.addr);
-    ++_burstsAccepted;
-    _channels[ch].queue.push_back(Pending{std::move(req), curTick()});
-    trySchedule(ch);
+void
+MemoryController::finishStripe(std::uint32_t t)
+{
+    Txn &txn = _txns[t];
+    if (--txn.left != 0)
+        return;
+    // Free the slot before firing: the completion may issue accesses
+    // that reuse it or grow the pool.
+    EventCallback cb = std::move(txn.onComplete);
+    _txnFree.push_back(t);
+    if (cb)
+        cb();
 }
 
 bool
@@ -260,23 +267,13 @@ MemoryController::queueFull(Addr addr) const
 }
 
 std::size_t
-MemoryController::inFlight() const
+MemoryController::pickNext(const Channel &c)
 {
-    std::size_t n = 0;
-    for (const auto &c : _channels)
-        n += c.queue.size() + (c.busy ? 1 : 0);
-    return n;
-}
-
-std::size_t
-MemoryController::pickNext(const Channel &c, std::uint32_t ch) const
-{
-    (void)ch;
     // FR-FCFS: oldest row-hit first, else the oldest request.
     for (std::size_t i = 0; i < c.queue.size(); ++i) {
-        const auto &p = c.queue[i];
-        const Bank &b = c.banks[bankOf(p.req.addr)];
-        if (b.open && b.row == rowOf(p.req.addr))
+        const Pending &p = c.queue[i];
+        const Bank &b = c.banks[p.bank];
+        if (b.open && b.row == p.row)
             return i;
     }
     return 0;
@@ -289,12 +286,12 @@ MemoryController::trySchedule(std::uint32_t ch)
     if (c.busy || c.queue.empty())
         return;
 
-    std::size_t idx = pickNext(c, ch);
-    Pending p = std::move(c.queue[idx]);
+    std::size_t idx = pickNext(c);
+    const Pending p = c.queue[idx];
     c.queue.erase(c.queue.begin() + idx);
 
-    Bank &bank = c.banks[bankOf(p.req.addr)];
-    std::uint64_t row = rowOf(p.req.addr);
+    Bank &bank = c.banks[p.bank];
+    const std::uint64_t row = p.row;
 
     Tick access = _cfg.tCL;
     if (!bank.open) {
@@ -311,11 +308,11 @@ MemoryController::trySchedule(std::uint32_t ch)
         ++_rowHits;
         ++c.rowHits;
     }
-    c.bytes += p.req.bytes;
+    c.bytes += p.bytes;
     bank.open = true;
     bank.row = row;
 
-    Tick burst = fromNs(static_cast<double>(p.req.bytes) /
+    Tick burst = fromNs(static_cast<double>(p.bytes) /
                         _cfg.channelBytesPerNs);
     Tick service = access + burst + _wakePenalty;
     _wakePenalty = 0; // exit latency charged once
@@ -340,10 +337,8 @@ MemoryController::trySchedule(std::uint32_t ch)
     }
 
     c.busy = true;
-    double busyCount = 0;
-    for (const auto &cc : _channels)
-        busyCount += cc.busy ? 1.0 : 0.0;
-    _busyChannels.set(busyCount, curTick());
+    ++_busyCount;
+    _busyChannels.set(_busyCount, curTick());
 
     if (Tracer *tr = system().tracer();
         tr && tr->enabled(TraceCat::Dram)) {
@@ -358,28 +353,24 @@ MemoryController::trySchedule(std::uint32_t ch)
         // The requester id rides in the lane slot (no lanes in DRAM).
         tr->complete(TraceCat::Dram, _obsTrkCh[ch], _obsNmBurst,
                      curTick(), curTick() + service, -1, -1,
-                     static_cast<std::int32_t>(p.req.requesterId),
-                     static_cast<double>(p.req.bytes));
+                     static_cast<std::int32_t>(p.requesterId),
+                     static_cast<double>(p.bytes));
     }
     if (LatencyCollector *lc = system().latency())
         lc->recordDramBurst(service);
 
-    Tick enqueue = p.enqueued;
-    auto cb = std::move(p.req.onComplete);
-    scheduleIn(service, [this, ch, enqueue, cb = std::move(cb)] {
+    scheduleIn(service, [this, ch, enqueue = p.enqueued, txn = p.txn] {
         Channel &cc = _channels[ch];
         cc.busy = false;
+        --_busyCount;
+        --_inFlight;
         ++_burstsCompleted;
         ++cc.bursts;
-        double busy = 0;
-        for (const auto &c2 : _channels)
-            busy += c2.busy ? 1.0 : 0.0;
-        _busyChannels.set(busy, curTick());
+        _busyChannels.set(_busyCount, curTick());
         _latency.sample(toNs(curTick() - enqueue));
-        if (cb)
-            cb();
+        finishStripe(txn);
         trySchedule(ch);
-        if (inFlight() == 0)
+        if (_inFlight == 0)
             onAllIdle();
     }, EventPriority::Default, "dram.burst");
 }
@@ -482,10 +473,26 @@ void
 MemoryController::auditInvariants(AuditContext &ctx) const
 {
     // Burst conservation through the channel queues (the ideal-memory
-    // path bypasses the channels and both counters).
+    // path bypasses the channels and both counters), walked rather
+    // than read from the O(1) books, which are checked against it.
+    std::uint64_t busy = 0;
+    std::uint64_t walked = 0;
+    for (const auto &c : _channels) {
+        busy += c.busy ? 1 : 0;
+        walked += c.queue.size() + (c.busy ? 1 : 0);
+    }
     ctx.checkEq("mem.burst_conservation", _burstsAccepted,
-                _burstsCompleted + inFlight(),
+                _burstsCompleted + walked,
                 "accepted != completed + queued/busy");
+    ctx.checkEq("mem.inflight_count", _inFlight, walked,
+                "in-flight counter != queued + busy walk");
+    // Every queued, busy or ideal-mode burst holds one stripe of a
+    // live pooled transaction; free slots hold none.
+    std::uint64_t left = 0;
+    for (const Txn &txn : _txns)
+        left += txn.left;
+    ctx.checkEq("mem.txn_bursts", left, walked + _idealInFlight,
+                "pooled stripes != queued/busy + ideal bursts");
     // Every byte counted at the front door is attributed to exactly
     // one requester.
     std::uint64_t attributed = 0;
@@ -494,17 +501,8 @@ MemoryController::auditInvariants(AuditContext &ctx) const
     ctx.checkEq("mem.byte_attribution", _bytesRead + _bytesWritten,
                 attributed, "requester attribution leaks bytes");
     ctx.checkEq("mem.row_accounting", _rowHits + _rowMisses,
-                _burstsCompleted + (busyChannelCount()),
+                _burstsCompleted + busy,
                 "row decisions != bursts issued");
-}
-
-std::size_t
-MemoryController::busyChannelCount() const
-{
-    std::size_t n = 0;
-    for (const auto &c : _channels)
-        n += c.busy ? 1 : 0;
-    return n;
 }
 
 void
@@ -546,6 +544,10 @@ MemoryController::io(StateIO &io)
     vip_assert(io.loading() || quiescent(),
                "checkpointing a memory controller with bursts in "
                "flight");
+    // The completion pool is not serialized: no slot is live here.
+    vip_assert(io.loading() || _txnFree.size() == _txns.size(),
+               "checkpointing a memory controller with pooled "
+               "completions");
     io.u64(_windowBytes);
     io.tick(_windowStart);
     io.u64(_bytesRead);

@@ -14,7 +14,6 @@
 #ifndef VIP_MEM_MEMORY_CONTROLLER_HH
 #define VIP_MEM_MEMORY_CONTROLLER_HH
 
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -47,8 +46,8 @@ class MemoryController : public SimObject
     /** True when the channel serving @p addr has a full queue. */
     bool queueFull(Addr addr) const;
 
-    /** Number of queued + in-flight transactions on all channels. */
-    std::size_t inFlight() const;
+    /** Number of queued + in-flight bursts on all channels. */
+    std::size_t inFlight() const { return _inFlight; }
 
     const DramConfig &config() const { return _cfg; }
 
@@ -120,10 +119,24 @@ class MemoryController : public SimObject
     void io(StateIO &io);
 
   private:
+    /** One queued burst (a stripe of a transaction), decoded once at
+     *  enqueue.  Trivially copyable: the queues move plain bytes. */
     struct Pending
     {
-        MemRequest req;
+        std::uint32_t bytes;
+        std::uint32_t requesterId;
+        std::uint32_t txn; ///< index into _txns
+        std::uint32_t bank;
+        std::uint64_t row;
         Tick enqueued;
+    };
+
+    /** A transaction's completion, fired when its last stripe is
+     *  serviced.  Slot-pooled in _txns; a free slot has left == 0. */
+    struct Txn
+    {
+        EventCallback onComplete;
+        std::uint32_t left = 0; ///< stripes not yet serviced
     };
 
     struct Bank
@@ -134,7 +147,7 @@ class MemoryController : public SimObject
 
     struct Channel
     {
-        std::deque<Pending> queue;
+        std::vector<Pending> queue; ///< arrival order
         std::vector<Bank> banks;
         bool busy = false;
 
@@ -153,11 +166,12 @@ class MemoryController : public SimObject
     /** Start servicing the next request on @p ch if idle. */
     void trySchedule(std::uint32_t ch);
 
-    /** Channels with a burst in service right now. */
-    std::size_t busyChannelCount() const;
+    /** Count one serviced stripe of transaction @p t; the last one
+     *  frees the slot and fires the completion. */
+    void finishStripe(std::uint32_t t);
 
     /** FR-FCFS: index of the first row-hit request, else 0. */
-    std::size_t pickNext(const Channel &c, std::uint32_t ch) const;
+    static std::size_t pickNext(const Channel &c);
 
     void sampleBandwidth();
 
@@ -183,6 +197,16 @@ class MemoryController : public SimObject
 
     /** Ideal-mode completions scheduled but not yet delivered. */
     std::uint64_t _idealInFlight = 0;
+
+    /** Queued + busy bursts over all channels (inFlight()). */
+    std::size_t _inFlight = 0;
+    /** Channels with a burst in service. */
+    std::uint32_t _busyCount = 0;
+
+    /** Completion pool; empty of live slots at every quiescent point,
+     *  so it is never checkpointed. */
+    std::vector<Txn> _txns;
+    std::vector<std::uint32_t> _txnFree; ///< free slots, LIFO
 
     // Aggregate counters
     std::uint64_t _bytesRead = 0;

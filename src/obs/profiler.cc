@@ -1,6 +1,8 @@
 #include "obs/profiler.hh"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstring>
 #include <ostream>
 
@@ -38,8 +40,31 @@ const char *const kProfKindCatalog[] = {
 const std::size_t kProfKindCatalogSize =
     sizeof(kProfKindCatalog) / sizeof(kProfKindCatalog[0]);
 
+namespace
+{
+
+/** Median of ~1,000 back-to-back steady_clock pairs, in ns. */
+double
+measureClockPairNs()
+{
+    using Clock = std::chrono::steady_clock;
+    std::array<std::int64_t, 1001> ns{};
+    for (std::int64_t &v : ns) {
+        const auto t0 = Clock::now();
+        const auto t1 = Clock::now();
+        v = std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                .count();
+    }
+    auto mid = ns.begin() + ns.size() / 2;
+    std::nth_element(ns.begin(), mid, ns.end());
+    return static_cast<double>(*mid);
+}
+
+} // namespace
+
 Profiler::Profiler(const ProfConfig &cfg)
-    : _sampleEvery(cfg.sampleEvery == 0 ? 1 : cfg.sampleEvery)
+    : _sampleEvery(cfg.sampleEvery == 0 ? 1 : cfg.sampleEvery),
+      _clockPairNs(measureClockPairNs())
 {
     _used.reserve(kSlots);
     _timeline.reserve(kTimelineCap);
@@ -83,6 +108,7 @@ Profiler::rows() const
             out.push_back(ProfKindRow{});
             row = &out.back();
             row->kind = s.kind;
+            row->clockPairNs = _clockPairNs;
         }
         row->count += s.count;
         row->sampled += s.sampled;
@@ -135,9 +161,10 @@ Profiler::writeJson(
     const std::uint64_t events = dispatches();
     const std::uint64_t sampled = sampledDispatches();
 
-    // Wall time attributed to sampled callbacks, scaled up by the
-    // sampling ratio: the remainder of runWallMs is the loop itself
-    // (heap ops and the pre-service hook between events).
+    // Wall time attributed to sampled callbacks, net of the timer
+    // and scaled up by the sampling ratio: the remainder of runWallMs
+    // is the loop itself (heap ops and the pre-service hook between
+    // events).
     double estCallbackNs = 0.0;
     for (const ProfKindRow &r : table)
         estCallbackNs += r.estTotalNs();
@@ -167,6 +194,7 @@ Profiler::writeJson(
     os << "  \"sim_ms\": " << simMs << ",\n"
        << "  \"wall_ms\": " << _runWallMs << ",\n"
        << "  \"sample_every\": " << _sampleEvery << ",\n"
+       << "  \"clock_pair_ns\": " << _clockPairNs << ",\n"
        << "  \"events\": " << events << ",\n"
        << "  \"sampled\": " << sampled << ",\n"
        << "  \"est_callback_ms\": " << estCallbackNs / 1e6 << ",\n";

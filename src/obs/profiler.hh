@@ -60,14 +60,20 @@ struct ProfKindRow
     std::uint64_t count = 0;   ///< all dispatches
     std::uint64_t sampled = 0; ///< dispatches that were wall-timed
     std::uint64_t wallNs = 0;  ///< summed wall ns over sampled ones
-    /** count-scaled estimate of this kind's total callback wall ns. */
+    /** Timer cost inside each sampled dispatch's wall ns. */
+    double clockPairNs = 0.0;
+    /** count-scaled estimate of this kind's total callback wall ns,
+     *  net of the clock reads that timed it (never below 0). */
     double estTotalNs() const
     {
-        return sampled == 0
-                   ? 0.0
-                   : static_cast<double>(wallNs) *
-                         (static_cast<double>(count) /
-                          static_cast<double>(sampled));
+        if (sampled == 0)
+            return 0.0;
+        const double net =
+            std::max(0.0, static_cast<double>(wallNs) -
+                              static_cast<double>(sampled) *
+                                  clockPairNs);
+        return net * (static_cast<double>(count) /
+                      static_cast<double>(sampled));
     }
 };
 
@@ -123,6 +129,9 @@ class Profiler
     std::uint64_t dispatches() const;
     std::uint64_t sampledDispatches() const;
     std::uint64_t sampleEvery() const { return _sampleEvery; }
+    /** Median wall ns of one back-to-back steady_clock pair, measured
+     *  at construction: the overhead each timed dispatch carries. */
+    double clockPairNs() const { return _clockPairNs; }
     double runWallMs() const { return _runWallMs; }
 
     /** Per-kind rows merged by name, sorted by estimated wall cost
@@ -225,6 +234,7 @@ class Profiler
     static constexpr std::size_t kTimelineCap = 2048;
 
     std::uint64_t _sampleEvery;
+    double _clockPairNs;
     std::uint64_t _sinceSample = 0;
     KindSlot *_curSlot = nullptr;
     std::chrono::steady_clock::time_point _t0{};

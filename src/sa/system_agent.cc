@@ -1,7 +1,6 @@
 #include "sa/system_agent.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/latency.hh"
 #include "obs/stat_registry.hh"
@@ -94,9 +93,23 @@ SystemAgent::transferAttempt(std::uint32_t bytes, Callback done,
 void
 SystemAgent::memoryAccess(MemRequest req)
 {
-    auto r = std::make_shared<MemRequest>(std::move(req));
-    transferAttempt(r->bytes,
-                    [this, r] { _mem.access(std::move(*r)); }, 0);
+    std::uint32_t slot;
+    if (_parkedFree.empty()) {
+        slot = static_cast<std::uint32_t>(_parked.size());
+        _parked.push_back(std::move(req));
+    } else {
+        slot = _parkedFree.back();
+        _parkedFree.pop_back();
+        _parked[slot] = std::move(req);
+    }
+    // [this, slot] fits std::function's inline buffer; CRC retries
+    // re-send the same slot.
+    transferAttempt(_parked[slot].bytes, [this, slot] {
+        MemRequest r = std::move(_parked[slot]);
+        _parked[slot].bytes = 0;
+        _parkedFree.push_back(slot);
+        _mem.access(std::move(r));
+    }, 0);
 }
 
 void
@@ -174,6 +187,12 @@ SystemAgent::auditInvariants(AuditContext &ctx) const
                 "link bytes != accepted + retransmitted");
     ctx.checkLe("sa.peer_subset", _peerBytes, _bytesAccepted,
                 "peer bytes exceed total accepted");
+    // Parked DRAM requests are on the link; free slots hold 0 bytes.
+    std::uint64_t parked = 0;
+    for (const MemRequest &r : _parked)
+        parked += r.bytes;
+    ctx.checkLe("sa.parked_bytes", parked, _bytesInFlight,
+                "parked request bytes exceed bytes in flight");
 }
 
 void
@@ -198,6 +217,9 @@ SystemAgent::io(StateIO &io)
     vip_assert(io.loading() || quiescent(),
                "checkpointing the SA with payload or signals in "
                "flight");
+    // The parking pool is not serialized: no slot is live here.
+    vip_assert(io.loading() || _parkedFree.size() == _parked.size(),
+               "checkpointing the SA with parked requests");
     io.tick(_busyUntil);
     io.tick(_busyTicks);
     io.u64(_bytesMoved);

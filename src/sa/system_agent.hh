@@ -14,6 +14,7 @@
 #define VIP_SA_SYSTEM_AGENT_HH
 
 #include <functional>
+#include <vector>
 
 #include "fault/fault_injector.hh"
 #include "mem/memory_controller.hh"
@@ -48,7 +49,9 @@ class SystemAgent : public SimObject
     /**
      * DMA a transaction to/from DRAM.  Charges SA occupancy for the
      * payload, then issues the DRAM access; req.onComplete fires when
-     * the DRAM transaction finishes.
+     * the DRAM transaction finishes.  The request waits in a pooled
+     * slot while it crosses the link, so this never allocates once
+     * the pool has grown to the platform's peak DMA concurrency.
      */
     void memoryAccess(MemRequest req);
 
@@ -146,6 +149,12 @@ class SystemAgent : public SimObject
     /** Signal deliveries scheduled but not yet fired (not digested —
      *  purely a quiescence gate; always 0 at a checkpoint). */
     std::uint64_t _signalsInFlight = 0;
+
+    /** DRAM-bound requests crossing the link, by slot; a free slot
+     *  has bytes == 0.  Empty of live slots at every quiescent point,
+     *  so it is never checkpointed. */
+    std::vector<MemRequest> _parked;
+    std::vector<std::uint32_t> _parkedFree; ///< free slots, LIFO
 
     // ---- observability (tracer string ids; never digested) ----
     std::uint32_t _obsTrkLink = 0;

@@ -54,7 +54,10 @@ class EventCallback
   public:
     static constexpr std::size_t kCapacity = 56;
 
-    EventCallback() = default;
+    /** Empty; the zeroed buffer keeps moving an empty callback (as in
+     *  a MemRequest without a completion) clear of uninitialized
+     *  reads in the compiler's eyes. */
+    EventCallback() noexcept : _buf{} {}
 
     template <typename F, typename Fn = std::decay_t<F>,
               typename = std::enable_if_t<
@@ -83,6 +86,8 @@ class EventCallback
     ~EventCallback() { reset(); }
 
     void operator()() { _ops->invoke(_buf); }
+
+    explicit operator bool() const noexcept { return _ops != nullptr; }
 
   private:
     struct Ops

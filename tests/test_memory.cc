@@ -243,6 +243,71 @@ TEST_F(MemoryTest, DramEnergyAccrues)
     EXPECT_GT(ledger->categoryNj("dram"), 0.0);
 }
 
+TEST_F(MemoryTest, StripedRequestCompletesOnceAfterLastStripe)
+{
+    // A 4 KB read stripes over all four channels.  Channel 2 is busy
+    // with a 1 KB read of the same row, so that stripe finishes one
+    // row hit after it; the other three finish at the first burst.
+    DramConfig cfg = testDram();
+    buildPlatform(false, cfg);
+    MemRequest busy;
+    busy.addr = 2 * cfg.interleaveBytes;
+    busy.bytes = cfg.interleaveBytes;
+    mem->access(std::move(busy));
+
+    int fired = 0;
+    Tick at = 0;
+    MemRequest req;
+    req.addr = 0;
+    req.bytes = 4 * cfg.interleaveBytes;
+    req.onComplete = [&] {
+        ++fired;
+        at = sys->curTick();
+    };
+    mem->access(std::move(req));
+    run();
+
+    const Tick burst = fromNs(cfg.interleaveBytes / cfg.channelBytesPerNs);
+    const Tick miss = cfg.tRCD + cfg.tCL + burst;
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(at, miss + cfg.tCL + burst);
+    EXPECT_EQ(mem->burstsCompleted(), 5u);
+    EXPECT_EQ(mem->inFlight(), 0u);
+}
+
+TEST_F(MemoryTest, CompletionMayIssueMoreAccesses)
+{
+    // The first completion issues 64 transactions (1-4 stripes each)
+    // while its own pool slot is being recycled, so the completion
+    // pool grows under a running completion.  Each fires exactly once,
+    // in either memory mode.
+    for (bool ideal : {false, true}) {
+        buildPlatform(ideal);
+        std::vector<int> fired(64, 0);
+        int first = 0;
+        MemRequest req;
+        req.addr = 0;
+        req.bytes = 4096;
+        req.onComplete = [&] {
+            ++first;
+            for (std::uint32_t i = 0; i < fired.size(); ++i) {
+                MemRequest more;
+                more.addr = Addr(i) * 8192;
+                more.bytes = (i % 4 + 1) * 1024;
+                more.write = i % 2 == 1;
+                more.onComplete = [&fired, i] { ++fired[i]; };
+                mem->access(std::move(more));
+            }
+        };
+        mem->access(std::move(req));
+        run();
+        EXPECT_EQ(first, 1) << "ideal=" << ideal;
+        for (std::size_t i = 0; i < fired.size(); ++i)
+            EXPECT_EQ(fired[i], 1) << "access " << i << " ideal=" << ideal;
+        EXPECT_TRUE(mem->quiescent());
+    }
+}
+
 
 class MemoryLowPowerTest : public PlatformFixture
 {

@@ -134,6 +134,11 @@ TEST(Profiler, WriteJsonParsesAndBalances)
               Profiler::kSchemaVersion);
     EXPECT_GT(json::numField(root, "sim_ms"), 0.0);
     EXPECT_GT(json::numField(root, "wall_ms"), 0.0);
+    const Profiler *p = sim.profiler();
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(json::numField(root, "clock_pair_ns"), p->clockPairNs());
+    for (const ProfKindRow &r : p->rows())
+        EXPECT_EQ(r.clockPairNs, p->clockPairNs()) << r.kind;
 
     const auto *kinds = root.find("kinds");
     ASSERT_NE(kinds, nullptr);
@@ -148,6 +153,24 @@ TEST(Profiler, WriteJsonParsesAndBalances)
     const auto *tl = eq->find("timeline");
     ASSERT_NE(tl, nullptr);
     EXPECT_FALSE(tl->arr.empty());
+}
+
+TEST(Profiler, EstimateNetsOutTheClockPair)
+{
+    // 10 of 640 dispatches were timed, 1,000 ns in all; each timed
+    // one also paid a 30 ns clock pair: (1000 - 10 x 30) x 64.
+    ProfKindRow r;
+    r.count = 640;
+    r.sampled = 10;
+    r.wallNs = 1000;
+    EXPECT_DOUBLE_EQ(r.estTotalNs(), 64000.0); // no field: not netted
+    r.clockPairNs = 30.0;
+    EXPECT_DOUBLE_EQ(r.estTotalNs(), 44800.0);
+    // A clock pair dearer than the measured wall clamps at 0.
+    r.clockPairNs = 150.0;
+    EXPECT_DOUBLE_EQ(r.estTotalNs(), 0.0);
+    r.sampled = 0;
+    EXPECT_DOUBLE_EQ(r.estTotalNs(), 0.0);
 }
 
 TEST(Profiler, StatsRegistryExposesProfNamespace)

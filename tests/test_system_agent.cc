@@ -82,6 +82,31 @@ TEST_F(SaTest, MemoryAccessRoutesThroughDram)
     EXPECT_EQ(mem->bytesRead(), 1024u);
 }
 
+TEST_F(SaTest, MemoryAccessSurvivesTransferRetries)
+{
+    // Every crossing fails its CRC until the retry budget (3) is
+    // spent: the parked request crosses the link 4 times, then
+    // reaches DRAM once and completes once.
+    FaultInjector faults(FaultPlan::parse("xfer=1,xfer-retries=3"));
+    SystemAgent faulty(*sys, "t.sa.faulty", SaConfig{}, *mem, *ledger,
+                       &faults);
+    const std::uint32_t bytes = 4096;
+    int done = 0;
+    MemRequest req;
+    req.addr = 0;
+    req.bytes = bytes;
+    req.onComplete = [&] { ++done; };
+    faulty.memoryAccess(std::move(req));
+    run();
+    EXPECT_EQ(done, 1);
+    EXPECT_EQ(faulty.transferRetries(), 3u);
+    EXPECT_EQ(faulty.bytesMoved(), 4u * bytes);
+    EXPECT_EQ(faulty.bytesRetransmitted(), 3u * bytes);
+    EXPECT_EQ(faulty.bytesDelivered(), bytes);
+    EXPECT_EQ(mem->bytesRead(), bytes);
+    EXPECT_EQ(mem->burstsCompleted(), bytes / mem->config().interleaveBytes);
+}
+
 TEST_F(SaTest, UtilizationReflectsBusyTime)
 {
     SaConfig cfg;

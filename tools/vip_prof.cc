@@ -119,6 +119,9 @@ main(int argc, char **argv)
             vip::json::numField(doc, "sample_every");
         const double estCbMs =
             vip::json::numField(doc, "est_callback_ms");
+        // 0 in reports written before the profiler netted it out.
+        const double clockPairNs =
+            vip::json::numField(doc, "clock_pair_ns");
 
         std::printf("profile     : %s\n", file.c_str());
         if (const vip::json::JsonValue *run = doc.find("run")) {
@@ -145,6 +148,10 @@ main(int argc, char **argv)
                         100.0 * estCbMs / wallMs);
         } else {
             std::printf("est callback: %.3f ms\n", estCbMs);
+        }
+        if (clockPairNs > 0.0) {
+            std::printf("clock pair  : %.1f ns per timed dispatch, "
+                        "netted out of est_ms\n", clockPairNs);
         }
 
         // Queue pressure: maxima plus the sampled occupancy
