@@ -1,10 +1,8 @@
 #include "core/simulation.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <ostream>
@@ -16,19 +14,6 @@
 
 namespace vip
 {
-
-namespace
-{
-
-/**
- * Flight-recorder checkpoint-ring cadence (simulated ms) when the
- * user gave no --checkpoint-every-ms.  Snapshots land at the first
- * quiescent point after each boundary and rotate 2-deep, so a killed
- * soak loses at most ~one ring period of progress.
- */
-constexpr double kRecorderRingMs = 50.0;
-
-} // namespace
 
 Simulation::Simulation(SocConfig cfg, Workload workload)
     : _cfg(std::move(cfg)), _wl(std::move(workload)), _sys(_cfg.seed),
@@ -550,16 +535,6 @@ Simulation::run()
         // cannot see.
         if (_cfg.audit.enabled())
             _auditor.runAudit(_sys.curTick());
-        // Final snapshot: only valid at a quiescent point.  A run
-        // that ends mid-frame still has its cadence checkpoints.
-        if (!_cfg.checkpointOut.empty()) {
-            if (quiescent())
-                saveCheckpoint(_cfg.checkpointOut);
-            else if (_checkpointsWritten == 0)
-                warn("checkpoint: run ended mid-frame and no cadence "
-                     "boundary was reached; no snapshot written to ",
-                     _cfg.checkpointOut);
-        }
     } catch (const SimFatal &e) {
         writePostmortem(e.what(), "fatal");
         throw;
@@ -576,88 +551,87 @@ Simulation::run()
 void
 Simulation::runEventLoop(Tick limit)
 {
-    // Arm the configured checkpoint cadence.  The flight recorder
-    // additionally keeps a snapshot ring next to its crash bundle, so
-    // a SIGKILLed or crashed soak can be resumed from the last
-    // quiescent point instead of restarting from zero.
-    Tick start = _sys.curTick();
-    auto firstBoundary = [start](Tick period) {
-        return (start / period + 1) * period;
-    };
-    if (!_cfg.checkpointOut.empty() && _cfg.checkpointEveryMs > 0.0) {
-        Tick period = fromMs(_cfg.checkpointEveryMs);
-        _plans.push_back(
-            {_cfg.checkpointOut, firstBoundary(period), period});
-    }
+    // The resume destinations -- --checkpoint-out, then the flight
+    // recorder's ring next to its crash bundle -- share one cadence.
+    // At the first quiescent point at or after each boundary the
+    // state is serialized once and written to all of them, so a
+    // SIGKILLed or crashed run resumes from there instead of from
+    // zero.  The run's end gets no snapshot: it resumes no events.
+    std::vector<std::string> resume;
+    if (!_cfg.checkpointOut.empty())
+        resume.push_back(_cfg.checkpointOut);
     if (!_cfg.postmortemDir.empty()) {
-        Tick period = _cfg.checkpointEveryMs > 0.0
-                          ? fromMs(_cfg.checkpointEveryMs)
-                          : fromMs(kRecorderRingMs);
-        namespace fs = std::filesystem;
-        std::string path =
-            (fs::path(_cfg.postmortemDir) / "checkpoint.vips").string();
-        _plans.push_back({path, firstBoundary(period), period});
+        resume.push_back((std::filesystem::path(_cfg.postmortemDir) /
+                          "checkpoint.vips")
+                             .string());
     }
-    bool probe = std::getenv("VIP_QUIESCENCE_PROBE") != nullptr;
+    const Tick start = _sys.curTick();
+    const Tick period = _cfg.checkpointEveryMs > 0.0
+                            ? fromMs(_cfg.checkpointEveryMs)
+                            : 0;
+    if (!resume.empty() && period == 0)
+        fatal("checkpoint cadence must be at least one tick, got ",
+              _cfg.checkpointEveryMs, " ms");
+    Tick boundary =
+        resume.empty() ? MaxTick : (start / period + 1) * period;
+    bool resumeWritten = false;
     auto pendingSignal = [this] {
         return _cfg.interruptFlag
                    ? _cfg.interruptFlag->load(std::memory_order_relaxed)
                    : 0;
     };
-    if (_plans.empty() && !probe && !_cfg.interruptFlag && !_ts) {
+    if (resume.empty() && _oneShots.empty() && !_cfg.interruptFlag &&
+        !_ts) {
         _sys.run(limit);
         return;
     }
 
-    std::uint64_t points = 0, quiet = 0;
-    Tick lastQuiet = start, maxGap = 0;
     auto hook = [&](Tick next) {
-        // Graceful interrupt: stop at the first quiescent point,
-        // after writing a final checkpoint to every armed plan so the
-        // interrupted run leaves a resumable trail.  With no plans
-        // armed there is nothing to flush — stop immediately.
+        // Graceful interrupt: stop at the first quiescent point, after
+        // writing the resume destinations so the interrupted run
+        // leaves a resumable trail.  One-shots are not written: each
+        // holds the state of its own tick or nothing.  With no resume
+        // destination there is nothing to write -- stop at once.
         if (int sig = pendingSignal(); sig != 0 && !_interrupted &&
-                                       (_plans.empty() || quiescent())) {
-            for (CheckpointPlan &p : _plans)
-                saveCheckpoint(p.path);
+                                       (resume.empty() || quiescent())) {
+            if (!resume.empty()) {
+                saveCheckpoint(resume);
+                resumeWritten = true;
+            }
             _interrupted = true;
             _interruptSig = sig;
             _sys.eventq().requestStop();
             return;
         }
-        ++points;
-        bool due = probe;
-        for (const CheckpointPlan &p : _plans)
-            due = due || next >= p.next;
+        bool due = next >= boundary;
+        for (const OneShot &o : _oneShots)
+            due = due || next >= o.when;
         if (due && quiescent()) {
-            ++quiet;
-            maxGap = std::max(maxGap, next - lastQuiet);
-            lastQuiet = next;
-            for (CheckpointPlan &p : _plans) {
-                if (next < p.next)
-                    continue;
-                saveCheckpoint(p.path);
-                if (p.period > 0) {
-                    while (p.next <= next)
-                        p.next += p.period;
-                } else {
-                    p.next = MaxTick;
-                }
+            if (next >= boundary) {
+                saveCheckpoint(resume);
+                resumeWritten = true;
+                boundary = (next / period + 1) * period;
             }
+            std::erase_if(_oneShots, [&](const OneShot &o) {
+                if (next < o.when)
+                    return false;
+                saveCheckpoint({o.path});
+                return true;
+            });
         }
         // Sampling comes after any checkpoint write: a snapshot taken
         // here then holds only rows at or before its own tick, and
         // the restored run samples the boundaries up to `next` itself,
         // exactly as the uninterrupted run does.  Detection arms the
-        // one-shot --checkpoint-on-steady plan, which a later hook
+        // one-shot --checkpoint-on-steady snapshot, which a later hook
         // writes at the first quiescent point.
         if (_ts) {
             _ts->observe(next);
             if (!_steadyPlanArmed && _ts->steadyDetected() &&
                 !_cfg.ts.checkpointOnSteady.empty()) {
                 _steadyPlanArmed = true;
-                _plans.push_back({_cfg.ts.checkpointOnSteady,
-                                  _ts->steadyTick(), 0});
+                _oneShots.push_back({_cfg.ts.checkpointOnSteady,
+                                     _ts->steadyTick()});
             }
         }
     };
@@ -669,15 +643,25 @@ Simulation::runEventLoop(Tick limit)
         _interrupted = true;
         _interruptSig = sig;
     }
-    if (probe) {
-        maxGap = std::max(maxGap, _sys.curTick() - lastQuiet);
-        // Explicitly requested via the environment, so bypass the
-        // default verbosity gate.
-        logging::emit("probe",
-                      logging::format(
-                          "quiescence: ", quiet, " of ", points,
-                          " pre-service points quiescent; longest "
-                          "dry gap ", toMs(maxGap), " ms"));
+    // Say why a resume destination stayed empty: a killed run of
+    // this cell restarts from zero.
+    if (!resume.empty() && !resumeWritten) {
+        std::string dests;
+        for (const std::string &r : resume)
+            dests += (dests.empty() ? "" : ", ") + r;
+        const Tick passed = _sys.curTick() / period - start / period;
+        if (passed == 0) {
+            warn("checkpoint: the run ended before its first cadence "
+                 "boundary (every ", _cfg.checkpointEveryMs,
+                 " ms); no snapshot written to ", dests);
+        } else {
+            warn("checkpoint: ", passed,
+                 passed == 1 ? " cadence boundary" : " cadence boundaries",
+                 " (every ", _cfg.checkpointEveryMs, " ms) passed, but "
+                 "the platform never reached a quiescent point after ",
+                 passed == 1 ? "it" : "them", "; no snapshot written to ",
+                 dests);
+        }
     }
 }
 
@@ -764,7 +748,7 @@ Simulation::checkpointMeta() const
 }
 
 void
-Simulation::saveCheckpoint(const std::string &path)
+Simulation::saveCheckpoint(const std::vector<std::string> &paths)
 {
     vip_assert(quiescent(),
                "saveCheckpoint at a non-quiescent point (tick ",
@@ -772,9 +756,9 @@ Simulation::saveCheckpoint(const std::string &path)
     SnapshotWriter w;
     StateIO io(w, _sys.eventq());
     stateIO(io);
-    w.writeFile(path, checkpointMeta());
-    ++_checkpointsWritten;
-    _lastCheckpointPath = path;
+    w.writeFile(paths, checkpointMeta());
+    _checkpointsWritten += paths.size();
+    _lastCheckpointPath = paths.back();
     _lastCheckpointTick = _sys.curTick();
 }
 
@@ -875,7 +859,7 @@ void
 Simulation::checkpointAt(Tick when, std::string path)
 {
     vip_assert(!_ran, "checkpointAt must be armed before run()");
-    _plans.push_back({std::move(path), when, 0});
+    _oneShots.push_back({std::move(path), when});
 }
 
 void

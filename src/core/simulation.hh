@@ -90,29 +90,15 @@ class Simulation
     void stopAppAt(const std::string &app_name, Tick when);
 
     /**
-     * True when every component is at a checkpointable quiescent
-     * point: no frames in any flow, no DMA/link transfers or CPU
-     * tasks in flight, no queued chain acquisitions or software
-     * submissions.  Only re-armable tracked events are pending then.
-     */
-    bool quiescent() const;
-
-    /**
-     * Write a snapshot of the current state to @p path (must be
-     * quiescent).  Normally driven by cfg.checkpointOut /
-     * cfg.checkpointEveryMs; exposed for tests and tools.
-     */
-    void saveCheckpoint(const std::string &path);
-
-    /**
-     * Arm a one-shot checkpoint, written to @p path at the first
-     * quiescent point at or after tick @p when.  Call before run().
-     * Checkpoint writes are observational: they never perturb the
-     * event stream or digests.
+     * Arm a one-shot checkpoint, written once to @p path at the first
+     * quiescent point at or after tick @p when and never rewritten.
+     * Call before run().  Checkpoint writes are observational: they
+     * never perturb the event stream or digests.
      */
     void checkpointAt(Tick when, std::string path);
 
-    /** Checkpoint files written so far (cadence + one-shots). */
+    /** Checkpoint files written so far (one per destination per
+     *  cadence boundary, plus one-shots). */
     std::uint64_t checkpointsWritten() const
     {
         return _checkpointsWritten;
@@ -122,8 +108,9 @@ class Simulation
      *
      * interrupted() is true when the run stopped early because the
      * flag fired; interruptSignal() is the stored signal number.  The
-     * newest checkpoint (written at the stopping quiescent point when
-     * any checkpoint plan was armed) is lastCheckpointPath(). */
+     * newest checkpoint (the resume destinations, written at the
+     * stopping quiescent point when any is armed) is
+     * lastCheckpointPath(). */
     bool interrupted() const { return _interrupted; }
     int interruptSignal() const { return _interruptSig; }
     const std::string &lastCheckpointPath() const
@@ -184,9 +171,19 @@ class Simulation
     /** The snapshot schema: every section, in order, for both
      *  saveCheckpoint() and restoreFrom(). */
     void stateIO(StateIO &io);
+    /**
+     * True when every component is at a checkpointable quiescent
+     * point: no frames in any flow, no DMA/link transfers or CPU
+     * tasks in flight, no queued chain acquisitions or software
+     * submissions.  Only re-armable tracked events are pending then.
+     */
+    bool quiescent() const;
+    /** Serialize the current (quiescent) state once and write it to
+     *  each of @p paths. */
+    void saveCheckpoint(const std::vector<std::string> &paths);
     /** Run the event loop, threading the pre-service hook when a
-     *  checkpoint plan, the sampler, an interrupt flag or the
-     *  quiescence probe needs it; otherwise the hook-free loop. */
+     *  checkpoint, the sampler or an interrupt flag needs it;
+     *  otherwise the hook-free loop. */
     void runEventLoop(Tick limit);
     /** @} */
 
@@ -253,16 +250,16 @@ class Simulation
         EventId id = InvalidEventId;
         Tick when = 0;
     };
-    /** An armed checkpoint: cadence (period > 0) or one-shot. */
-    struct CheckpointPlan
+    /** A one-shot checkpoint not yet written (checkpointAt() or the
+     *  steady seed); dropped once written. */
+    struct OneShot
     {
         std::string path;
-        Tick next;
-        Tick period; ///< 0 for one-shot
+        Tick when;
     };
     std::vector<StopIntent> _stopIntents;
     std::vector<StopEvent> _stopEvents;
-    std::vector<CheckpointPlan> _plans;
+    std::vector<OneShot> _oneShots;
     EventId _auditEvent = InvalidEventId;
     EventId _progressEvent = InvalidEventId;
     std::uint64_t _checkpointsWritten = 0;

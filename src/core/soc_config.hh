@@ -140,14 +140,6 @@ struct SocConfig
     TsConfig ts{};
 
     /**
-     * Unified stats registry dump (--stats-out): after the run, every
-     * registered counter is written as self-describing JSON.  The
-     * registry itself is always built and purely observational, so
-     * setting this leaves state digests bit-identical.
-     */
-    std::string statsOut;
-
-    /**
      * Postmortem flight recorder (--postmortem-dir): when the run
      * dies (SimFatal/SimPanic, including the no-progress guard and
      * strict-audit violations), a crash bundle — crash.json,
@@ -159,30 +151,34 @@ struct SocConfig
 
     /** @{ Checkpoint/restore (--checkpoint-out / --restore).
      *
-     * checkpointOut names the snapshot file written at the end of the
-     * run (and, with checkpointEveryMs > 0, periodically at the first
-     * quiescent point after each cadence boundary; each write rotates
-     * the previous file to <file>.prev).  restorePath resumes a run
-     * from a snapshot; the restored run must be started with the same
+     * checkpointOut and the postmortemDir ring
+     * (<postmortemDir>/checkpoint.vips) are the resume destinations:
+     * at the first quiescent point at or after every
+     * checkpointEveryMs boundary, one snapshot is written to each,
+     * rotating the previous file to <file>.prev.  The end of the run
+     * gets no snapshot.  restorePath resumes a run from a snapshot;
+     * the restored run must be started with the same
      * config/workload/seed — any skew is a SimFatal at load.  A
      * restored run's digest stream and stats output are bit-identical
      * to the uninterrupted run's.
      */
     std::string checkpointOut;
-    double checkpointEveryMs = 0.0;
+    double checkpointEveryMs = 50.0;
     std::string restorePath;
     /** @} */
 
     /**
      * Graceful-interrupt flag: when non-null and it becomes nonzero
      * (a signal number, stored by a SIGINT/SIGTERM handler or a fleet
-     * supervisor), the run stops early at the first quiescent point —
-     * after writing a final checkpoint to every armed checkpoint plan
-     * (the flight-recorder ring included), so interrupted runs always
-     * leave a resumable trail.  Simulation::interrupted() reports
+     * supervisor), the run stops early.  With a resume destination
+     * armed it stops at the first quiescent point, after writing a
+     * snapshot to every resume destination, so the interrupted run
+     * leaves a resumable trail; with none it stops at once.  One-shot
+     * snapshots (checkpointAt(), --checkpoint-on-steady) are never
+     * written by an interrupt.  Simulation::interrupted() reports
      * whether the run was cut short; streamed outputs (metrics CSV)
-     * are already flushed row-by-row and --stats-out is written by
-     * the driver afterwards as usual.
+     * are already flushed row by row, and the driver writes its
+     * other outputs afterwards as usual.
      */
     const std::atomic<int> *interruptFlag = nullptr;
 

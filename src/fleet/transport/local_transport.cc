@@ -98,8 +98,12 @@ struct LocalHandle : WorkerHandle
 } // namespace
 
 LocalTransport::LocalTransport(std::string vipSimPath)
-    : _vipSim(std::move(vipSimPath))
 {
+    // Workers chdir into their attempt directory before the exec, so
+    // a path relative to this process's directory is resolved now.
+    std::error_code ec;
+    const fs::path abs = fs::absolute(vipSimPath, ec);
+    _vipSim = ec ? std::move(vipSimPath) : abs.string();
 }
 
 std::unique_ptr<WorkerHandle>

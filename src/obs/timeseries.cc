@@ -105,7 +105,7 @@ TimeSeries::TimeSeries(const TsConfig &cfg, const StatRegistry &reg)
               "' selects no registered stat");
 
     for (std::size_t i = 0; i < _sel.size(); ++i) {
-        for (const std::string &g : _cfg.steadyStats) {
+        for (const char *g : kSteadyStats) {
             if (globMatch(g, _sel[i].path)) {
                 _tracks.push_back({i, {}, {}});
                 _trackedPaths.push_back(_sel[i].path);
@@ -113,10 +113,6 @@ TimeSeries::TimeSeries(const TsConfig &cfg, const StatRegistry &reg)
             }
         }
     }
-    if (_cfg.steadyWindow < 2)
-        fatal("time series: steadyWindow must be at least 2");
-    if (_cfg.steadyEvery < 1)
-        fatal("time series: steadyEvery must be at least 1");
 }
 
 void
@@ -184,8 +180,7 @@ TimeSeries::sampleAt(Tick t)
     // storage ring later keeps: its verdict must not depend on
     // decimation history.
     if (!_tracks.empty() && !_steady &&
-        t >= fromMs(_cfg.steadyWarmupMs) &&
-        _samples % _cfg.steadyEvery == 0)
+        t >= fromMs(kSteadyWarmupMs) && _samples % kSteadyEvery == 0)
         detectStep(t);
 
     // The CSV takes every sample; the ring only every _stride-th.
@@ -223,7 +218,7 @@ TimeSeries::sampleAt(Tick t)
 void
 TimeSeries::detectStep(Tick t)
 {
-    const std::size_t W = _cfg.steadyWindow;
+    const std::size_t W = kSteadyWindow;
     bool allSteady = true;
     for (Track &tr : _tracks) {
         const Sel &s = _sel[tr.sel];
@@ -263,7 +258,7 @@ TimeSeries::detectStep(Tick t)
                     sum / static_cast<double>(tr.metric.size());
                 const double denom = std::max(std::fabs(mean), 1e-9);
                 pass = (hi - lo) <=
-                       _cfg.steadyThresholdPct / 100.0 * denom;
+                       kSteadyThresholdPct / 100.0 * denom;
                 if (counter && !(mean > 0.0))
                     pass = false;
             }
@@ -309,10 +304,10 @@ TimeSeries::writeJson(
     os << "  \"steady\": {\"detected\": "
        << (_steady ? "true" : "false")
        << ", \"tick_ms\": " << num(steadyTickMs())
-       << ", \"threshold_pct\": " << num(_cfg.steadyThresholdPct)
-       << ", \"window\": " << _cfg.steadyWindow
-       << ", \"every\": " << _cfg.steadyEvery
-       << ", \"warmup_ms\": " << num(_cfg.steadyWarmupMs)
+       << ", \"threshold_pct\": " << num(kSteadyThresholdPct)
+       << ", \"window\": " << kSteadyWindow
+       << ", \"every\": " << kSteadyEvery
+       << ", \"warmup_ms\": " << num(kSteadyWarmupMs)
        << ", \"tracked\": [";
     for (std::size_t i = 0; i < _trackedPaths.size(); ++i)
         os << (i ? ", " : "") << '"' << _trackedPaths[i] << '"';
@@ -413,8 +408,7 @@ TimeSeries::io(StateIO &io)
     });
     io.b(_steady);
     io.tick(_steadyTick);
-    io.shape("timeseries", "steady-state tracks (steadyStats)",
-             _tracks.size());
+    io.shape("timeseries", "steady-state tracks", _tracks.size());
     for (Track &t : _tracks) {
         io.expect("timeseries", "steady-state track stat index",
                   static_cast<std::uint32_t>(t.sel));

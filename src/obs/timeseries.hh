@@ -22,15 +22,17 @@
  * — an armed run's digest stream is bit-identical to a bare one.
  *
  * The steady-state detector answers "has this run left the boot
- * transient yet?": every steadyEvery-th sample it pushes each tracked
- * series' value into a sliding window and declares steady at the
- * first step where every window's relative spread
+ * transient yet?": every kSteadyEvery-th sample it pushes each
+ * tracked series' value into a sliding window and declares steady at
+ * the first step where every window's relative spread
  * ((max - min) / |mean|) is under the threshold — counters (Exact
- * tolerance, monotone over the window) are judged on their windowed
- * rate, which must also be positive, so an idle all-zero counter can
- * never vote steady.  The verdict latches; sim.steady.tick exports it
- * through stats and series.json, and --checkpoint-on-steady turns it
- * into the warm-start seed snapshot.
+ * tolerance, monotone over the window) are judged on their cumulative
+ * mean rate (value / elapsed time, immune to the frame-count
+ * quantization a short windowed rate suffers), which must also be
+ * positive, so an idle all-zero counter can never vote steady.  The
+ * verdict latches; sim.steady.tick exports it through stats and
+ * series.json, and --checkpoint-on-steady turns it into the
+ * warm-start seed snapshot.
  *
  * Snapshot-safe: the interval, rows, decimation state and detector
  * windows serialize into the "timeseries" checkpoint section, so a
@@ -72,10 +74,24 @@ class TimeSeries
      *  change meaning. */
     static constexpr const char *kCsvTag = "# vip-metrics v2";
 
+    /** @{ Steady-state detector parameters (the algorithm is in the
+     *  file comment): the tracked series (globs); the spread ceiling,
+     *  in % of |mean|; the sliding window, in detector samples; series
+     *  samples per detector sample; simulated ms before the first.
+     *  They detect W4 on all five paper configurations at ~150-270
+     *  simulated ms. */
+    static constexpr const char *kSteadyStats[] = {"flow.*.completed",
+                                                   "sim.eventq.live"};
+    static constexpr double kSteadyThresholdPct = 50.0;
+    static constexpr std::size_t kSteadyWindow = 16;
+    static constexpr std::uint64_t kSteadyEvery = 4;
+    static constexpr double kSteadyWarmupMs = 50.0;
+    /** @} */
+
     /**
      * Select every stat of @p reg matching cfg.glob (must select at
      * least one; an empty selection is a configuration error) and
-     * resolve the detector's tracked set from cfg.steadyStats.  The
+     * resolve the detector's tracked set from kSteadyStats.  The
      * sampling cadence is cfg.intervalMs.
      */
     TimeSeries(const TsConfig &cfg, const StatRegistry &reg);

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace vip
 {
@@ -44,7 +43,8 @@ constexpr const char *kDefaultTsGlob =
  * bounded per-stat ring buffers with stride-doubling decimation, each
  * sample is optionally streamed as a row of the metrics CSV
  * (@ref metricsOut), and a steady-state detector runs a sliding-window
- * relative-spread test over the @ref steadyStats series.
+ * relative-spread test over the series TimeSeries::kSteadyStats
+ * names (its parameters are TimeSeries constants too).
  *
  * Everything here is purely observational: the sampler reads from
  * the event loop's pre-service hook (no scheduled events, no
@@ -78,37 +78,6 @@ struct TsConfig
 
     /** Sampling interval in simulated ms (--metrics-interval-ms). */
     double intervalMs = 1.0;
-
-    /**
-     * Series the steady-state detector watches (globs).  Stats with
-     * Tolerance::Exact that rise monotonically over the detector
-     * window are treated as counters and judged on their cumulative
-     * mean rate (value / elapsed time, which converges once the boot
-     * transient has been amortized and is immune to the frame-count
-     * quantization a short windowed rate suffers); everything else is
-     * judged on its raw value.
-     */
-    std::vector<std::string> steadyStats{"flow.*.completed",
-                                         "sim.eventq.live"};
-
-    /**
-     * Relative-spread ceiling: a tracked series is steady when
-     * (max - min) <= threshold% of |mean| over the sliding window
-     * (counters additionally need a positive mean rate).  The run is
-     * steady at the first detector step where every tracked series
-     * passes at once.  The defaults detect W4 on all five paper
-     * configurations between ~150 and ~270 simulated ms.
-     */
-    double steadyThresholdPct = 50.0;
-
-    /** Sliding-window length, in detector samples. */
-    std::uint32_t steadyWindow = 16;
-
-    /** Detector cadence: one detector sample per N series samples. */
-    std::uint32_t steadyEvery = 4;
-
-    /** Simulated ms before the detector starts watching at all. */
-    double steadyWarmupMs = 50.0;
 
     /**
      * --checkpoint-on-steady: when non-empty, detection arms a

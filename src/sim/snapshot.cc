@@ -90,8 +90,8 @@ SnapshotWriter::flushSection()
 }
 
 void
-SnapshotWriter::writeFile(const std::string &path,
-                          const SnapshotMeta &meta, bool rotate)
+SnapshotWriter::writeFile(const std::vector<std::string> &paths,
+                          const SnapshotMeta &meta)
 {
     flushSection();
 
@@ -120,27 +120,29 @@ SnapshotWriter::writeFile(const std::string &path,
     putU64(out, fnv1a(out.data(), out.size()));
 
     namespace fs = std::filesystem;
-    fs::path p(path);
-    std::error_code ec;
-    if (p.has_parent_path())
-        fs::create_directories(p.parent_path(), ec);
+    for (const std::string &path : paths) {
+        fs::path p(path);
+        std::error_code ec;
+        if (p.has_parent_path())
+            fs::create_directories(p.parent_path(), ec);
 
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            fatal("cannot write snapshot '", tmp, "'");
-        os.write(reinterpret_cast<const char *>(out.data()),
-                 static_cast<std::streamsize>(out.size()));
-        if (!os)
-            fatal("short write on snapshot '", tmp, "'");
+        std::string tmp = path + ".tmp";
+        {
+            std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+            if (!os)
+                fatal("cannot write snapshot '", tmp, "'");
+            os.write(reinterpret_cast<const char *>(out.data()),
+                     static_cast<std::streamsize>(out.size()));
+            if (!os)
+                fatal("short write on snapshot '", tmp, "'");
+        }
+        if (fs::exists(p, ec))
+            fs::rename(p, path + ".prev", ec); // best effort
+        fs::rename(tmp, p, ec);
+        if (ec)
+            fatal("cannot rename snapshot '", tmp, "' -> '", path,
+                  "': ", ec.message());
     }
-    if (rotate && fs::exists(p, ec))
-        fs::rename(p, path + ".prev", ec); // best effort
-    fs::rename(tmp, p, ec);
-    if (ec)
-        fatal("cannot rename snapshot '", tmp, "' -> '", path, "': ",
-              ec.message());
 }
 
 // --------------------------------------------------------------------

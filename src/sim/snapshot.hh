@@ -100,12 +100,13 @@ class SnapshotWriter
     std::size_t sections() const { return _sections.size(); }
 
     /**
-     * Serialize to @p path atomically (tmp + rename).  When @p rotate
-     * is set and @p path already exists, the previous snapshot is kept
-     * as "<path>.prev" (a 2-deep ring for crash resumability).
+     * Encode the snapshot once and write the same bytes to each of
+     * @p paths, atomically (tmp + rename).  When a path already
+     * exists, its previous snapshot is kept as "<path>.prev" (a
+     * 2-deep ring for crash resumability).
      */
-    void writeFile(const std::string &path, const SnapshotMeta &meta,
-                   bool rotate = true);
+    void writeFile(const std::vector<std::string> &paths,
+                   const SnapshotMeta &meta);
 
   private:
     void flushSection();

@@ -580,7 +580,6 @@ TEST_F(FleetTest, FleetShardMatchesDirectRunBitForBit)
     cfg.audit = AuditConfig::parse("periodic:1");
     cfg.ts.metricsOut = path("mirror.csv");
     cfg.ts.intervalMs = 1.0;
-    cfg.statsOut = path("mirror-stats.json");
     cfg.postmortemDir = path("mirror-pm");
     cfg.checkpointEveryMs = 20.0;
     Simulation sim(cfg, WorkloadCatalog::single(1));

@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
 #include <vector>
 
 #include "fleet/health.hh"
@@ -176,6 +178,31 @@ TEST_F(TransportTest, LocalManifestChecksumsPresentArtifacts)
     EXPECT_FALSE(digest->present); // never produced
 
     EXPECT_EQ(findArtifact(m, "no-such-artifact"), nullptr);
+}
+
+TEST_F(TransportTest, LocalWorkerPathMayBeRelative)
+{
+    // Workers run inside their attempt directory, so a worker binary
+    // named relative to the supervisor's working directory (as
+    // `vip_fleet --vip-sim ./build/tools/vip_sim` does) must still be
+    // found after the chdir.
+    const std::string script = write("worker.sh", "#!/bin/sh\nexit 0\n");
+    fs::permissions(script, fs::perms::owner_all);
+    LocalTransport t(fs::relative(script).string());
+    LaunchRequest req;
+    req.jobId = "job";
+    req.attemptDir = path("a1");
+    std::string err;
+    auto h = t.launch(req, &err);
+    ASSERT_NE(h, nullptr) << err;
+    PollResult r;
+    for (int i = 0; i < 500 && r.state != WorkerState::Exited; ++i) {
+        r = t.poll(*h);
+        if (r.state != WorkerState::Exited)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(r.state, WorkerState::Exited);
+    EXPECT_TRUE(r.ok) << readFile(path("a1/") + attempt_files::kLog);
 }
 
 TEST_F(TransportTest, HeartbeatTailReadsOnlyTheLastCompleteRow)

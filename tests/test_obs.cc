@@ -75,7 +75,7 @@ readCsv(const std::string &path)
 }
 
 std::string
-traceJson(Simulation &sim)
+traceText(Simulation &sim)
 {
     std::ostringstream os;
     sim.tracer()->writeJson(os, {{"workload", "test"}});
@@ -190,7 +190,7 @@ TEST_P(TraceWellFormed, SpansNestAndPairAcrossChain)
     ASSERT_NE(sim.tracer(), nullptr);
     EXPECT_GT(sim.tracer()->size(), 0u);
 
-    std::istringstream in(traceJson(sim));
+    std::istringstream in(traceText(sim));
     TraceFile f = parseTraceJson(in);
     EXPECT_EQ(f.droppedEvents, 0u);
     EXPECT_EQ(f.otherData.at("workload"), "test");
@@ -222,7 +222,7 @@ TEST(TraceDeterminism, SameSeedSameTraceBytes)
         Simulation sim(tracedConfig(SystemConfig::VIP),
                        WorkloadCatalog::byIndex(4));
         sim.run();
-        return traceJson(sim);
+        return traceText(sim);
     };
     std::string a = once();
     std::string b = once();
@@ -237,7 +237,7 @@ TEST(TraceFrameLifecycle, ReproducesRunStatsLatencyFromSpansAlone)
     Simulation sim(cfg, WorkloadCatalog::byIndex(4));
     RunStats stats = sim.run();
 
-    std::istringstream in(traceJson(sim));
+    std::istringstream in(traceText(sim));
     TraceFile f = parseTraceJson(in);
     auto frames = frameLifecycles(f);
     ASSERT_FALSE(frames.empty());

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "core/simulation.hh"
@@ -233,6 +234,39 @@ TEST(Simulation, GameAppProcessesTouchInput)
     EXPECT_GT(s.achievedFps, 30.0);
 }
 
+/** One vip_sim run: its exit status (-1 unless it exited) and its
+ *  stdout and stderr, interleaved. */
+struct CliRun
+{
+    int exit = -1;
+    std::string out;
+};
+
+CliRun
+vipSim(const std::string &args)
+{
+    const std::string cmd = std::string("timeout 10 ") + VIP_SIM_PATH +
+                            " " + args + " 2>&1";
+    CliRun r;
+    FILE *p = ::popen(cmd.c_str(), "r");
+    if (!p)
+        return r;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), p))
+        r.out += buf;
+    const int status = ::pclose(p);
+    if (WIFEXITED(status))
+        r.exit = WEXITSTATUS(status);
+    return r;
+}
+
+bool
+hasLine(const std::string &out, const std::string &prefix)
+{
+    return out.rfind(prefix, 0) == 0 ||
+           out.find("\n" + prefix) != std::string::npos;
+}
+
 TEST(VipSimCli, RejectsBadFlagValues)
 {
     // Each bad value must fail fast with exit 1 and a "fatal:" line:
@@ -249,22 +283,56 @@ TEST(VipSimCli, RejectsBadFlagValues)
     };
     for (const char *args : bad) {
         SCOPED_TRACE(args);
-        const std::string cmd = std::string("timeout 10 ") +
-                                VIP_SIM_PATH + " " + args +
-                                " --seconds 0.01 2>&1";
-        FILE *p = ::popen(cmd.c_str(), "r");
-        ASSERT_NE(p, nullptr);
-        std::string out;
-        char buf[256];
-        while (std::fgets(buf, sizeof(buf), p))
-            out += buf;
-        const int status = ::pclose(p);
-        ASSERT_TRUE(WIFEXITED(status));
-        EXPECT_EQ(WEXITSTATUS(status), 1) << out;
-        EXPECT_TRUE(out.rfind("fatal: ", 0) == 0 ||
-                    out.find("\nfatal: ") != std::string::npos)
-            << out;
+        const CliRun r = vipSim(std::string(args) + " --seconds 0.01");
+        EXPECT_EQ(r.exit, 1) << r.out;
+        EXPECT_TRUE(hasLine(r.out, "fatal: ")) << r.out;
     }
+}
+
+TEST(VipSimCli, UnwritableOutputFailsBeforeTheRun)
+{
+    // Every file vip_sim writes after the run is opened before the
+    // first event: an unwritable path is a fatal error naming the
+    // flag, and no report is printed because nothing was simulated.
+    const char *outputs[] = {
+        "--stats-out /nonexistent/stats.json",
+        "--prof=/nonexistent/prof.json",
+        "--ts-out /nonexistent/series.json",
+        "--trace-out /nonexistent/trace.json",
+        "--digest-out /nonexistent/run.dig",
+        "--frame-csv /nonexistent/frames.csv",
+    };
+    for (const std::string args : outputs) {
+        SCOPED_TRACE(args);
+        const CliRun r = vipSim(args + " --seconds 0.05");
+        const std::string flag = args.substr(0, args.find_first_of(" ="));
+        EXPECT_EQ(r.exit, 1) << r.out;
+        EXPECT_TRUE(hasLine(r.out, "fatal: " + flag + ": ")) << r.out;
+        EXPECT_EQ(r.out.find("===="), std::string::npos) << r.out;
+    }
+}
+
+TEST(VipSimCli, NamesTheCadenceBoundariesThatNeverQuiesced)
+{
+    // Baseline x W1 is memory-bound: once its flows start, some frame
+    // or DRAM transfer is always in flight, so no cadence boundary
+    // reaches a quiescent point and --checkpoint-out stays empty.
+    // The warning must say so, with the count: 0.3 s at 50 ms passes
+    // six boundaries.
+    const std::string ck =
+        ::testing::TempDir() + "vip-never-quiescent.vips";
+    std::filesystem::remove(ck);
+    const CliRun r = vipSim("--workload W1 --config baseline "
+                            "--seconds 0.3 --checkpoint-every-ms 50 "
+                            "--checkpoint-out " + ck);
+    EXPECT_EQ(r.exit, 0) << r.out;
+    EXPECT_NE(r.out.find("6 cadence boundaries (every 50 ms) passed, "
+                         "but the platform never reached a quiescent "
+                         "point after them; no snapshot written to " +
+                         ck),
+              std::string::npos)
+        << r.out;
+    EXPECT_FALSE(std::filesystem::exists(ck));
 }
 
 } // namespace

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -118,7 +120,7 @@ TEST_F(SnapshotTest, RoundTripBitIdenticalAllConfigs)
     // the uninterrupted run's.
     // All five configurations are busy (never quiescent) for long
     // stretches of the 0.4 s run; this window has quiescent points
-    // under every one of them (see the VIP_QUIESCENCE_PROBE env var).
+    // under every one of them (checkpointsWritten() checks it).
     const Tick points[] = {fromMs(270), fromMs(300), fromMs(330)};
     for (auto sc : kAllConfigs) {
         SCOPED_TRACE(systemConfigName(sc));
@@ -222,6 +224,116 @@ TEST_F(SnapshotTest, RoundTripWithFaultsAndFrameTrace)
     }
 }
 
+TEST_F(SnapshotTest, EveryCadenceSnapshotResumes)
+{
+    // --checkpoint-out at a 100 ms cadence keeps two generations, the
+    // file and its .prev, and each must resume to the uninterrupted
+    // run's digest stream and stats dump.  The run's end gets no
+    // snapshot: restore demands the same duration, so one taken there
+    // would resume no events and only re-run the final audit pass.
+    auto wl = WorkloadCatalog::byIndex(4);
+    const SocConfig base = auditedCfg(SystemConfig::FrameBurst);
+    Simulation ref(base, wl);
+    ref.run();
+    const RunOutput want = outputs(ref);
+
+    const std::string ck = path("ck.vips");
+    {
+        SocConfig cfg = base;
+        cfg.checkpointOut = ck;
+        cfg.checkpointEveryMs = 100.0;
+        Simulation writer(cfg, wl);
+        writer.run();
+        EXPECT_GE(writer.checkpointsWritten(), 2u);
+        const RunOutput got = outputs(writer);
+        EXPECT_EQ(got.statsJson, want.statsJson);
+        EXPECT_EQ(got.streamDigest, want.streamDigest);
+    }
+    for (const std::string &snap : {ck, ck + ".prev"}) {
+        SCOPED_TRACE(snap);
+        EXPECT_LT(SnapshotReader::readMeta(snap).tick,
+                  fromSec(base.simSeconds));
+        SocConfig cfg = base;
+        cfg.restorePath = snap;
+        Simulation resumed(cfg, wl);
+        resumed.run();
+        const RunOutput got = outputs(resumed);
+        EXPECT_EQ(got.statsJson, want.statsJson);
+        EXPECT_EQ(got.streamDigest, want.streamDigest);
+    }
+}
+
+TEST_F(SnapshotTest, ResumeDestinationsShareOneSnapshot)
+{
+    // --checkpoint-out and the --postmortem-dir ring are written from
+    // one serialization at each cadence boundary, so after the run
+    // they hold the same bytes, and so do their .prev generations.
+    // The ring is written second: crash.json and the interrupt's
+    // resume command name it.
+    SocConfig cfg = auditedCfg(SystemConfig::VIP);
+    cfg.checkpointOut = path("ck.vips");
+    cfg.postmortemDir = path("pm");
+    Simulation sim(cfg, WorkloadCatalog::byIndex(4));
+    sim.run();
+    const std::string ring = path("pm/checkpoint.vips");
+    EXPECT_GE(sim.checkpointsWritten(), 4u);
+    EXPECT_EQ(sim.checkpointsWritten() % 2, 0u);
+    EXPECT_EQ(sim.lastCheckpointPath(), ring);
+    const std::string bytes = readFile(ring);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_EQ(readFile(path("ck.vips")), bytes);
+    EXPECT_EQ(readFile(path("ck.vips.prev")), readFile(ring + ".prev"));
+
+    // A cadence below one tick has no boundaries: rejected up front.
+    cfg.checkpointEveryMs = 0.0;
+    Simulation zero(cfg, WorkloadCatalog::byIndex(4));
+    EXPECT_THROW(zero.run(), SimFatal);
+}
+
+TEST_F(SnapshotTest, InterruptWritesOnlyTheResumeDestinations)
+{
+    // A one-shot is written once, at the first quiescent point at or
+    // after its tick, and never again: an interrupt raised later
+    // writes the resume destinations (here the ring) and stops.
+    auto wl = WorkloadCatalog::byIndex(4);
+    const SocConfig base = auditedCfg(SystemConfig::Baseline);
+
+    Tick own = 0; // the one-shot's own quiescent point
+    {
+        Simulation sim(base, wl);
+        sim.checkpointAt(fromMs(100), path("ref.vips"));
+        sim.run();
+        own = SnapshotReader::readMeta(path("ref.vips")).tick;
+    }
+    ASSERT_GE(own, fromMs(100));
+
+    std::atomic<int> flag{0};
+    SocConfig cfg = base;
+    cfg.postmortemDir = path("pm");
+    cfg.interruptFlag = &flag;
+    Simulation sim(cfg, wl);
+    const std::string oneShot = path("one.vips");
+    sim.checkpointAt(fromMs(100), oneShot);
+    std::atomic<int> *f = &flag;
+    const Tick raise = own + fromMs(5);
+    sim.system().eventq().schedule(
+        raise, [f] { f->store(SIGINT); }, EventPriority::Default,
+        "test.interrupt");
+    sim.run();
+
+    ASSERT_TRUE(sim.interrupted());
+    EXPECT_EQ(sim.interruptSignal(), SIGINT);
+    EXPECT_EQ(SnapshotReader::readMeta(oneShot).tick, own);
+    EXPECT_FALSE(fs::exists(oneShot + ".prev"));
+    const std::string ring = path("pm/checkpoint.vips");
+    const Tick stop = sim.system().curTick();
+    EXPECT_GE(stop, raise);
+    EXPECT_LT(stop, fromSec(base.simSeconds));
+    EXPECT_EQ(sim.lastCheckpointPath(), ring);
+    EXPECT_EQ(sim.lastCheckpointTick(), stop);
+    EXPECT_EQ(SnapshotReader::readMeta(ring).tick, stop);
+}
+
 /** Writes one crafted, checksum-valid snapshot section. */
 std::string
 writeSection(const std::string &file, const std::string &section,
@@ -230,7 +342,7 @@ writeSection(const std::string &file, const std::string &section,
     SnapshotWriter w;
     w.beginSection(section);
     fill(w);
-    w.writeFile(file, SnapshotMeta{});
+    w.writeFile({file}, SnapshotMeta{});
     return file;
 }
 

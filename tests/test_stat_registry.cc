@@ -179,7 +179,6 @@ TEST(StatRegistry, RegistryAndStatsOutAreDigestNeutral)
         cfg.simSeconds = 0.05;
         cfg.audit = AuditConfig::parse("periodic:5");
         if (observability) {
-            cfg.statsOut = "unused-by-the-library"; // vip_sim writes it
             cfg.postmortemDir =
                 (fs::path(::testing::TempDir()) / "pm-neutral")
                     .string();

@@ -264,7 +264,7 @@ TEST(TimeSeriesPlane, SteadyDetectedOnAllConfigs)
         const TimeSeries *ts = sim.timeseries();
         ASSERT_NE(ts, nullptr);
         EXPECT_TRUE(ts->steadyDetected());
-        EXPECT_GE(ts->steadyTickMs(), cfg.ts.steadyWarmupMs);
+        EXPECT_GE(ts->steadyTickMs(), TimeSeries::kSteadyWarmupMs);
         EXPECT_LT(ts->steadyTickMs(), 350.0);
     }
 }

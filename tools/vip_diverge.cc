@@ -21,7 +21,10 @@
  * snapshot strictly before the first diverging tick (the last
  * known-good restore point) and prints the vip_sim command that
  * replays just the divergence window from it, instead of the whole
- * run from tick zero.
+ * run from tick zero.  Each snapshot file rotates only two
+ * generations deep (<file> and <file>.prev), so the directory covers
+ * just the last two cadence periods of the run; an earlier
+ * divergence has no snapshot before it and replays from tick zero.
  *
  * Exit status: 0 identical, 1 diverged, 2 usage/load error,
  * 3 one stream is a strict prefix of the other (truncation — e.g. a

@@ -18,8 +18,10 @@
 #include <charconv>
 #include <cmath>
 #include <csignal>
+#include <cstdarg>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -33,10 +35,11 @@ namespace
 
 /**
  * SIGINT/SIGTERM land here; the simulation polls the flag between
- * events and stops gracefully at the first quiescent point — final
- * checkpoint written, metrics rows already flushed, stats dumped on
- * the way out — so an interrupted run (or a fleet-killed worker)
- * always leaves a resumable trail.  main() exits 128+signal.
+ * events and stops gracefully at the first quiescent point — resume
+ * destinations written, metrics rows already flushed, the other
+ * outputs written on the way out — so an interrupted run (or a
+ * fleet-killed worker) always leaves a resumable trail.  main() exits
+ * 128+signal.
  */
 std::atomic<int> gSignal{0};
 
@@ -203,17 +206,21 @@ usage()
         "  --postmortem-dir <dir>       on a fatal error write a crash\n"
         "                               bundle (crash.json, stats.json,\n"
         "                               trace-tail.json) there; also\n"
-        "                               keeps a checkpoint ring so the\n"
-        "                               run is resumable after a kill\n"
-        "  --checkpoint-out <file>      write a snapshot at the end of\n"
-        "                               the run (and at every cadence\n"
-        "                               boundary with the flag below;\n"
-        "                               the prior file rotates to\n"
-        "                               <file>.prev)\n"
-        "  --checkpoint-every-ms <ms>   checkpoint cadence in simulated\n"
-        "                               ms; each snapshot lands at the\n"
-        "                               first quiescent point after a\n"
-        "                               boundary (0 = end only)\n"
+        "                               keeps a checkpoint ring\n"
+        "                               (<dir>/checkpoint.vips) at the\n"
+        "                               cadence below, so the run is\n"
+        "                               resumable after a kill\n"
+        "  --checkpoint-out <file>      write a snapshot at every\n"
+        "                               cadence boundary (the prior\n"
+        "                               file rotates to <file>.prev);\n"
+        "                               the end of the run gets none\n"
+        "  --checkpoint-every-ms <ms>   cadence of --checkpoint-out and\n"
+        "                               the --postmortem-dir ring, in\n"
+        "                               simulated ms (default 50); each\n"
+        "                               snapshot lands at the first\n"
+        "                               quiescent point at or after a\n"
+        "                               boundary, and an interrupt\n"
+        "                               writes one before it stops\n"
         "  --restore <file>             resume from a snapshot; pass\n"
         "                               the same workload/config/seed\n"
         "                               flags as the original run (any\n"
@@ -378,38 +385,32 @@ report(const vip::RunStats &s)
     }
 }
 
-/** Write the trace JSON and report the metrics CSV, when requested. */
-bool
-traceJson(vip::Simulation &sim, const vip::SocConfig &cfg,
-          const std::string &workload, const std::string &config)
+/** printf into a string: the summary line of one output file. */
+[[gnu::format(printf, 1, 2)]] std::string
+line(const char *fmt, ...)
 {
-    if (cfg.trace.enabled()) {
-        std::ofstream out(cfg.trace.out);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         cfg.trace.out.c_str());
-            return false;
-        }
-        sim.tracer()->writeJson(
-            out, {{"workload", workload},
-                  {"config", config},
-                  {"seed", std::to_string(cfg.seed)}});
-        std::printf("trace written to %s (%zu events, %llu "
-                    "dropped)\n",
-                    cfg.trace.out.c_str(), sim.tracer()->size(),
-                    static_cast<unsigned long long>(
-                        sim.tracer()->dropped()));
-    }
-    // The CSV was streamed (and flushed) row by row as it was sampled.
-    if (!cfg.ts.metricsOut.empty()) {
-        std::printf("metrics written to %s (%llu rows x %zu stats)\n",
-                    cfg.ts.metricsOut.c_str(),
-                    static_cast<unsigned long long>(
-                        sim.timeseries()->samplesSeen()),
-                    sim.timeseries()->selected());
-    }
-    return true;
+    char buf[8192];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, args);
+    va_end(args);
+    return buf;
 }
+
+/**
+ * One file vip_sim was asked to write.  Every one is opened before
+ * the first event, so an unwritable path fails before the run, and
+ * written after it; a failed open or write is fatal and names the
+ * flag and the path.
+ */
+struct Output
+{
+    const char *flag;
+    std::string path;
+    /** Writes the file; returns the summary line printed after. */
+    std::function<std::string(std::ostream &)> write;
+    std::ofstream file{};
+};
 
 } // namespace
 
@@ -418,7 +419,8 @@ main(int argc, char **argv)
 {
     std::string workload = "W4";
     std::string config = "vip";
-    std::string traceFile;
+    std::string statsFile;
+    std::string frameCsv;
     std::string digestFile;
     vip::SocConfig cfg;
     cfg.simSeconds = 0.4;
@@ -525,7 +527,7 @@ main(int argc, char **argv)
         } else if (arg.rfind("--digest-out=", 0) == 0) {
             digestFile = arg.substr(13);
         } else if (arg == "--frame-csv") {
-            traceFile = next();
+            frameCsv = next();
             cfg.recordTrace = true;
         } else if (arg == "--trace-out") {
             cfg.trace.out = next();
@@ -543,9 +545,9 @@ main(int argc, char **argv)
         } else if (arg.rfind("--metrics-out=", 0) == 0) {
             cfg.ts.metricsOut = arg.substr(14);
         } else if (arg == "--stats-out") {
-            cfg.statsOut = next();
+            statsFile = next();
         } else if (arg.rfind("--stats-out=", 0) == 0) {
-            cfg.statsOut = arg.substr(12);
+            statsFile = arg.substr(12);
         } else if (arg == "--prof") {
             cfg.prof.out = "prof.json";
         } else if (arg.rfind("--prof=", 0) == 0) {
@@ -616,7 +618,73 @@ main(int argc, char **argv)
         std::signal(SIGTERM, onSignal);
         cfg.interruptFlag = &gSignal;
         vip::Simulation sim(cfg, vip::WorkloadCatalog::byName(workload));
-        auto s = sim.run();
+        vip::RunStats s;
+        Output outputs[] = {
+            {"--stats-out", statsFile, [&](std::ostream &os) {
+                 sim.writeStatsJson(os);
+                 return line("stats written to %s (%zu stats)",
+                             statsFile.c_str(),
+                             sim.statsRegistry().size());
+             }},
+            {"--prof", cfg.prof.out, [&](std::ostream &os) {
+                 sim.writeProfJson(os);
+                 return line("profile written to %s (%llu dispatches, "
+                             "%llu sampled)",
+                             cfg.prof.out.c_str(),
+                             static_cast<unsigned long long>(
+                                 sim.profiler()->dispatches()),
+                             static_cast<unsigned long long>(
+                                 sim.profiler()->sampledDispatches()));
+             }},
+            {"--ts-out", cfg.ts.out, [&](std::ostream &os) {
+                 sim.writeSeriesJson(os);
+                 const vip::TimeSeries *ts = sim.timeseries();
+                 return line("series written to %s (%zu rows x %zu "
+                             "stats; %s)",
+                             cfg.ts.out.c_str(), ts->rows(),
+                             ts->selected(),
+                             ts->steadyDetected()
+                                 ? line("steady at %.3f ms",
+                                        ts->steadyTickMs()).c_str()
+                                 : "steady state not reached");
+             }},
+            {"--frame-csv", frameCsv, [&](std::ostream &os) {
+                 s.trace.dumpCsv(os);
+                 return line("trace written to %s (%zu frames)",
+                             frameCsv.c_str(), s.trace.size());
+             }},
+            {"--trace-out", cfg.trace.out, [&](std::ostream &os) {
+                 sim.tracer()->writeJson(
+                     os, {{"workload", workload},
+                          {"config", config},
+                          {"seed", std::to_string(cfg.seed)}});
+                 return line("trace written to %s (%zu events, %llu "
+                             "dropped)",
+                             cfg.trace.out.c_str(), sim.tracer()->size(),
+                             static_cast<unsigned long long>(
+                                 sim.tracer()->dropped()));
+             }},
+            {"--digest-out", digestFile, [&](std::ostream &os) {
+                 std::vector<std::string> meta{
+                     "workload=" + workload, "config=" + config,
+                     "seed=" + std::to_string(cfg.seed)};
+                 for (const auto &l : vip::provenanceMetaLines())
+                     meta.push_back(l);
+                 sim.auditor().writeDigestStream(os, meta);
+                 return line("digest stream written to %s (%zu "
+                             "records)",
+                             digestFile.c_str(),
+                             sim.auditor().stream().records.size());
+             }},
+        };
+        for (Output &o : outputs) {
+            if (o.path.empty())
+                continue;
+            o.file.open(o.path);
+            if (!o.file)
+                vip::fatal(o.flag, ": cannot write ", o.path);
+        }
+        s = sim.run();
         report(s);
         if (sim.interrupted()) {
             std::fprintf(stderr,
@@ -653,48 +721,7 @@ main(int argc, char **argv)
             for (const auto &v : sim.auditor().violations())
                 std::printf("  %s\n", v.format().c_str());
         }
-        if (!cfg.statsOut.empty()) {
-            std::ofstream out(cfg.statsOut);
-            if (!out)
-                vip::fatal("cannot write ", cfg.statsOut);
-            sim.writeStatsJson(out);
-            std::printf("stats written to %s (%zu stats)\n",
-                        cfg.statsOut.c_str(),
-                        sim.statsRegistry().size());
-        }
-        if (cfg.prof.enabled()) {
-            std::ofstream out(cfg.prof.out);
-            if (!out)
-                vip::fatal("cannot write ", cfg.prof.out);
-            sim.writeProfJson(out);
-            std::printf("profile written to %s (%llu dispatches, "
-                        "%llu sampled)\n",
-                        cfg.prof.out.c_str(),
-                        static_cast<unsigned long long>(
-                            sim.profiler()->dispatches()),
-                        static_cast<unsigned long long>(
-                            sim.profiler()->sampledDispatches()));
-        }
-        if (cfg.ts.enabled() && !cfg.ts.out.empty()) {
-            std::ofstream out(cfg.ts.out);
-            if (!out)
-                vip::fatal("cannot write ", cfg.ts.out);
-            sim.writeSeriesJson(out);
-            const vip::TimeSeries *ts = sim.timeseries();
-            if (ts->steadyDetected()) {
-                std::printf("series written to %s (%zu rows x %zu "
-                            "stats; steady at %.3f ms)\n",
-                            cfg.ts.out.c_str(), ts->rows(),
-                            ts->selected(), ts->steadyTickMs());
-            } else {
-                std::printf("series written to %s (%zu rows x %zu "
-                            "stats; steady state not reached)\n",
-                            cfg.ts.out.c_str(), ts->rows(),
-                            ts->selected());
-            }
-        }
-        if (cfg.ts.enabled() &&
-            !cfg.ts.checkpointOnSteady.empty()) {
+        if (!cfg.ts.checkpointOnSteady.empty()) {
             const vip::TimeSeries *ts = sim.timeseries();
             if (ts->steadyDetected()) {
                 std::printf("steady      : detected at %.3f ms; "
@@ -708,27 +735,23 @@ main(int argc, char **argv)
                              cfg.ts.checkpointOnSteady.c_str());
             }
         }
-        if (!traceFile.empty()) {
-            std::ofstream out(traceFile);
-            s.trace.dumpCsv(out);
-            std::printf("trace written to %s (%zu frames)\n",
-                        traceFile.c_str(), s.trace.size());
+        // The CSV was streamed (and flushed) row by row as it was
+        // sampled.
+        if (!cfg.ts.metricsOut.empty()) {
+            std::printf("metrics written to %s (%llu rows x %zu stats)\n",
+                        cfg.ts.metricsOut.c_str(),
+                        static_cast<unsigned long long>(
+                            sim.timeseries()->samplesSeen()),
+                        sim.timeseries()->selected());
         }
-        if (!traceJson(sim, cfg, workload, config))
-            return 1;
-        if (!digestFile.empty()) {
-            std::ofstream out(digestFile);
-            if (!out)
-                vip::fatal("cannot write ", digestFile);
-            std::vector<std::string> meta{
-                "workload=" + workload, "config=" + config,
-                "seed=" + std::to_string(cfg.seed)};
-            for (const auto &l : vip::provenanceMetaLines())
-                meta.push_back(l);
-            sim.auditor().writeDigestStream(out, meta);
-            std::printf("digest stream written to %s (%zu records)\n",
-                        digestFile.c_str(),
-                        sim.auditor().stream().records.size());
+        for (Output &o : outputs) {
+            if (o.path.empty())
+                continue;
+            const std::string summary = o.write(o.file);
+            o.file.close();
+            if (!o.file)
+                vip::fatal(o.flag, ": cannot write ", o.path);
+            std::printf("%s\n", summary.c_str());
         }
         if (sim.interrupted())
             return 128 + sim.interruptSignal();
