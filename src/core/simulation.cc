@@ -1,5 +1,6 @@
 #include "core/simulation.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -21,6 +22,11 @@ Simulation::Simulation(SocConfig cfg, Workload workload)
 {
     for (const auto &app : _wl.apps)
         app.validate();
+    if (_cfg.noProgressSec != 0.0 &&
+        !isTickPeriodMs(_cfg.noProgressSec * 1e3))
+        fatal("no-progress guard interval must be 0 (off) or a finite "
+              "period of at least one tick (1e-9 ms), got ",
+              _cfg.noProgressSec * 1e3, " ms");
     // Observability wiring happens before build() so every component
     // sees the pointers from its first tick.  Both objects are purely
     // observational: digests stay bit-identical with tracing on.
@@ -56,13 +62,11 @@ Simulation::Simulation(SocConfig cfg, Workload workload)
         _registry.addExact("sim.steady.tick", "steady-state detection "
                            "time (-1 while undetected)", "ms",
                            [t] { return t->steadyTickMs(); });
+        // stats.json carries the description, so it keeps its
+        // wording: armed runs' dumps stay comparable across builds.
         _registry.addExact("ts.samples", "interval boundaries sampled "
                            "(pre-decimation)", "",
                            [t] { return double(t->samplesSeen()); });
-        _registry.addExact("ts.rows", "rows held in the series ring",
-                           "", [t] { return double(t->rows()); });
-        _registry.addExact("ts.stride", "current decimation stride",
-                           "", [t] { return double(t->stride()); });
     }
 }
 
@@ -523,10 +527,10 @@ Simulation::run()
         } else {
             runEventLoop(fromSec(_cfg.simSeconds));
         }
-        // Flush the series up to the final tick.  Safe for
-        // interrupted runs: their checkpoint was written from the
-        // hook before this point, so a resumed run replays the same
-        // tail boundaries and the two series stay byte-identical.
+        // Sample up to the final tick.  Safe for interrupted runs:
+        // their checkpoint was written from the hook before this
+        // point, so a resumed run cuts these tail rows from the CSV
+        // and samples the same boundaries again.
         if (_ts)
             _ts->finish(_sys.curTick());
         _ledger.closeAll(_sys.curTick());
@@ -566,12 +570,11 @@ Simulation::runEventLoop(Tick limit)
                              .string());
     }
     const Tick start = _sys.curTick();
-    const Tick period = _cfg.checkpointEveryMs > 0.0
-                            ? fromMs(_cfg.checkpointEveryMs)
-                            : 0;
-    if (!resume.empty() && period == 0)
-        fatal("checkpoint cadence must be at least one tick, got ",
-              _cfg.checkpointEveryMs, " ms");
+    if (!resume.empty() && !isTickPeriodMs(_cfg.checkpointEveryMs))
+        fatal("checkpoint cadence must be a finite period of at least "
+              "one tick, got ", _cfg.checkpointEveryMs, " ms");
+    const Tick period =
+        resume.empty() ? 0 : fromMs(_cfg.checkpointEveryMs);
     Tick boundary =
         resume.empty() ? MaxTick : (start / period + 1) * period;
     bool resumeWritten = false;
@@ -620,8 +623,8 @@ Simulation::runEventLoop(Tick limit)
             });
         }
         // Sampling comes after any checkpoint write: a snapshot taken
-        // here then holds only rows at or before its own tick, and
-        // the restored run samples the boundaries up to `next` itself,
+        // here then counts only boundaries before `next`, and the
+        // restored run samples the boundaries up to `next` itself,
         // exactly as the uninterrupted run does.  Detection arms the
         // one-shot --checkpoint-on-steady snapshot, which a later hook
         // writes at the first quiescent point.
@@ -814,7 +817,8 @@ Simulation::stateIO(StateIO &io)
     io.section("latency", [&] { _latency->io(io); });
     io.section("energy", [&] { _ledger.io(io); });
     io.section("timeseries", [&] {
-        if (io.presence("restore", "sampler (--ts/--metrics-out)",
+        if (io.presence("restore",
+                        "sampler (--metrics-out/--checkpoint-on-steady)",
                         _ts != nullptr)) {
             io.b(_steadyPlanArmed);
             _ts->io(io);
@@ -853,6 +857,16 @@ Simulation::stateIO(StateIO &io)
             io.b(ev.dropped);
         });
     });
+}
+
+bool
+Simulation::steadySnapshotWritten() const
+{
+    return _steadyPlanArmed &&
+           std::none_of(_oneShots.begin(), _oneShots.end(),
+                        [this](const OneShot &o) {
+                            return o.path == _cfg.ts.checkpointOnSteady;
+                        });
 }
 
 void
@@ -938,13 +952,6 @@ Simulation::writeProfJson(std::ostream &os) const
 {
     vip_assert(_profiler, "writeProfJson() without --prof");
     _profiler->writeJson(os, toMs(_sys.curTick()), runMeta());
-}
-
-void
-Simulation::writeSeriesJson(std::ostream &os) const
-{
-    vip_assert(_ts, "writeSeriesJson() without --ts");
-    _ts->writeJson(os, runMeta());
 }
 
 void

@@ -66,8 +66,8 @@ class Simulation
     Tracer *tracer() { return _tracer.get(); }
     /** The hot-path profiler; null unless cfg.prof is enabled. */
     Profiler *profiler() { return _profiler.get(); }
-    /** The run's sampler (time series + metrics CSV); null unless
-     *  cfg.ts is enabled. */
+    /** The run's sampler (metrics CSV + steady detector); null
+     *  unless cfg.ts is enabled. */
     TimeSeries *timeseries() { return _ts.get(); }
     const TimeSeries *timeseries() const { return _ts.get(); }
     /** Always-on per-frame latency decomposition. */
@@ -104,6 +104,11 @@ class Simulation
         return _checkpointsWritten;
     }
 
+    /** True when the --checkpoint-on-steady snapshot was written, by
+     *  this run or before the snapshot it resumed from; false while
+     *  undetected or when no quiescent point followed detection. */
+    bool steadySnapshotWritten() const;
+
     /** @{ Graceful interrupts (cfg.interruptFlag).
      *
      * interrupted() is true when the run stopped early because the
@@ -133,13 +138,6 @@ class Simulation
      * requires cfg.prof to be enabled.
      */
     void writeProfJson(std::ostream &os) const;
-
-    /**
-     * Write the time-series report (--ts) as self-describing JSON;
-     * the format tools/vip_top renders.  Call after run(); requires
-     * cfg.ts to be armed.
-     */
-    void writeSeriesJson(std::ostream &os) const;
 
     /**
      * Convenience: build + run in one call.
@@ -211,8 +209,8 @@ class Simulation
     std::unique_ptr<Tracer> _tracer;
     /** Hot-path profiler (cfg.prof); observational, digest-neutral. */
     std::unique_ptr<Profiler> _profiler;
-    /** The one sampler (cfg.ts): time series and metrics CSV, read
-     *  from the event loop's pre-service hook, so it is
+    /** The one sampler (cfg.ts): metrics CSV and steady detector,
+     *  read from the event loop's pre-service hook, so it is
      *  digest-neutral by construction. */
     std::unique_ptr<TimeSeries> _ts;
     StatRegistry _registry;

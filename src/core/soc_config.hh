@@ -130,12 +130,12 @@ struct SocConfig
     ProfConfig prof{};
 
     /**
-     * The run's one sampler (--ts[=<glob>], --ts-out, --metrics-out,
-     * --metrics-interval-ms, --checkpoint-on-steady).  Samples
-     * glob-selected stats every interval from the event loop's
-     * pre-service hook into bounded decimating ring buffers, streams
-     * the metrics CSV, and runs the steady-state detector; purely
-     * observational, so arming it leaves state digests bit-identical.
+     * The run's one sampler (--metrics-out, --ts=<glob>,
+     * --metrics-interval-ms, --checkpoint-on-steady).  Every interval
+     * it streams glob-selected stats, read from the event loop's
+     * pre-service hook, as one row of the metrics CSV and steps the
+     * steady-state detector; purely observational, so arming it
+     * leaves state digests bit-identical.
      */
     TsConfig ts{};
 
@@ -217,7 +217,9 @@ struct SocConfig
     AuditConfig audit{};
 
     /**
-     * No-progress guard interval in simulated seconds (0 disables).
+     * No-progress guard interval in simulated seconds (0 disables;
+     * anything else must be finite and at least one tick, or the
+     * Simulation constructor is a SimFatal).
      * If frames are in flight and no flow or IP retires any work for
      * a whole interval, the run aborts with a diagnostic occupancy
      * dump instead of spinning to the time limit.  The default is

@@ -1,9 +1,12 @@
 #include "fleet/job_spec.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "app/workload.hh"
 #include "core/system_config.hh"
@@ -11,6 +14,7 @@
 #include "obs/json.hh"
 #include "sim/audit.hh"
 #include "sim/logging.hh"
+#include "sim/types.hh"
 
 namespace vip
 {
@@ -80,6 +84,23 @@ boolOr(const json::JsonValue &obj, const char *key, bool fallback)
     return v->b;
 }
 
+/** SimFatal unless every key of @p obj is one of @p valid: a typo or a
+ *  retired key would otherwise be ignored without a word. */
+void
+requireKnownKeys(const json::JsonValue &obj, const char *where,
+                 std::initializer_list<const char *> valid)
+{
+    for (const auto &[key, value] : obj.obj) {
+        if (std::find(valid.begin(), valid.end(), key) != valid.end())
+            continue;
+        std::string list;
+        for (const char *v : valid)
+            list += (list.empty() ? "" : ", ") + std::string(v);
+        fatal("job spec: unknown key '", key, "' in ", where,
+              " (valid keys: ", list, ")");
+    }
+}
+
 /** A count/period that must land on a sane non-negative value. */
 double
 checkedNum(const json::JsonValue &obj, const char *key, double fallback,
@@ -101,6 +122,14 @@ parsePolicy(const json::JsonValue &spec)
         return p;
     if (f->kind != json::JsonValue::Kind::Object)
         fatal("job spec: 'fleet' must be an object");
+    requireKnownKeys(
+        *f, "'fleet'",
+        {"workers", "max_attempts", "backoff_base_ms", "backoff_cap_ms",
+         "heartbeat_deadline_ms", "heartbeat_interval_ms",
+         "checkpoint_every_ms", "backoff_jitter", "lease_ms",
+         "heartbeat_grace_ms", "quarantine_after", "probe_interval_ms",
+         "max_probes", "max_quarantines", "fetch_retries", "resume",
+         "digests"});
     p.workers =
         static_cast<int>(checkedNum(*f, "workers", p.workers, 1, 4096));
     p.maxAttempts = static_cast<int>(
@@ -118,6 +147,15 @@ parsePolicy(const json::JsonValue &spec)
                                        p.heartbeatIntervalMs, 0.0, 1e6);
     p.checkpointEveryMs = checkedNum(*f, "checkpoint_every_ms",
                                      p.checkpointEveryMs, 0.0, 1e6);
+    // 0 turns either off; a positive period below one tick would fail
+    // every worker the sweep starts, so it fails here instead.
+    for (const auto &[key, ms] :
+         {std::pair{"heartbeat_interval_ms", p.heartbeatIntervalMs},
+          std::pair{"checkpoint_every_ms", p.checkpointEveryMs}}) {
+        if (ms > 0.0 && !isTickPeriodMs(ms))
+            fatal("job spec: field '", key, "' = ", ms,
+                  " ms is below one tick (1e-9 ms); 0 turns it off");
+    }
     p.backoffJitter = boolOr(*f, "backoff_jitter", p.backoffJitter);
     p.leaseMs = checkedNum(*f, "lease_ms", p.leaseMs, 0.0, 1e9);
     p.heartbeatGraceMs = checkedNum(*f, "heartbeat_grace_ms",
@@ -134,7 +172,6 @@ parsePolicy(const json::JsonValue &spec)
         checkedNum(*f, "fetch_retries", p.fetchRetries, 1, 100));
     p.resume = boolOr(*f, "resume", p.resume);
     p.digests = boolOr(*f, "digests", p.digests);
-    p.timeseries = boolOr(*f, "timeseries", p.timeseries);
     if (p.heartbeatDeadlineMs > 0.0 && p.heartbeatIntervalMs <= 0.0)
         fatal("job spec: heartbeat_deadline_ms needs a positive "
               "heartbeat_interval_ms (the deadline watches the "
@@ -155,6 +192,9 @@ JobSpec::parse(const std::string &text)
     }
     if (doc.kind != json::JsonValue::Kind::Object)
         fatal("job spec: top level must be an object");
+    requireKnownKeys(doc, "the top level",
+                     {"name", "seconds", "audit", "extra_args", "fleet",
+                      "configs", "workloads", "fault_plans", "seeds"});
 
     JobSpec out;
     if (const auto *n = doc.find("name")) {

@@ -135,11 +135,6 @@ struct FleetPolicy
 
     /** Record a per-shard digest stream (--digest-out). */
     bool digests = false;
-
-    /** Arm the per-shard time-series plane (--ts --ts-out): each
-     *  shard commits a series.json, and the supervisor surfaces the
-     *  steady-state verdict in fleet-status.json (for vip_top). */
-    bool timeseries = false;
 };
 
 /** One expanded cell of the sweep. */

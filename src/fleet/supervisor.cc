@@ -73,7 +73,6 @@ shardPaths(const std::string &outDir, const std::string &jobId)
     p.dir = outDir + "/shards/" + jobId;
     p.statsJson = p.dir + "/stats.json";
     p.metricsCsv = p.dir + "/metrics.csv";
-    p.series = p.dir + "/series.json";
     p.pmDir = p.dir + "/pm";
     p.checkpoint = p.pmDir + "/checkpoint.vips";
     p.digest = p.dir + "/digest.dig";
@@ -119,11 +118,6 @@ workerArgs(const JobSpec &spec, const FleetJob &job)
         a.push_back(attempt_files::kMetrics);
         a.push_back("--metrics-interval-ms");
         a.push_back(fmtNum(pol.heartbeatIntervalMs));
-    }
-    if (pol.timeseries) {
-        a.push_back("--ts");
-        a.push_back("--ts-out");
-        a.push_back(attempt_files::kSeries);
     }
     a.push_back("--stats-out");
     a.push_back(attempt_files::kStats);
@@ -407,7 +401,6 @@ FleetSupervisor::commitArtifacts(const std::string &jobId,
     if (success) {
         if (!commit(attempt_files::kStats, paths.statsJson) ||
             !commit(attempt_files::kMetrics, paths.metricsCsv) ||
-            !commit(attempt_files::kSeries, paths.series) ||
             !commit(attempt_files::kDigest, paths.digest))
             return false;
     }

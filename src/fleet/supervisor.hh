@@ -76,7 +76,6 @@ struct ShardPaths
     std::string dir;        ///< the shard directory
     std::string statsJson;  ///< committed stats dump
     std::string metricsCsv; ///< committed heartbeat stream
-    std::string series;     ///< committed time-series (series.json)
     std::string pmDir;      ///< checkpoint home
     std::string checkpoint; ///< <pmDir>/checkpoint.vips
     std::string digest;     ///< committed digest stream

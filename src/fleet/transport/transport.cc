@@ -24,8 +24,8 @@ attemptArtifactNames()
 {
     static const std::vector<std::string> names{
         attempt_files::kStats, attempt_files::kMetrics,
-        attempt_files::kSeries, attempt_files::kDigest,
-        attempt_files::kCheckpoint, attempt_files::kLog};
+        attempt_files::kDigest, attempt_files::kCheckpoint,
+        attempt_files::kLog};
     return names;
 }
 

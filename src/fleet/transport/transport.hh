@@ -50,7 +50,6 @@ namespace attempt_files
 {
 constexpr const char *kStats = "stats.json";
 constexpr const char *kMetrics = "metrics.csv";
-constexpr const char *kSeries = "series.json";
 constexpr const char *kDigest = "digest.dig";
 constexpr const char *kLog = "log.txt";
 constexpr const char *kPmDir = "pm";

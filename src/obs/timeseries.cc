@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <ostream>
+#include <filesystem>
 
 #include "obs/provenance.hh"
 #include "sim/logging.hh"
@@ -37,9 +37,8 @@ matchOne(const char *p, const char *s)
 }
 
 /** Append @p v as printf's "%.9g" would (std::to_chars with a
- *  precision is specified to match it, at a fraction of the cost).
- *  Deterministic number formatting shared by series.json and the
- *  metrics CSV: shortest round-trip form is overkill here, and nine
+ *  precision is specified to match it, at a fraction of the cost):
+ *  deterministic number formatting for the metrics CSV, where nine
  *  significant digits keep large files readable and stable. */
 void
 appendNum(std::string &out, double v)
@@ -50,21 +49,41 @@ appendNum(std::string &out, double v)
     out.append(buf, r.ptr);
 }
 
-std::string
-num(double v)
+/**
+ * The leading bytes of the metrics CSV at @p path that a resumed run
+ * keeps: every complete line before the first data row whose tick is
+ * at or past @p cutMs.  The rows from there on, and a last line a
+ * kill cut short, were written after the snapshot, and the resumed
+ * run writes them again.  0 when no column row is left (the file is
+ * missing, empty, or ends inside its header); SimFatal when the
+ * column row is not @p columns.
+ */
+std::uintmax_t
+keptCsvBytes(const std::string &path, const std::string &columns,
+             double cutMs)
 {
-    std::string s;
-    appendNum(s, v);
-    return s;
-}
-
-void
-writeArray(std::ostream &os, const std::vector<double> &v)
-{
-    os << "[";
-    for (std::size_t i = 0; i < v.size(); ++i)
-        os << (i ? "," : "") << num(v[i]);
-    os << "]";
+    std::ifstream in(path, std::ios::binary);
+    std::uintmax_t kept = 0;
+    bool header = false;
+    std::string line;
+    // getline sets eof only on a line with no newline after it.
+    while (std::getline(in, line) && !in.eof()) {
+        // '#' lines (tag, provenance, earlier resume stamps) are kept.
+        const bool comment = !line.empty() && line[0] == '#';
+        if (!comment && !header) {
+            if (line != columns)
+                fatal("metrics: ", path, " has other columns than this "
+                      "run's selection; not appending to it");
+            header = true;
+        } else if (!comment) {
+            double ms = 0.0;
+            std::from_chars(line.data(), line.data() + line.size(), ms);
+            if (ms >= cutMs)
+                break;
+        }
+        kept += line.size() + 1;
+    }
+    return header ? kept : 0;
 }
 
 } // namespace
@@ -87,21 +106,20 @@ TimeSeries::globMatch(const std::string &pat, const std::string &path)
 }
 
 TimeSeries::TimeSeries(const TsConfig &cfg, const StatRegistry &reg)
-    : _cfg(cfg)
 {
-    if (!(_cfg.intervalMs > 0.0))
-        fatal("time series: sampling interval must be positive, got ",
-              _cfg.intervalMs, " ms");
-    _interval = fromMs(_cfg.intervalMs);
+    if (!isTickPeriodMs(cfg.intervalMs))
+        fatal("time series: sampling interval must be a finite period "
+              "of at least one tick (1e-9 ms), got ", cfg.intervalMs,
+              " ms");
+    _interval = fromMs(cfg.intervalMs);
     _nextBoundary = _interval;
 
     for (const StatDef &d : reg.defs()) {
-        if (!globMatch(_cfg.glob, d.path))
-            continue;
-        _sel.push_back({d.path, d.unit, d.tol, d.get});
+        if (globMatch(cfg.glob, d.path))
+            _sel.push_back({d.path, d.tol, d.get});
     }
     if (_sel.empty())
-        fatal("--ts glob '", _cfg.glob,
+        fatal("--ts glob '", cfg.glob,
               "' selects no registered stat");
 
     for (std::size_t i = 0; i < _sel.size(); ++i) {
@@ -118,22 +136,32 @@ TimeSeries::TimeSeries(const TsConfig &cfg, const StatRegistry &reg)
 void
 TimeSeries::streamCsv(const std::string &path, bool resumed, Tick now)
 {
-    // ate puts the put position at the end of the file, so tellp()
-    // reports its size: a resume writes the header only into an
-    // empty file.
-    _csv.open(path, resumed ? std::ios::app | std::ios::ate
-                            : std::ios::trunc);
+    std::string columns = "tick_ms";
+    for (const Sel &s : _sel)
+        columns += "," + s.path;
+    // Rows sit on interval boundaries and print to the nanosecond, so
+    // the cut halfway between the last kept boundary and the first
+    // rewritten one classifies every row of a >= 2 ns interval.
+    const std::uintmax_t kept =
+        resumed ? keptCsvBytes(path, columns,
+                               toMs(_nextBoundary) - toMs(_interval) / 2)
+                : 0;
+    if (kept > 0) {
+        std::error_code ec;
+        std::filesystem::resize_file(path, kept, ec);
+        if (ec)
+            fatal("metrics: cannot cut ", path, " back to its rows "
+                  "before the snapshot: ", ec.message());
+    }
+    _csv.open(path, kept > 0 ? std::ios::app : std::ios::trunc);
     if (!_csv)
         fatal("metrics: cannot open ", path, " for writing");
-    if (!resumed || _csv.tellp() == 0) {
+    if (kept == 0) {
         _csv << kCsvTag << "\n";
         for (const auto &line : provenanceMetaLines())
             _csv << "# " << line << "\n";
         _csv << "# intervalMs=" << toMs(_interval) << "\n";
-        _csv << "tick_ms";
-        for (const Sel &s : _sel)
-            _csv << "," << s.path;
-        _csv << "\n";
+        _csv << columns << "\n";
     }
     if (resumed)
         _csv << "# resumed-at-tick=" << now << "\n";
@@ -141,20 +169,19 @@ TimeSeries::streamCsv(const std::string &path, bool resumed, Tick now)
 }
 
 void
-TimeSeries::writeCsvRow(const Row &r)
+TimeSeries::writeCsvRow(Tick t)
 {
     // One write and one flush per row: a killed run loses at most
     // the row being written, which readers recognise by its missing
     // newline.
     _csvLine.clear();
     char buf[40];
-    const auto end = std::to_chars(buf, buf + sizeof(buf),
-                                   toMs(r.tick),
+    const auto end = std::to_chars(buf, buf + sizeof(buf), toMs(t),
                                    std::chars_format::fixed, 6);
     _csvLine.append(buf, end.ptr);
-    for (double v : r.vals) {
+    for (const Sel &s : _sel) {
         _csvLine += ',';
-        appendNum(_csvLine, v);
+        appendNum(_csvLine, s.get());
     }
     _csvLine += '\n';
     _csv.write(_csvLine.data(),
@@ -175,44 +202,11 @@ void
 TimeSeries::sampleAt(Tick t)
 {
     ++_samples;
-
-    // The detector sees every boundary sample regardless of what the
-    // storage ring later keeps: its verdict must not depend on
-    // decimation history.
     if (!_tracks.empty() && !_steady &&
         t >= fromMs(kSteadyWarmupMs) && _samples % kSteadyEvery == 0)
         detectStep(t);
-
-    // The CSV takes every sample; the ring only every _stride-th.
-    const bool keep = _skip == 0;
-    if (!keep)
-        --_skip;
-    if (!keep && !_csv.is_open())
-        return;
-    Row r;
-    r.tick = t;
-    r.vals.reserve(_sel.size());
-    for (const Sel &s : _sel)
-        r.vals.push_back(s.get());
     if (_csv.is_open())
-        writeCsvRow(r);
-    if (!keep)
-        return;
-
-    if (_rows.size() >= kRowCap) {
-        // Stride-doubling decimation (the profiler's queue-timeline
-        // trick): halve the stored history, double the keep stride.
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < _rows.size(); i += 2) {
-            if (kept != i) // self-move would empty row 0
-                _rows[kept] = std::move(_rows[i]);
-            ++kept;
-        }
-        _rows.resize(kept);
-        _stride *= 2;
-    }
-    _rows.push_back(std::move(r));
-    _skip = _stride - 1;
+        writeCsvRow(t);
 }
 
 void
@@ -272,118 +266,6 @@ TimeSeries::detectStep(Tick t)
 }
 
 void
-TimeSeries::writeJson(
-    std::ostream &os,
-    const std::vector<std::pair<std::string, std::string>> &meta) const
-{
-    os << "{\n"
-       << "  \"kind\": \"vip-series\",\n"
-       << "  \"schemaVersion\": " << kSchemaVersion << ",\n";
-    os << "  \"provenance\": {";
-    bool first = true;
-    for (const auto &[k, v] : provenanceFields()) {
-        os << (first ? "" : ", ") << '"' << k << "\": \"" << v
-           << '"';
-        first = false;
-    }
-    os << "},\n";
-    os << "  \"run\": {";
-    first = true;
-    for (const auto &[k, v] : meta) {
-        os << (first ? "" : ", ") << '"' << k << "\": \"" << v
-           << '"';
-        first = false;
-    }
-    os << "},\n";
-    os << "  \"interval_ms\": " << num(toMs(_interval)) << ",\n"
-       << "  \"glob\": \"" << _cfg.glob << "\",\n"
-       << "  \"samples\": " << _samples << ",\n"
-       << "  \"stride\": " << _stride << ",\n"
-       << "  \"rows\": " << _rows.size() << ",\n";
-
-    os << "  \"steady\": {\"detected\": "
-       << (_steady ? "true" : "false")
-       << ", \"tick_ms\": " << num(steadyTickMs())
-       << ", \"threshold_pct\": " << num(kSteadyThresholdPct)
-       << ", \"window\": " << kSteadyWindow
-       << ", \"every\": " << kSteadyEvery
-       << ", \"warmup_ms\": " << num(kSteadyWarmupMs)
-       << ", \"tracked\": [";
-    for (std::size_t i = 0; i < _trackedPaths.size(); ++i)
-        os << (i ? ", " : "") << '"' << _trackedPaths[i] << '"';
-    os << "]},\n";
-
-    std::vector<double> ticks;
-    ticks.reserve(_rows.size());
-    for (const Row &r : _rows)
-        ticks.push_back(toMs(r.tick));
-    os << "  \"ticks_ms\": ";
-    writeArray(os, ticks);
-    os << ",\n";
-
-    // Derived series are computed here, from the stored (already
-    // decimated) rows — the run itself never pays for them.
-    constexpr std::size_t kWin = 8;    // windowed min/max span, rows
-    constexpr double kEwmaAlpha = 0.2; // EWMA smoothing factor
-    os << "  \"series\": [\n";
-    for (std::size_t si = 0; si < _sel.size(); ++si) {
-        const Sel &s = _sel[si];
-        std::vector<double> vals;
-        vals.reserve(_rows.size());
-        for (const Row &r : _rows)
-            vals.push_back(r.vals[si]);
-
-        bool counter = s.tol == Tolerance::Exact && !vals.empty();
-        for (std::size_t i = 1; counter && i < vals.size(); ++i)
-            counter = vals[i] >= vals[i - 1];
-        counter = counter && !vals.empty() &&
-                  vals.back() > vals.front();
-
-        os << "    {\"path\": \"" << s.path << "\", \"unit\": \""
-           << s.unit << "\", \"kind\": \""
-           << (counter ? "counter" : "gauge") << "\",\n"
-           << "     \"values\": ";
-        writeArray(os, vals);
-        if (counter) {
-            std::vector<double> rate(vals.size(), 0.0);
-            for (std::size_t i = 1; i < vals.size(); ++i) {
-                const double dtSec =
-                    (ticks[i] - ticks[i - 1]) * 1e-3;
-                rate[i] = dtSec > 0.0
-                              ? (vals[i] - vals[i - 1]) / dtSec
-                              : 0.0;
-            }
-            os << ",\n     \"rate_per_s\": ";
-            writeArray(os, rate);
-        }
-        std::vector<double> ewma(vals.size(), 0.0);
-        std::vector<double> wmin(vals.size(), 0.0);
-        std::vector<double> wmax(vals.size(), 0.0);
-        for (std::size_t i = 0; i < vals.size(); ++i) {
-            ewma[i] = i == 0 ? vals[0]
-                             : kEwmaAlpha * vals[i] +
-                                   (1.0 - kEwmaAlpha) * ewma[i - 1];
-            const std::size_t lo = i + 1 >= kWin ? i + 1 - kWin : 0;
-            double mn = vals[lo], mx = vals[lo];
-            for (std::size_t j = lo; j <= i; ++j) {
-                mn = std::min(mn, vals[j]);
-                mx = std::max(mx, vals[j]);
-            }
-            wmin[i] = mn;
-            wmax[i] = mx;
-        }
-        os << ",\n     \"ewma\": ";
-        writeArray(os, ewma);
-        os << ",\n     \"win_min\": ";
-        writeArray(os, wmin);
-        os << ",\n     \"win_max\": ";
-        writeArray(os, wmax);
-        os << "}" << (si + 1 < _sel.size() ? ",\n" : "\n");
-    }
-    os << "  ]\n}\n";
-}
-
-void
 TimeSeries::io(StateIO &io)
 {
     Tick interval = _interval;
@@ -397,15 +279,6 @@ TimeSeries::io(StateIO &io)
         io.expect("timeseries", "stat (--ts glob)", s.path);
     io.tick(_nextBoundary);
     io.u64(_samples);
-    io.u64(_stride);
-    io.u64(_skip);
-    io.seq64(_rows, "series rows", [&](Row &row) {
-        io.tick(row.tick);
-        if (io.loading())
-            row.vals.resize(_sel.size());
-        for (double &v : row.vals)
-            io.d(v);
-    });
     io.b(_steady);
     io.tick(_steadyTick);
     io.shape("timeseries", "steady-state tracks", _tracks.size());

@@ -1,20 +1,14 @@
 /**
  * @file
- * The run's one sampler (--ts, --metrics-out): windowed time series
- * over the StatRegistry, the streamed metrics CSV, and steady-state
+ * The run's one sampler (--metrics-out, --checkpoint-on-steady): the
+ * streamed metrics CSV over the StatRegistry, and steady-state
  * detection.
  *
- * Stats selected by glob are sampled every interval into one bounded
- * row ring covering the whole run — at capacity every second row is
- * dropped and the keep-stride doubles (the profiler's queue-timeline
- * trick), so memory is O(capacity) regardless of run length while the
- * series still spans start to finish.  Derived views (rates from
- * counters, EWMA, windowed min/max) are computed at dump time from
- * the stored rows, never during the run.  With a metrics CSV armed,
- * every sample is also appended to it as one flushed row *before*
- * decimation, so the CSV holds every interval and survives a run
- * killed mid-way; the flight recorder points at it from its crash
- * bundle.
+ * Every interval boundary, the stats selected by glob are appended to
+ * the metrics CSV as one flushed row, so the CSV holds every interval
+ * and survives a run killed mid-way; the flight recorder points at it
+ * from its crash bundle.  The CSV is the sampler's only output, and a
+ * sample reads the selected stats only to write its row.
  *
  * Digest neutrality is by construction: sampling happens from the
  * event loop's pre-service hook, so the sampler schedules no events,
@@ -30,15 +24,15 @@
  * mean rate (value / elapsed time, immune to the frame-count
  * quantization a short windowed rate suffers), which must also be
  * positive, so an idle all-zero counter can never vote steady.  The
- * verdict latches; sim.steady.tick exports it through stats and
- * series.json, and --checkpoint-on-steady turns it into the
- * warm-start seed snapshot.
+ * verdict latches; sim.steady.tick exports it through stats, and
+ * --checkpoint-on-steady turns it into the warm-start seed snapshot.
  *
- * Snapshot-safe: the interval, rows, decimation state and detector
- * windows serialize into the "timeseries" checkpoint section, so a
- * restored run's series.json is byte-identical to an uninterrupted
- * run's — no duplicated, missing or rewound rows — and its CSV
- * continues in append mode after a '# resumed-at-tick=' stamp.
+ * Snapshot-safe: the interval, selection, next boundary, sample
+ * count and detector windows serialize into the "timeseries"
+ * checkpoint section.  A restored run cuts its CSV back to the rows
+ * before the snapshot's next boundary, stamps '# resumed-at-tick=',
+ * and appends from there, so the file equals an uninterrupted run's
+ * plus that one line.
  */
 
 #ifndef VIP_OBS_TIMESERIES_HH
@@ -47,9 +41,7 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
-#include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/stat_registry.hh"
@@ -64,12 +56,6 @@ class StateIO;
 class TimeSeries
 {
   public:
-    /** Version stamped as "schemaVersion" into every series.json. */
-    static constexpr int kSchemaVersion = 1;
-
-    /** Row-ring capacity; at capacity the keep-stride doubles. */
-    static constexpr std::size_t kRowCap = 512;
-
     /** First line of every metrics CSV; bumped when its columns
      *  change meaning. */
     static constexpr const char *kCsvTag = "# vip-metrics v2";
@@ -100,11 +86,14 @@ class TimeSeries
      * Stream every sample from now on to the metrics CSV at @p path,
      * one flushed row per interval boundary.  A fresh run truncates
      * the file and writes the header ('#' tag, provenance and
-     * intervalMs lines, then the "tick_ms,<stat path>..." row); a
-     * @p resumed run appends after a '# resumed-at-tick=@p now'
-     * stamp, so the rows written before its snapshot stay in place
-     * (the header is written first only if the file is empty).
-     * SimFatal when the file cannot be opened.
+     * intervalMs lines, then the "tick_ms,<stat path>..." row).  A
+     * @p resumed run keeps the file up to its first data row at or
+     * after the restored next boundary, dropping the rows a killed
+     * run wrote past its snapshot and a last line cut short, then
+     * appends after a '# resumed-at-tick=@p now' stamp (the header is
+     * written first when no column row is left).  SimFatal when the
+     * file cannot be opened, or when its column row names other stats
+     * than this run's selection.
      */
     void streamCsv(const std::string &path, bool resumed, Tick now);
 
@@ -139,26 +128,12 @@ class TimeSeries
 
     /** @{ introspection (tests, stats export). */
     std::size_t selected() const { return _sel.size(); }
-    std::size_t rows() const { return _rows.size(); }
     std::uint64_t samplesSeen() const { return _samples; }
-    std::uint64_t stride() const { return _stride; }
     const std::vector<std::string> &trackedPaths() const
     {
         return _trackedPaths;
     }
     /** @} */
-
-    /**
-     * Write the self-describing series.json: schemaVersion, build
-     * provenance, run context (@p meta), the decimated tick axis,
-     * and per-stat raw values plus derived series (rate for
-     * counters, EWMA, windowed min/max).  Contains no wall-clock
-     * content, so two identical runs produce identical bytes.
-     */
-    void writeJson(
-        std::ostream &os,
-        const std::vector<std::pair<std::string, std::string>> &meta
-        = {}) const;
 
     /** Checkpoint/restore ("timeseries" snapshot section). */
     void io(StateIO &io);
@@ -176,16 +151,8 @@ class TimeSeries
     struct Sel
     {
         std::string path;
-        std::string unit;
         Tolerance tol;
         std::function<double()> get;
-    };
-
-    /** One stored sample row: tick + every selected stat's value. */
-    struct Row
-    {
-        Tick tick;
-        std::vector<double> vals;
     };
 
     /** Sliding-window state for one detector-tracked series. */
@@ -199,20 +166,16 @@ class TimeSeries
     void catchUp(Tick next);
     void sampleAt(Tick t);
     void detectStep(Tick t);
-    void writeCsvRow(const Row &r);
+    void writeCsvRow(Tick t);
 
-    TsConfig _cfg;
     Tick _interval;
     Tick _nextBoundary;
 
-    std::ofstream _csv;   ///< metrics CSV sink; closed when unarmed
+    std::ofstream _csv;   ///< metrics CSV sink; closed without one
     std::string _csvLine; ///< row buffer, reused per sample
 
     std::vector<Sel> _sel;
-    std::vector<Row> _rows;
-    std::uint64_t _samples = 0; ///< boundaries sampled (pre-decimation)
-    std::uint64_t _stride = 1;  ///< keep every _stride-th sample
-    std::uint64_t _skip = 0;    ///< samples to drop before next keep
+    std::uint64_t _samples = 0; ///< interval boundaries sampled
 
     std::vector<Track> _tracks;
     std::vector<std::string> _trackedPaths;

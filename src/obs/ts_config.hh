@@ -1,6 +1,6 @@
 /**
  * @file
- * Time-series sampler configuration (--ts, --ts-out, --metrics-out,
+ * Time-series sampler configuration (--metrics-out, --ts=<glob>,
  * --metrics-interval-ms, --checkpoint-on-steady).
  *
  * Kept in its own tiny header (like prof_config.hh) so SocConfig can
@@ -38,41 +38,35 @@ constexpr const char *kDefaultTsGlob =
     "sa.busy_ms,cpu.core*.active_ms,cpu.core*.sleep_ms";
 
 /**
- * Configures the run's one sampler: stats matching @ref glob are read
- * from the StatRegistry every @ref intervalMs simulated ms into
- * bounded per-stat ring buffers with stride-doubling decimation, each
- * sample is optionally streamed as a row of the metrics CSV
- * (@ref metricsOut), and a steady-state detector runs a sliding-window
- * relative-spread test over the series TimeSeries::kSteadyStats
- * names (its parameters are TimeSeries constants too).
+ * Configures the run's one sampler: every @ref intervalMs simulated
+ * ms it appends the stats matching @ref glob, read from the
+ * StatRegistry, as one flushed row of the metrics CSV
+ * (@ref metricsOut), and steps a steady-state detector, a
+ * sliding-window relative-spread test over the series
+ * TimeSeries::kSteadyStats names (its parameters are TimeSeries
+ * constants too).  The sampler exists only for a consumer of its
+ * samples: the CSV or the --checkpoint-on-steady seed.
  *
  * Everything here is purely observational: the sampler reads from
  * the event loop's pre-service hook (no scheduled events, no
  * randomness, nothing in any stateDigest()), so arming it leaves
  * audit digest streams bit-identical.  Like --prof it is excluded
- * from checkpoint *identity*; arming and the interval, however, must
- * match across a save/restore pair (the rows resume from the
- * snapshot).
+ * from checkpoint *identity*; arming, the interval and the
+ * selection, however, must match across a save/restore pair (the
+ * sample count and detector state resume from the snapshot).
  */
 struct TsConfig
 {
-    /** --ts, --ts-out or --checkpoint-on-steady given. */
-    bool armed = false;
-
     /**
-     * Stat-selection glob(s) over StatRegistry paths; '*' matches any
-     * run of characters, ',' separates alternatives
-     * ("flow.*,sim.eventq.live").
+     * Stat-selection glob(s) over StatRegistry paths, the metrics
+     * CSV's columns; '*' matches any run of characters, ',' separates
+     * alternatives ("flow.*,sim.eventq.live").
      */
     std::string glob = kDefaultTsGlob;
 
-    /** series.json destination; empty = in-memory only. */
-    std::string out;
-
     /**
-     * --metrics-out: stream every sample (before decimation) to this
-     * CSV, one flushed row per interval, so a killed run keeps its
-     * series.  Arms the sampler on its own; empty = no CSV.
+     * --metrics-out: stream every sample to this CSV, one flushed row
+     * per interval, so a killed run keeps its series.  Empty = no CSV.
      */
     std::string metricsOut;
 
@@ -87,7 +81,11 @@ struct TsConfig
      */
     std::string checkpointOnSteady;
 
-    bool enabled() const { return armed || !metricsOut.empty(); }
+    bool
+    enabled() const
+    {
+        return !metricsOut.empty() || !checkpointOnSteady.empty();
+    }
 };
 
 } // namespace vip

@@ -89,8 +89,11 @@ AuditConfig::parse(const std::string &spec)
                       "' (want periodic[:<ms>])");
             char *end = nullptr;
             double ms = std::strtod(spec.c_str() + 9, &end);
-            if (end == spec.c_str() + 9 || *end != '\0' || ms <= 0.0)
-                fatal("bad --audit period in '", spec, "'");
+            if (end == spec.c_str() + 9 || *end != '\0' ||
+                !isTickPeriodMs(ms))
+                fatal("bad --audit period in '", spec,
+                      "' (want a finite period of at least one tick, "
+                      "1e-9 ms)");
             cfg.periodMs = ms;
         }
     } else {

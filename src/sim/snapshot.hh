@@ -45,7 +45,7 @@ namespace vip
 {
 
 constexpr std::uint32_t kSnapshotMagic = 0x53504956; // "VIPS"
-constexpr std::uint32_t kSnapshotVersion = 4;
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 /**
  * Snapshot header: build provenance plus the identity of the run the

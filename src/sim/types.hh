@@ -75,6 +75,19 @@ toMs(Tick t)
     return static_cast<double>(t) / static_cast<double>(oneMs);
 }
 
+/**
+ * True when fromMs(@p ms) is a usable period: at least one tick and
+ * in range.  fromMs() truncates, so a tiny value becomes a zero-tick
+ * period that never advances, and casting NaN, an infinity or an
+ * out-of-range value to a Tick is undefined.
+ */
+constexpr bool
+isTickPeriodMs(double ms)
+{
+    const double ticks = ms * static_cast<double>(oneMs);
+    return ticks >= 1.0 && ticks < static_cast<double>(MaxTick);
+}
+
 /** Convert ticks to (fractional) microseconds. */
 constexpr double
 toUs(Tick t)

@@ -80,6 +80,12 @@ TEST(AuditConfig, ParseRejectsJunk)
     EXPECT_THROW(AuditConfig::parse("periodic:nope"), SimFatal);
     EXPECT_THROW(AuditConfig::parse("periodic:-1"), SimFatal);
     EXPECT_THROW(AuditConfig::parse(""), SimFatal);
+    // A period must be finite and at least one tick (1e-9 ms).
+    EXPECT_THROW(AuditConfig::parse("periodic:1e-10"), SimFatal);
+    EXPECT_THROW(AuditConfig::parse("periodic:nan"), SimFatal);
+    EXPECT_THROW(AuditConfig::parse("periodic:inf"), SimFatal);
+    EXPECT_THROW(AuditConfig::parse("periodic:1e300"), SimFatal);
+    EXPECT_DOUBLE_EQ(AuditConfig::parse("periodic:1e-9").periodMs, 1e-9);
 }
 
 // --------------------------------------------------------------------

@@ -98,6 +98,44 @@ TEST(FleetSpec, UnknownAxisValuesAreFatalAtSubmitTime)
       "configs": ["vip"], "workloads": ["A1"],
       "audit": "sometimes"})"),
                  SimFatal);
+    // An audit period or heartbeat below one tick would fail every
+    // worker; it fails here instead.
+    EXPECT_THROW(JobSpec::parse(R"({
+      "configs": ["vip"], "workloads": ["A1"],
+      "audit": "periodic:1e-10"})"),
+                 SimFatal);
+    EXPECT_THROW(JobSpec::parse(R"({
+      "configs": ["vip"], "workloads": ["A1"],
+      "fleet": {"heartbeat_interval_ms": 1e-10}})"),
+                 SimFatal);
+    // Unknown keys are refused by name, with the valid ones listed:
+    // typos, a stray top-level key, and the retired "timeseries".
+    const char *unknown[][2] = {
+        {R"({"configs": ["vip"], "workloads": ["A1"],
+             "fleet": {"workers": 1, "max_attempt": 1}})",
+         "max_attempt"},
+        {R"({"configs": ["vip"], "workloads": ["A1"],
+             "fleet": {"workers": 1, "timeseriez": true}})",
+         "timeseriez"},
+        {R"({"configs": ["vip"], "workloads": ["A1"], "extra": 5})",
+         "extra"},
+        {R"({"configs": ["vip"], "workloads": ["A1"],
+             "fleet": {"timeseries": true}})",
+         "timeseries"},
+    };
+    for (const auto &[text, key] : unknown) {
+        SCOPED_TRACE(key);
+        try {
+            JobSpec::parse(text);
+            ADD_FAILURE() << "unknown key accepted";
+        } catch (const SimFatal &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(std::string("unknown key '") + key + "'"),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("valid keys: "), std::string::npos) << msg;
+        }
+    }
 }
 
 TEST(FleetSpec, EmptyOrMissingAxesAreFatal)

@@ -245,7 +245,9 @@ struct CliRun
 CliRun
 vipSim(const std::string &args)
 {
-    const std::string cmd = std::string("timeout 10 ") + VIP_SIM_PATH +
+    // -k: a run that ignores SIGTERM is killed 5 s later and fails
+    // its test instead of wedging the suite.
+    const std::string cmd = std::string("timeout -k 5 10 ") + VIP_SIM_PATH +
                             " " + args + " 2>&1";
     CliRun r;
     FILE *p = ::popen(cmd.c_str(), "r");
@@ -280,6 +282,13 @@ TEST(VipSimCli, RejectsBadFlagValues)
         "--trace-buffer 0",    "--prof-sample-every x",
         "--checkpoint-every-ms 0", "--metrics-interval-ms -1",
         "--fault-hang 2",      "--seed 1x",
+        // Periods that truncate to zero ticks, or are not finite,
+        // would spin at one tick or cast undefinedly.
+        "--metrics-interval-ms 1e-10 --checkpoint-on-steady",
+        "--audit periodic:1e-10", "--audit periodic:nan",
+        "--audit periodic:inf",   "--guard-ms 1e-10",
+        // A column glob with no CSV to pick columns for.
+        "--ts=*",
     };
     for (const char *args : bad) {
         SCOPED_TRACE(args);
@@ -297,7 +306,6 @@ TEST(VipSimCli, UnwritableOutputFailsBeforeTheRun)
     const char *outputs[] = {
         "--stats-out /nonexistent/stats.json",
         "--prof=/nonexistent/prof.json",
-        "--ts-out /nonexistent/series.json",
         "--trace-out /nonexistent/trace.json",
         "--digest-out /nonexistent/run.dig",
         "--frame-csv /nonexistent/frames.csv",
@@ -333,6 +341,39 @@ TEST(VipSimCli, NamesTheCadenceBoundariesThatNeverQuiesced)
               std::string::npos)
         << r.out;
     EXPECT_FALSE(std::filesystem::exists(ck));
+
+    // The same cell reaches steady state but never a quiescent point
+    // after it, so the warm-start one-shot is never written: the
+    // summary must not name a snapshot that does not exist.
+    const std::string st =
+        ::testing::TempDir() + "vip-never-quiescent-steady.vips";
+    std::filesystem::remove(st);
+    const CliRun s = vipSim("--workload W1 --config baseline "
+                            "--seconds 0.4 --checkpoint-on-steady=" + st);
+    EXPECT_EQ(s.exit, 0) << s.out;
+    EXPECT_TRUE(hasLine(s.out, "steady      : detected at 188.000 ms, "
+                               "but the platform never reached a "
+                               "quiescent point after it; no snapshot "
+                               "written to " + st))
+        << s.out;
+    EXPECT_EQ(s.out.find("warm-start snapshot"), std::string::npos)
+        << s.out;
+    EXPECT_FALSE(std::filesystem::exists(st));
+}
+
+TEST(VipSimCli, RejectsTheDeletedSeriesFlags)
+{
+    // The metrics CSV is the sampler's one output: there is no
+    // second series file to name and no switch that arms the sampler
+    // without a consumer, so these are unknown options, never
+    // silently ignored.
+    for (const char *args : {"--ts", "--ts-out s.json", "--ts-out=s.json"}) {
+        SCOPED_TRACE(args);
+        const CliRun r = vipSim(std::string(args) + " --seconds 0.01");
+        EXPECT_EQ(r.exit, 1) << r.out;
+        EXPECT_NE(r.out.find("unknown option"), std::string::npos) << r.out;
+        EXPECT_EQ(r.out.find("===="), std::string::npos) << r.out;
+    }
 }
 
 } // namespace

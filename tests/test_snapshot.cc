@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/simulation.hh"
@@ -531,7 +532,7 @@ TEST_F(SnapshotTest, MetricsCsvResumesWithoutDuplicateHeader)
 {
     auto wl = WorkloadCatalog::byIndex(4);
     auto refCsv = path("ref.csv");
-    auto csv = path("resume.csv");
+    auto killedCsv = path("killed.csv");
     auto snap = path("a.vips");
 
     SocConfig base = auditedCfg(SystemConfig::Baseline, 0.2);
@@ -544,77 +545,105 @@ TEST_F(SnapshotTest, MetricsCsvResumesWithoutDuplicateHeader)
         Simulation sim(cfg, wl);
         sim.run();
     }
-    // Checkpointed run writing the CSV that will be "interrupted".
+    // Checkpointed run writing the CSV that will be "interrupted":
+    // a kill at any point after the snapshot leaves a prefix of it.
     {
         SocConfig cfg = base;
-        cfg.ts.metricsOut = csv;
+        cfg.ts.metricsOut = killedCsv;
         Simulation sim(cfg, wl);
         sim.checkpointAt(fromMs(100), snap);
         sim.run();
         ASSERT_EQ(sim.checkpointsWritten(), 1u);
     }
+    const std::string killed = readFile(killedCsv);
 
-    // Simulate a kill right at the checkpoint: drop every data row
-    // sampled after the snapshot tick.
+    // Three files the resumed run may find: cut at the snapshot tick,
+    // as written (rows past the snapshot included), and as written
+    // up to a row the kill cut short.
     double ckptMs = toMs(SnapshotReader::readMeta(snap).tick);
-    std::vector<std::string> kept;
+    std::string cutAtSnapshot;
     {
-        std::ifstream in(csv);
+        std::istringstream in(killed);
         std::string line;
         while (std::getline(in, line)) {
             if (line.empty() || line[0] == '#' ||
-                line.rfind("tick_ms", 0) == 0) {
-                kept.push_back(line);
-                continue;
-            }
-            if (std::stod(line) <= ckptMs)
-                kept.push_back(line);
+                line.rfind("tick_ms", 0) == 0 || std::stod(line) <= ckptMs)
+                cutAtSnapshot += line + "\n";
         }
     }
-    {
-        std::ofstream out(csv, std::ios::trunc);
-        for (const auto &l : kept)
-            out << l << "\n";
-    }
+    const std::size_t lastRow = killed.rfind('\n', killed.size() - 2);
+    const std::pair<const char *, std::string> inputs[] = {
+        {"cut at the snapshot tick", cutAtSnapshot},
+        {"as written", killed},
+        {"with a partial last row",
+         killed.substr(0, lastRow + 1) +
+             killed.substr(lastRow + 1, 12)},
+    };
+    const std::string want = readFile(refCsv);
+    for (const auto &[what, text] : inputs) {
+        SCOPED_TRACE(what);
+        auto csv = path("resume.csv");
+        std::ofstream(csv, std::ios::binary | std::ios::trunc) << text;
 
-    // Resume: the sampler must append to the CSV, not rewrite it.
-    {
+        // Resume: the sampler keeps the rows before the snapshot's
+        // next boundary and appends the rest, never rewriting the
+        // header.
         SocConfig cfg = base;
         cfg.ts.metricsOut = csv;
         cfg.restorePath = snap;
         Simulation sim(cfg, wl);
         sim.run();
-    }
 
-    std::ifstream ref(refCsv), res(csv);
-    std::string rline, sline;
-    std::size_t headers = 0;
-    bool sawResumeStamp = false;
-    std::vector<std::string> refRows, resRows;
-    while (std::getline(ref, rline)) {
-        if (rline.empty() || rline[0] == '#')
-            continue;
-        if (rline.rfind("tick_ms", 0) == 0)
-            continue;
-        refRows.push_back(rline);
-    }
-    while (std::getline(res, sline)) {
-        if (sline.rfind("# resumed-at-tick=", 0) == 0) {
-            sawResumeStamp = true;
-            continue;
+        std::ifstream res(csv);
+        std::string line, rest;
+        std::size_t headers = 0, stamps = 0;
+        while (std::getline(res, line)) {
+            if (line.rfind("# resumed-at-tick=", 0) == 0) {
+                ++stamps;
+                continue;
+            }
+            headers += line.rfind("tick_ms", 0) == 0;
+            rest += line + "\n";
         }
-        if (sline.empty() || sline[0] == '#')
-            continue;
-        if (sline.rfind("tick_ms", 0) == 0) {
-            ++headers;
-            continue;
-        }
-        resRows.push_back(sline);
+        EXPECT_EQ(headers, 1u);
+        EXPECT_EQ(stamps, 1u);
+        // Kept rows + resumed rows == the uninterrupted CSV, byte for
+        // byte: no row lost, none twice.
+        EXPECT_EQ(rest, want);
     }
-    EXPECT_EQ(headers, 1u);
-    EXPECT_TRUE(sawResumeStamp);
-    // Killed-at-checkpoint rows + resumed rows == uninterrupted rows.
-    EXPECT_EQ(resRows, refRows);
+}
+
+TEST_F(SnapshotTest, MetricsCsvWithOtherColumnsIsNotAppendedTo)
+{
+    // A resumed run appends only to the CSV it would have written:
+    // a file whose column row names other stats stops the run before
+    // the first event and is left as it was.
+    auto wl = WorkloadCatalog::byIndex(4);
+    auto snap = path("a.vips");
+    auto csv = path("m.csv");
+    SocConfig cfg = auditedCfg(SystemConfig::Baseline, 0.2);
+    cfg.ts.metricsOut = csv;
+    {
+        Simulation sim(cfg, wl);
+        sim.checkpointAt(fromMs(100), snap);
+        sim.run();
+        ASSERT_EQ(sim.checkpointsWritten(), 1u);
+    }
+    const std::string other = "# vip-metrics v2\ntick_ms,flow.0.completed\n"
+                              "1.000000,0\n";
+    std::ofstream(csv, std::ios::binary | std::ios::trunc) << other;
+
+    cfg.restorePath = snap;
+    Simulation sim(cfg, wl);
+    try {
+        sim.run();
+        ADD_FAILURE() << "resumed onto a CSV with other columns";
+    } catch (const SimFatal &e) {
+        EXPECT_NE(std::string(e.what()).find("other columns"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(readFile(csv), other);
 }
 
 } // namespace

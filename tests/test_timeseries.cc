@@ -1,11 +1,11 @@
 /**
  * @file
- * Time-series plane (--ts) tests: digest neutrality across every
- * system configuration, byte-identical series output for identical
- * runs (decimation included), stat-export gating, glob selection,
- * steady-state detection on every configuration, and the
- * --checkpoint-on-steady snapshot restoring to a byte-identical
- * series.json and digest stream.
+ * Time-series plane tests: digest neutrality across every system
+ * configuration, stat-export gating, glob selection of the metrics
+ * CSV's columns, steady-state detection on every configuration, the
+ * --checkpoint-on-steady snapshot restoring to a byte-identical CSV
+ * and digest stream, and a snapshot section that does not grow with
+ * the run.
  */
 
 #include <gtest/gtest.h>
@@ -40,11 +40,46 @@ auditedCfg(SystemConfig sc, double seconds = 0.2)
 }
 
 std::string
-seriesOf(const Simulation &sim)
+readFile(const std::string &path)
 {
+    std::ifstream in(path, std::ios::binary);
     std::ostringstream os;
-    sim.writeSeriesJson(os);
+    os << in.rdbuf();
     return os.str();
+}
+
+/** The metrics CSV at @p path without its '# resumed-at-tick=' lines:
+ *  what a resumed run's file must equal, byte for byte. */
+std::string
+withoutResumeStamps(const std::string &path)
+{
+    std::istringstream in(readFile(path));
+    std::string out, line;
+    while (std::getline(in, line)) {
+        if (line.rfind("# resumed-at-tick=", 0) != 0)
+            out += line + "\n";
+    }
+    return out;
+}
+
+/** The column row of the metrics CSV at @p path. */
+std::string
+csvColumns(const std::string &path)
+{
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("tick_ms", 0) == 0)
+            return line;
+    }
+    return "";
+}
+
+/** A per-test scratch file under the gtest temp directory. */
+std::string
+tempCsv(const std::string &name)
+{
+    return ::testing::TempDir() + "vip-ts-" + name + ".csv";
 }
 
 std::string
@@ -122,35 +157,37 @@ TEST(TimeSeriesPlane, DigestNeutralAcrossAllConfigs)
         ref.run();
 
         SocConfig cfg = auditedCfg(sc);
-        cfg.ts.armed = true;
+        cfg.ts.metricsOut = tempCsv("neutral");
         cfg.ts.glob = kEveryStat;
         Simulation armed(cfg, wl);
         armed.run();
 
         ASSERT_NE(armed.timeseries(), nullptr);
-        EXPECT_GT(armed.timeseries()->rows(), 0u);
+        EXPECT_GT(armed.timeseries()->samplesSeen(), 0u);
         EXPECT_EQ(ref.auditor().streamDigest(),
                   armed.auditor().streamDigest());
         EXPECT_EQ(ref.system().curTick(), armed.system().curTick());
         EXPECT_EQ(ref.system().eventq().servicedEvents(),
                   armed.system().eventq().servicedEvents());
     }
+    std::filesystem::remove(tempCsv("neutral"));
 }
 
 TEST(TimeSeriesPlane, StatsExportGatedOnArming)
 {
-    // ts.* and sim.steady.tick ride along only when --ts is armed,
-    // so baseline (disarmed) stats dumps stay comparable across
-    // tooling that diffs them bit for bit.
+    // ts.samples and sim.steady.tick ride along only when the
+    // sampler is armed, so baseline (disarmed) stats dumps stay
+    // comparable across tooling that diffs them bit for bit.
     SocConfig cfg = auditedCfg(SystemConfig::VIP);
-    cfg.ts.armed = true;
+    cfg.ts.metricsOut = tempCsv("gated");
     Simulation armed(cfg, WorkloadCatalog::byIndex(4));
     armed.run();
     const std::string on = statsOf(armed);
     EXPECT_NE(on.find("\"ts.samples\""), std::string::npos);
-    EXPECT_NE(on.find("\"ts.rows\""), std::string::npos);
-    EXPECT_NE(on.find("\"ts.stride\""), std::string::npos);
     EXPECT_NE(on.find("\"sim.steady.tick\""), std::string::npos);
+    // The sampler keeps no rows, so it exports no row stats.
+    EXPECT_EQ(on.find("\"ts.rows\""), std::string::npos);
+    EXPECT_EQ(on.find("\"ts.stride\""), std::string::npos);
 
     Simulation off(auditedCfg(SystemConfig::VIP),
                    WorkloadCatalog::byIndex(4));
@@ -159,12 +196,13 @@ TEST(TimeSeriesPlane, StatsExportGatedOnArming)
     EXPECT_EQ(bare.find("\"ts."), std::string::npos);
     EXPECT_EQ(bare.find("\"sim.steady."), std::string::npos);
     EXPECT_EQ(off.timeseries(), nullptr);
+    std::filesystem::remove(cfg.ts.metricsOut);
 }
 
 TEST(TimeSeriesPlane, GlobSelectsSubsetAndSeriesReflectsIt)
 {
     SocConfig cfg = auditedCfg(SystemConfig::VIP, 0.1);
-    cfg.ts.armed = true;
+    cfg.ts.metricsOut = tempCsv("glob");
     cfg.ts.glob = "flow.*";
     Simulation sim(cfg, WorkloadCatalog::byIndex(4));
     sim.run();
@@ -174,16 +212,20 @@ TEST(TimeSeriesPlane, GlobSelectsSubsetAndSeriesReflectsIt)
     EXPECT_GT(ts->selected(), 0u);
 
     SocConfig all = auditedCfg(SystemConfig::VIP, 0.1);
-    all.ts.armed = true;
+    all.ts.metricsOut = tempCsv("glob-all");
     all.ts.glob = kEveryStat;
     Simulation simAll(all, WorkloadCatalog::byIndex(4));
     simAll.run();
     ASSERT_NE(simAll.timeseries(), nullptr);
     EXPECT_LT(ts->selected(), simAll.timeseries()->selected());
 
-    const std::string doc = seriesOf(sim);
-    EXPECT_NE(doc.find("\"flow."), std::string::npos);
-    EXPECT_EQ(doc.find("\"path\": \"dram."), std::string::npos);
+    const std::string cols = csvColumns(cfg.ts.metricsOut);
+    EXPECT_NE(cols.find(",flow."), std::string::npos);
+    EXPECT_EQ(cols.find(",dram."), std::string::npos);
+    EXPECT_NE(csvColumns(all.ts.metricsOut).find(",dram."),
+              std::string::npos);
+    std::filesystem::remove(cfg.ts.metricsOut);
+    std::filesystem::remove(all.ts.metricsOut);
 }
 
 TEST(TimeSeriesPlane, DefaultSelectionIsCompactAndCoversTheDetector)
@@ -192,14 +234,14 @@ TEST(TimeSeriesPlane, DefaultSelectionIsCompactAndCoversTheDetector)
     // a small fraction of the registry that still holds every series
     // the steady-state detector tracks.
     SocConfig cfg = auditedCfg(SystemConfig::VIP, 0.02);
-    cfg.ts.armed = true;
+    cfg.ts.metricsOut = tempCsv("default");
     Simulation sim(cfg, WorkloadCatalog::byIndex(4));
     sim.run();
     const TimeSeries *ts = sim.timeseries();
     ASSERT_NE(ts, nullptr);
     EXPECT_LT(ts->selected() * 3, sim.statsRegistry().size());
 
-    const std::string doc = seriesOf(sim);
+    const std::string cols = csvColumns(cfg.ts.metricsOut) + ",";
     for (const char *p : {"sim.eventq.live", "flow.0.generated",
                           "flow.0.completed", "flow.0.frames_shed",
                           "ip.vd.credits_reserved",
@@ -209,7 +251,7 @@ TEST(TimeSeriesPlane, DefaultSelectionIsCompactAndCoversTheDetector)
                           "dram.powerdown_ms", "dram.selfrefresh_ms",
                           "sa.busy_ms", "cpu.core0.active_ms",
                           "cpu.core0.sleep_ms"})
-        EXPECT_NE(doc.find(std::string("\"path\": \"") + p + "\""),
+        EXPECT_NE(cols.find(std::string(",") + p + ","),
                   std::string::npos)
             << p;
     const auto &tracked = ts->trackedPaths();
@@ -219,33 +261,7 @@ TEST(TimeSeriesPlane, DefaultSelectionIsCompactAndCoversTheDetector)
     EXPECT_NE(std::find(tracked.begin(), tracked.end(),
                         "flow.0.completed"),
               tracked.end());
-}
-
-TEST(TimeSeriesPlane, SeriesBytesDeterministicUnderDecimation)
-{
-    // 0.3 simulated s sampled every 0.1 ms is ~3000 boundaries
-    // against a 512-row ring: the keep-stride must have doubled, and
-    // two identical runs must still dump byte-identical series.json
-    // (no wall-clock content, no iteration-order leaks) over every
-    // registry stat.
-    SocConfig cfg = auditedCfg(SystemConfig::VIP, 0.3);
-    cfg.ts.intervalMs = 0.1;
-    cfg.ts.armed = true;
-    cfg.ts.glob = kEveryStat;
-
-    Simulation a(cfg, WorkloadCatalog::byIndex(4));
-    a.run();
-    Simulation b(cfg, WorkloadCatalog::byIndex(4));
-    b.run();
-
-    const TimeSeries *ts = a.timeseries();
-    ASSERT_NE(ts, nullptr);
-    EXPECT_GT(ts->samplesSeen(), TimeSeries::kRowCap);
-    EXPECT_GT(ts->stride(), 1u);
-    EXPECT_LE(ts->rows(), TimeSeries::kRowCap);
-    EXPECT_GT(ts->rows(), 0u);
-
-    EXPECT_EQ(seriesOf(a), seriesOf(b));
+    std::filesystem::remove(cfg.ts.metricsOut);
 }
 
 TEST(TimeSeriesPlane, SteadyDetectedOnAllConfigs)
@@ -257,7 +273,7 @@ TEST(TimeSeriesPlane, SteadyDetectedOnAllConfigs)
     for (auto sc : kAllConfigs) {
         SCOPED_TRACE(systemConfigName(sc));
         SocConfig cfg = auditedCfg(sc, 0.35);
-        cfg.ts.armed = true;
+        cfg.ts.metricsOut = tempCsv("steady");
         Simulation sim(cfg, wl);
         sim.run();
 
@@ -267,6 +283,7 @@ TEST(TimeSeriesPlane, SteadyDetectedOnAllConfigs)
         EXPECT_GE(ts->steadyTickMs(), TimeSeries::kSteadyWarmupMs);
         EXPECT_LT(ts->steadyTickMs(), 350.0);
     }
+    std::filesystem::remove(tempCsv("steady"));
 }
 
 TEST_F(TimeSeriesSnapshotTest, SteadyCheckpointRestoresByteIdentical)
@@ -274,39 +291,44 @@ TEST_F(TimeSeriesSnapshotTest, SteadyCheckpointRestoresByteIdentical)
     // The warm-start contract end to end: --checkpoint-on-steady
     // writes one snapshot at the first quiescent point after
     // detection, and a run restored from it finishes with a digest
-    // stream, stats dump AND series.json byte-identical to the
-    // uninterrupted run's — rows resume mid-ring, the detector
-    // verdict survives, and the one-shot plan never re-arms.  Every
-    // registry stat is selected so each one's restore is compared.
+    // stream, stats dump AND metrics CSV byte-identical to the
+    // uninterrupted run's (the CSV plus one resume stamp) — the
+    // detector verdict survives and the one-shot plan never re-arms.
+    // Every registry stat is selected so each one's restore is
+    // compared.
     auto wl = WorkloadCatalog::byIndex(4);
     const std::string snap = path("steady.vips");
 
     SocConfig base = auditedCfg(SystemConfig::VIP, 0.4);
-    base.ts.armed = true;
+    base.ts.metricsOut = path("ref.csv");
     base.ts.glob = kEveryStat;
 
     Simulation ref(base, wl);
     ref.run();
     ASSERT_NE(ref.timeseries(), nullptr);
     ASSERT_TRUE(ref.timeseries()->steadyDetected());
-    const std::string wantSeries = seriesOf(ref);
+    const std::string wantCsv = readFile(base.ts.metricsOut);
     const std::string wantStats = statsOf(ref);
 
     SocConfig wcfg = base;
+    wcfg.ts.metricsOut = path("run.csv");
     wcfg.ts.checkpointOnSteady = snap;
     Simulation writer(wcfg, wl);
     writer.run();
     // Exactly the one steady snapshot, written past the detection
     // tick, and the write must not have perturbed the run.
     EXPECT_EQ(writer.checkpointsWritten(), 1u);
+    EXPECT_TRUE(writer.steadySnapshotWritten());
     ASSERT_TRUE(std::filesystem::exists(snap));
     auto meta = SnapshotReader::readMeta(snap);
     EXPECT_GE(toMs(meta.tick),
               writer.timeseries()->steadyTickMs());
     EXPECT_EQ(writer.auditor().streamDigest(),
               ref.auditor().streamDigest());
-    EXPECT_EQ(seriesOf(writer), wantSeries);
+    EXPECT_EQ(readFile(wcfg.ts.metricsOut), wantCsv);
 
+    // Resume onto the writer's CSV as it stands, rows past the
+    // snapshot included.
     SocConfig rcfg = wcfg; // identical flags on resume
     rcfg.restorePath = snap;
     Simulation resumed(rcfg, wl);
@@ -314,11 +336,17 @@ TEST_F(TimeSeriesSnapshotTest, SteadyCheckpointRestoresByteIdentical)
     // The restored plan state says "already written": no second
     // steady snapshot may appear.
     EXPECT_EQ(resumed.checkpointsWritten(), 0u);
+    EXPECT_TRUE(resumed.steadySnapshotWritten());
     ASSERT_NE(resumed.timeseries(), nullptr);
     EXPECT_TRUE(resumed.timeseries()->steadyDetected());
     EXPECT_EQ(resumed.timeseries()->steadyTickMs(),
               ref.timeseries()->steadyTickMs());
-    EXPECT_EQ(seriesOf(resumed), wantSeries);
+    const std::string got = readFile(rcfg.ts.metricsOut);
+    const std::size_t stamp =
+        got.find("\n# resumed-at-tick=" + std::to_string(meta.tick) + "\n");
+    EXPECT_NE(stamp, std::string::npos);
+    EXPECT_EQ(got.rfind("# resumed-at-tick="), stamp + 1); // only one
+    EXPECT_EQ(withoutResumeStamps(rcfg.ts.metricsOut), wantCsv);
     EXPECT_EQ(statsOf(resumed), wantStats);
     EXPECT_EQ(resumed.auditor().streamDigest(),
               ref.auditor().streamDigest());
@@ -326,14 +354,14 @@ TEST_F(TimeSeriesSnapshotTest, SteadyCheckpointRestoresByteIdentical)
 
 TEST_F(TimeSeriesSnapshotTest, ArmingMustMatchAcrossRestore)
 {
-    // Arming is excluded from checkpoint *identity* but the series
-    // rows live in the snapshot: restoring a ts-armed snapshot into
-    // a bare run (or vice versa) must fail crisply, not desync.
+    // Arming is excluded from checkpoint *identity* but the sample
+    // count and detector windows live in the snapshot: restoring an
+    // armed snapshot into a bare run must fail crisply, not desync.
     auto wl = WorkloadCatalog::byIndex(4);
     const std::string snap = path("mid.vips");
 
     SocConfig wcfg = auditedCfg(SystemConfig::VIP, 0.4);
-    wcfg.ts.armed = true;
+    wcfg.ts.metricsOut = path("w.csv");
     Simulation writer(wcfg, wl);
     writer.checkpointAt(fromMs(300), snap);
     writer.run();
@@ -348,14 +376,14 @@ TEST_F(TimeSeriesSnapshotTest, ArmingMustMatchAcrossRestore)
 TEST_F(TimeSeriesSnapshotTest, IntervalMustMatchAcrossRestore)
 {
     // The snapshot's sampler section records its interval: resuming
-    // rows sampled every 2 ms at a 1 ms cadence would change the
-    // spacing at the restore point while series.json claims one
-    // interval, so it must fail and name both values.
+    // samples taken every 2 ms at a 1 ms cadence would change the
+    // row spacing at the restore point while the CSV header claims
+    // one interval, so it must fail and name both values.
     auto wl = WorkloadCatalog::byIndex(4);
     const std::string snap = path("mid.vips");
 
     SocConfig wcfg = auditedCfg(SystemConfig::VIP, 0.4);
-    wcfg.ts.armed = true;
+    wcfg.ts.metricsOut = path("w.csv");
     wcfg.ts.intervalMs = 2.0;
     Simulation writer(wcfg, wl);
     writer.checkpointAt(fromMs(300), snap);
@@ -364,6 +392,8 @@ TEST_F(TimeSeriesSnapshotTest, IntervalMustMatchAcrossRestore)
 
     SocConfig rcfg = wcfg;
     rcfg.restorePath = snap;
+    rcfg.ts.metricsOut = path("r.csv");
+    std::filesystem::copy_file(wcfg.ts.metricsOut, rcfg.ts.metricsOut);
     rcfg.ts.intervalMs = 1.0;
     Simulation resumed(rcfg, wl);
     try {
@@ -379,5 +409,40 @@ TEST_F(TimeSeriesSnapshotTest, IntervalMustMatchAcrossRestore)
     rcfg.ts.intervalMs = 2.0;
     Simulation same(rcfg, wl);
     same.run();
-    EXPECT_EQ(seriesOf(same), seriesOf(writer));
+    EXPECT_EQ(withoutResumeStamps(rcfg.ts.metricsOut),
+              readFile(wcfg.ts.metricsOut));
+}
+
+TEST_F(TimeSeriesSnapshotTest, SnapshotSectionDoesNotGrowWithTheRun)
+{
+    // The sampler's section holds its interval, selection, next
+    // boundary, sample count and detector windows: once the windows
+    // fill, its size no longer depends on how many rows the CSV has.
+    SocConfig cfg = auditedCfg(SystemConfig::FrameBurst, 0.45);
+    cfg.ts.metricsOut = path("m.csv");
+    Simulation sim(cfg, WorkloadCatalog::byIndex(4));
+    sim.checkpointAt(fromMs(200), path("a.vips"));
+    sim.checkpointAt(fromMs(400), path("b.vips"));
+    sim.run();
+    ASSERT_EQ(sim.checkpointsWritten(), 2u);
+
+    // A section's table entry is its name (u32 length, bytes) and
+    // then its payload size as a little-endian u64.
+    auto sectionBytes = [](const std::string &file) {
+        const std::string name = "timeseries";
+        std::string key(4, '\0');
+        key[0] = static_cast<char>(name.size());
+        key += name;
+        const std::string bytes = readFile(file);
+        const std::size_t at = bytes.find(key);
+        EXPECT_NE(at, std::string::npos) << file;
+        std::uint64_t size = 0;
+        for (int i = 7; at != std::string::npos && i >= 0; --i)
+            size = size << 8 |
+                   static_cast<unsigned char>(bytes[at + key.size() + i]);
+        return size;
+    };
+    const std::uint64_t early = sectionBytes(path("a.vips"));
+    EXPECT_GT(early, 0u);
+    EXPECT_EQ(sectionBytes(path("b.vips")), early);
 }

@@ -164,10 +164,12 @@ usage()
         "                               fault, power (default all)\n"
         "  --trace-buffer <events>      trace ring capacity (count;\n"
         "                               default 524288, drop-oldest)\n"
-        "  --metrics-out <file>         stream every sample of the\n"
-        "                               --ts selection as a CSV row\n"
-        "                               (flushed per row; survives a\n"
-        "                               killed run; arms the sampler;\n"
+        "  --metrics-out <file>         arm the sampler: every interval\n"
+        "                               append the --ts selection as\n"
+        "                               one CSV row (flushed per row;\n"
+        "                               survives a killed run; a\n"
+        "                               --restore run cuts the rows\n"
+        "                               past its snapshot and appends;\n"
         "                               digest-neutral)\n"
         "  --metrics-interval-ms <ms>   sampling period (default 1)\n"
         "  --stats-out <file>           write every registered counter\n"
@@ -180,28 +182,21 @@ usage()
         "                               digest-neutral, <5%% overhead\n"
         "  --prof-sample-every <n>      steady_clock sampling stride\n"
         "                               (count; default 64)\n"
-        "  --ts[=<glob>]                sample glob-selected stats\n"
-        "                               every interval into a bounded\n"
-        "                               decimating series ring and\n"
-        "                               run the steady-state detector;\n"
-        "                               digest-neutral.  Default glob:\n"
-        "                               per-IP credits and busy/stall\n"
-        "                               time, DRAM bytes and low-power\n"
-        "                               time, SA busy time, per-core\n"
-        "                               active/sleep time, per-flow\n"
-        "                               frame counters and\n"
-        "                               sim.eventq.live; '*' selects\n"
-        "                               every stat\n"
-        "  --ts-out <file>              write the sampled series plus\n"
-        "                               derived rates/EWMA/min/max as\n"
-        "                               self-describing JSON (the\n"
-        "                               format vip_top renders);\n"
-        "                               implies --ts\n"
-        "  --checkpoint-on-steady[=<f>] write a one-shot snapshot at\n"
-        "                               the first quiescent point\n"
-        "                               after steady state is detected\n"
-        "                               (default steady.vips; implies\n"
-        "                               --ts); the warm-start seed for\n"
+        "  --ts=<glob>                  the --metrics-out columns:\n"
+        "                               stats matching the glob.\n"
+        "                               Default: per-IP credits and\n"
+        "                               busy/stall time, DRAM bytes\n"
+        "                               and low-power time, SA busy\n"
+        "                               time, per-core active/sleep\n"
+        "                               time, per-flow frame counters\n"
+        "                               and sim.eventq.live; '*'\n"
+        "                               selects every stat\n"
+        "  --checkpoint-on-steady[=<f>] arm the sampler's steady-state\n"
+        "                               detector and write a one-shot\n"
+        "                               snapshot at the first quiescent\n"
+        "                               point after steady state is\n"
+        "                               detected (default steady.vips);\n"
+        "                               the warm-start seed for\n"
         "                               --restore\n"
         "  --postmortem-dir <dir>       on a fatal error write a crash\n"
         "                               bundle (crash.json, stats.json,\n"
@@ -422,6 +417,7 @@ main(int argc, char **argv)
     std::string statsFile;
     std::string frameCsv;
     std::string digestFile;
+    std::string tsGlob;
     vip::SocConfig cfg;
     cfg.simSeconds = 0.4;
 
@@ -558,27 +554,14 @@ main(int argc, char **argv)
                    arg.rfind("--prof-sample-every=", 0) == 0) {
             std::string v = arg[19] == '=' ? arg.substr(20) : next();
             cfg.prof.sampleEvery = countArg("--prof-sample-every", v);
-        } else if (arg == "--ts") {
-            cfg.ts.armed = true;
         } else if (arg.rfind("--ts=", 0) == 0) {
-            cfg.ts.armed = true;
-            cfg.ts.glob = arg.substr(5);
-            if (cfg.ts.glob.empty())
+            tsGlob = arg.substr(5);
+            if (tsGlob.empty())
                 vip::fatal("--ts= needs a stat glob");
-        } else if (arg == "--ts-out") {
-            cfg.ts.out = next();
-            cfg.ts.armed = true;
-        } else if (arg.rfind("--ts-out=", 0) == 0) {
-            cfg.ts.out = arg.substr(9);
-            cfg.ts.armed = true;
-            if (cfg.ts.out.empty())
-                vip::fatal("--ts-out= needs a file name");
         } else if (arg == "--checkpoint-on-steady") {
             cfg.ts.checkpointOnSteady = "steady.vips";
-            cfg.ts.armed = true;
         } else if (arg.rfind("--checkpoint-on-steady=", 0) == 0) {
             cfg.ts.checkpointOnSteady = arg.substr(23);
-            cfg.ts.armed = true;
             if (cfg.ts.checkpointOnSteady.empty())
                 vip::fatal("--checkpoint-on-steady= needs a file "
                            "name");
@@ -611,6 +594,12 @@ main(int argc, char **argv)
         }
     }
 
+        if (!tsGlob.empty()) {
+            if (cfg.ts.metricsOut.empty())
+                vip::fatal("--ts=", tsGlob, " picks the --metrics-out "
+                           "columns, but no --metrics-out was given");
+            cfg.ts.glob = tsGlob;
+        }
         cfg.system = vip::systemConfigByCliName(config);
         if (!digestFile.empty() && !cfg.audit.enabled())
             cfg.audit = vip::AuditConfig::parse("periodic:1");
@@ -635,18 +624,6 @@ main(int argc, char **argv)
                                  sim.profiler()->dispatches()),
                              static_cast<unsigned long long>(
                                  sim.profiler()->sampledDispatches()));
-             }},
-            {"--ts-out", cfg.ts.out, [&](std::ostream &os) {
-                 sim.writeSeriesJson(os);
-                 const vip::TimeSeries *ts = sim.timeseries();
-                 return line("series written to %s (%zu rows x %zu "
-                             "stats; %s)",
-                             cfg.ts.out.c_str(), ts->rows(),
-                             ts->selected(),
-                             ts->steadyDetected()
-                                 ? line("steady at %.3f ms",
-                                        ts->steadyTickMs()).c_str()
-                                 : "steady state not reached");
              }},
             {"--frame-csv", frameCsv, [&](std::ostream &os) {
                  s.trace.dumpCsv(os);
@@ -723,11 +700,19 @@ main(int argc, char **argv)
         }
         if (!cfg.ts.checkpointOnSteady.empty()) {
             const vip::TimeSeries *ts = sim.timeseries();
-            if (ts->steadyDetected()) {
+            if (sim.steadySnapshotWritten()) {
                 std::printf("steady      : detected at %.3f ms; "
                             "warm-start snapshot %s\n",
                             ts->steadyTickMs(),
                             cfg.ts.checkpointOnSteady.c_str());
+            } else if (ts->steadyDetected()) {
+                std::fprintf(stderr,
+                             "steady      : detected at %.3f ms, but "
+                             "the platform never reached a quiescent "
+                             "point after it; no snapshot written to "
+                             "%s\n",
+                             ts->steadyTickMs(),
+                             cfg.ts.checkpointOnSteady.c_str());
             } else {
                 std::fprintf(stderr,
                              "steady      : not reached; no snapshot "

@@ -1,17 +1,14 @@
 /**
  * @file
  * vip_top: live terminal dashboard over the fleet's status plane and
- * the simulator's time-series artifacts.
+ * the simulator's metrics CSV.
  *
- * Three sources, one renderer:
+ * Two sources, one renderer:
  *
  *   vip_top <fleet-out-dir>          jobs by state, per-host health,
  *                                    per-shard throughput sparklines,
  *                                    steady/transient flags, ETA
  *                                    (reads <dir>/fleet-status.json)
- *   vip_top --series series.json     a vip_sim --ts-out report:
- *                                    steady verdict plus sparklines
- *                                    of the detector-tracked series
  *   vip_top --metrics metrics.csv    sparklines of a metrics CSV's
  *                                    most active columns (per-row
  *                                    deltas for counters)
@@ -47,17 +44,15 @@ usage()
     std::fprintf(
         stderr,
         "usage: vip_top [--watch] [--interval <s>] <fleet-out-dir>\n"
-        "       vip_top [--watch] [--interval <s>] --series <file>\n"
         "       vip_top [--watch] [--interval <s>] --metrics <file>\n"
         "\n"
         "  Render a terminal dashboard from a fleet's rolling\n"
-        "  fleet-status.json, a vip_sim --ts-out series report, or a\n"
-        "  metrics CSV stream.\n"
+        "  fleet-status.json or a vip_sim --metrics-out CSV stream.\n"
         "\n"
         "  --watch          re-render until interrupted (fleet mode\n"
         "                   exits when the status file turns final)\n"
         "  --interval <s>   refresh period (default 1)\n"
-        "  --rows <n>       series/metrics rows to chart (default 60)\n");
+        "  --rows <n>       metrics rows to chart (default 60)\n");
 }
 
 /** ASCII sparkline: one glyph per value, darker = larger. */
@@ -208,76 +203,6 @@ renderFleet(const std::string &dir)
 }
 
 void
-renderSeries(const std::string &file, std::size_t chartRows)
-{
-    std::ifstream in(file);
-    if (!in)
-        vip::fatal("cannot read ", file);
-    vip::json::JsonValue doc = vip::json::parse(in);
-    if (vip::json::strField(doc, "kind") != "vip-series")
-        vip::fatal(file, " is not a vip-series report");
-
-    const vip::json::JsonValue *run = doc.find("run");
-    std::printf("series %s  %s/%s  %.0f samples, %.0f rows "
-                "(stride %.0f)\n",
-                file.c_str(),
-                run ? vip::json::strField(*run, "workload").c_str()
-                    : "?",
-                run ? vip::json::strField(*run, "config").c_str()
-                    : "?",
-                numOr(doc, "samples", 0), numOr(doc, "rows", 0),
-                numOr(doc, "stride", 1));
-    const vip::json::JsonValue *steady = doc.find("steady");
-    std::vector<std::string> tracked;
-    if (steady) {
-        if (steady->find("detected") &&
-            steady->find("detected")->b) {
-            std::printf("steady : detected at %s\n",
-                        fmtMs(numOr(*steady, "tick_ms", -1.0))
-                            .c_str());
-        } else {
-            std::printf("steady : not reached\n");
-        }
-        if (const vip::json::JsonValue *t = steady->find("tracked"))
-            for (const vip::json::JsonValue &p : t->arr)
-                tracked.push_back(p.str);
-    }
-
-    // Chart the detector-tracked series (the run's vital signs);
-    // counters chart their derived rate, gauges their raw value.
-    const vip::json::JsonValue *series = doc.find("series");
-    if (!series)
-        return;
-    for (const vip::json::JsonValue &s : series->arr) {
-        const std::string path = vip::json::strField(s, "path");
-        if (!tracked.empty() &&
-            std::find(tracked.begin(), tracked.end(), path) ==
-                tracked.end())
-            continue;
-        const vip::json::JsonValue *vals = s.find("rate_per_s");
-        const char *what = "rate/s";
-        if (!vals) {
-            vals = s.find("values");
-            what = "value";
-        }
-        if (!vals || vals->arr.empty())
-            continue;
-        std::vector<double> v;
-        v.reserve(vals->arr.size());
-        for (const vip::json::JsonValue &x : vals->arr)
-            v.push_back(x.num);
-        double lo = v[0], hi = v[0];
-        for (double x : v) {
-            lo = std::min(lo, x);
-            hi = std::max(hi, x);
-        }
-        std::printf("%-28s %-6s [%s] %.6g..%.6g\n", path.c_str(),
-                    what, sparkline(thin(v, chartRows)).c_str(), lo,
-                    hi);
-    }
-}
-
-void
 renderMetrics(const std::string &file, std::size_t chartRows)
 {
     std::ifstream in(file);
@@ -307,8 +232,8 @@ renderMetrics(const std::string &file, std::size_t chartRows)
     std::printf("metrics %s  %zu rows x %zu columns\n", file.c_str(),
                 data.empty() ? 0 : data[0].size(), cols.size());
     // Columns that never decrease are cumulative counters: chart their
-    // per-row delta (series.json's rate_per_s, up to the constant
-    // interval), not the ramp.  Gauges chart as sampled.  Then chart
+    // per-row delta (their rate, up to the constant interval), not the
+    // ramp.  Gauges chart as sampled.  Then chart
     // the busiest columns (widest range of what is charted), skipping
     // the time axis itself.
     struct Chart
@@ -358,7 +283,7 @@ renderMetrics(const std::string &file, std::size_t chartRows)
 int
 main(int argc, char **argv)
 {
-    std::string fleetDir, seriesFile, metricsFile;
+    std::string fleetDir, metricsFile;
     bool watch = false;
     double intervalSec = 1.0;
     long chartRows = 60;
@@ -382,8 +307,6 @@ main(int argc, char **argv)
             chartRows = std::atol(next().c_str());
             if (chartRows <= 0)
                 vip::fatal("--rows needs a positive count");
-        } else if (arg == "--series") {
-            seriesFile = next();
         } else if (arg == "--metrics") {
             metricsFile = next();
         } else if (arg == "--help" || arg == "-h") {
@@ -401,9 +324,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    const int sources = !fleetDir.empty() + !seriesFile.empty() +
-                        !metricsFile.empty();
-    if (sources != 1) {
+    if (fleetDir.empty() == metricsFile.empty()) {
         usage();
         return 2;
     }
@@ -415,9 +336,6 @@ main(int argc, char **argv)
             bool done = false;
             if (!fleetDir.empty())
                 done = renderFleet(fleetDir);
-            else if (!seriesFile.empty())
-                renderSeries(seriesFile,
-                             static_cast<std::size_t>(chartRows));
             else
                 renderMetrics(metricsFile,
                               static_cast<std::size_t>(chartRows));
