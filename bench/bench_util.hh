@@ -12,7 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -175,56 +175,25 @@ evaluationMatrix()
     return out;
 }
 
-/** Run one (config, workload) cell of the matrix. */
+/**
+ * Run one (config, workload) cell of the matrix; @p done, if set,
+ * sees the finished Simulation (bench_paper dumps its stats there).
+ */
 inline RunStats
 runCell(SystemConfig config, const Workload &wl, double seconds,
-        std::uint64_t seed = 1)
+        std::uint64_t seed = 1,
+        const std::function<void(Simulation &)> &done = nullptr)
 {
     SocConfig cfg;
     cfg.system = config;
     cfg.simSeconds = seconds;
     cfg.seed = seed;
     cfg.audit = auditConfig();
-    return Simulation::run(cfg, wl);
-}
-
-/**
- * Re-run the (config, workload) cells selected by --stats-workloads
- * and write each run's stats registry to
- * <statsDir()>/<config>-<workload>.stats.json — the files the CI
- * perf-regression gate diffs against bench/baseline/.  No-op unless
- * --stats-dir was given.
- */
-inline void
-writeStatsCells(const std::vector<SystemConfig> &configs,
-                double seconds)
-{
-    if (statsDir().empty())
-        return;
-    for (const std::string &wname : statsWorkloads()) {
-        const Workload wl = WorkloadCatalog::byName(wname);
-        for (SystemConfig config : configs) {
-            SocConfig cfg;
-            cfg.system = config;
-            cfg.simSeconds = seconds;
-            cfg.audit = auditConfig();
-            Simulation sim(cfg, wl);
-            sim.run();
-            // CLI-style config names keep the filenames shell-safe
-            // ("IP-to-IP+FB" would glob badly).
-            std::string path = statsDir() + "/" +
-                               systemConfigCliName(config) + "-" +
-                               wname + ".stats.json";
-            std::ofstream out(path);
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n", path.c_str());
-                std::exit(1);
-            }
-            sim.writeStatsJson(out);
-            std::printf("stats: %s (%zu stats)\n", path.c_str(),
-                        sim.statsRegistry().size());
-        }
-    }
+    Simulation sim(std::move(cfg), wl);
+    RunStats stats = sim.run();
+    if (done)
+        done(sim);
+    return stats;
 }
 
 /** value/reference with a floor guarding zero references. */

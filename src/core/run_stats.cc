@@ -1,7 +1,5 @@
 #include "core/run_stats.hh"
 
-#include <sstream>
-
 namespace vip
 {
 
@@ -13,30 +11,6 @@ RunStats::ip(const std::string &name) const
             return &r;
     }
     return nullptr;
-}
-
-std::string
-RunStats::summary() const
-{
-    std::ostringstream os;
-    os << workloadName << "/" << configName << ": "
-       << "E/frame=" << energyPerFrameMj << " mJ"
-       << ", flowTime=" << meanFlowTimeMs << " ms"
-       << ", drops=" << drops << "/" << framesCompleted
-       << ", irq/100ms=" << interruptsPer100ms
-       << ", memBW=" << avgMemBandwidthGBps << " GB/s"
-       << ", cpuActive=" << cpuActiveMs << " ms";
-    if (framesShed > 0 || flowsRejected > 0 || flowsDownRated > 0) {
-        os << ", overload(shed=" << framesShed
-           << ", rejected=" << flowsRejected
-           << ", downrated=" << flowsDownRated << ")";
-    }
-    if (faults.injected() > 0) {
-        os << ", faults=" << faults.injected()
-           << " (resets=" << faults.watchdogResets
-           << ", degraded=" << faults.framesDegraded << ")";
-    }
-    return os.str();
 }
 
 } // namespace vip

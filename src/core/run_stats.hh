@@ -45,14 +45,9 @@ struct IpResult
     std::string name;
     double activeMs = 0.0;
     double stallMs = 0.0;
-    /** Backpressured (input ready, no downstream credit): idle power. */
-    double bpStallMs = 0.0;
     double utilization = 0.0;     ///< active / (active + stall)
-    double dutyCycle = 0.0;
     /** Input reservations past lane capacity (0 = credits honored). */
     std::uint64_t laneOverflows = 0;
-    /** Producer pushes deferred waiting on a downstream credit. */
-    std::uint64_t creditStalls = 0;
     std::uint64_t contextSwitches = 0;
     /** DRAM bytes this IP moved (its DMA traffic attribution). */
     std::uint64_t memBytes = 0;
@@ -147,9 +142,6 @@ struct RunStats
 
     /** The IpResult for a named IP kind ("VD"...), nullptr if absent. */
     const IpResult *ip(const std::string &name) const;
-
-    /** Human-readable one-line summary. */
-    std::string summary() const;
 };
 
 } // namespace vip

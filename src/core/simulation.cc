@@ -62,11 +62,8 @@ Simulation::Simulation(SocConfig cfg, Workload workload)
         _registry.addExact("sim.steady.tick", "steady-state detection "
                            "time (-1 while undetected)", "ms",
                            [t] { return t->steadyTickMs(); });
-        // stats.json carries the description, so it keeps its
-        // wording: armed runs' dumps stay comparable across builds.
-        _registry.addExact("ts.samples", "interval boundaries sampled "
-                           "(pre-decimation)", "",
-                           [t] { return double(t->samplesSeen()); });
+        _registry.addExact("ts.samples", "interval boundaries sampled",
+                           "", [t] { return double(t->samplesSeen()); });
     }
 }
 
@@ -1092,11 +1089,8 @@ Simulation::collect(double seconds)
         ir.name = ipKindName(kind);
         ir.activeMs = toMs(ip->activeTicks());
         ir.stallMs = toMs(ip->stallTicks());
-        ir.bpStallMs = toMs(ip->bpStallTicks());
         ir.utilization = ip->utilization();
-        ir.dutyCycle = ip->dutyCycle();
         ir.laneOverflows = ip->laneOverflows();
-        ir.creditStalls = ip->creditStalls();
         r.laneOverflows += ip->laneOverflows();
         ir.contextSwitches = ip->contextSwitches();
         ir.memBytes = _mem->bytesForRequester(

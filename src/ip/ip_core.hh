@@ -182,12 +182,6 @@ class IpCore : public ClockedObject
 
     Tick activeTicks() const { return _activeTicks; }
     Tick stallTicks() const { return _stallTicks; }
-    /**
-     * Time spent backpressured: input ready but no downstream credit.
-     * The engine clock-gates (idle power); excluded from both terms
-     * of utilization() so memory stalls stay distinguishable.
-     */
-    Tick bpStallTicks() const { return _bpStallTicks; }
 
     /**
      * Utilization while busy: active / (active + stalled), the Fig 3b
@@ -207,8 +201,6 @@ class IpCore : public ClockedObject
     std::uint64_t bytesSpilled() const { return _bytesSpilled; }
     /** Reservations that overran a lane's capacity (must stay 0). */
     std::uint64_t laneOverflows() const { return _laneOverflows; }
-    /** Producer pushes deferred for a downstream credit. */
-    std::uint64_t creditStalls() const { return _creditStalls; }
     /** @{ Credit ledger: reserved == returned + Σ lane occupancy. */
     std::uint64_t creditsReserved() const { return _creditsReserved; }
     std::uint64_t creditsReturned() const { return _creditsReturned; }
@@ -501,6 +493,11 @@ class IpCore : public ClockedObject
     Tick _stateSince = 0;
     Tick _activeTicks = 0;
     Tick _stallTicks = 0;
+    /**
+     * Time spent backpressured: input ready but no downstream credit.
+     * The engine clock-gates (idle power); excluded from both terms
+     * of utilization() so memory stalls stay distinguishable.
+     */
     Tick _bpStallTicks = 0;
     std::uint64_t _jobsCompleted = 0;
     std::uint64_t _subframes = 0;

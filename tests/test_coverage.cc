@@ -129,7 +129,7 @@ TEST(FrameAllocator, AlignsAndWraps)
     EXPECT_LT(c, Addr(1) << 20);
 }
 
-TEST(RunStatsHelpers, SummaryAndIpLookup)
+TEST(RunStatsHelpers, IpLookup)
 {
     SocConfig cfg;
     cfg.system = SystemConfig::Baseline;
@@ -138,10 +138,6 @@ TEST(RunStatsHelpers, SummaryAndIpLookup)
     EXPECT_NE(s.ip("VD"), nullptr);
     EXPECT_NE(s.ip("DC"), nullptr);
     EXPECT_EQ(s.ip("GPU"), nullptr); // A5 has no GPU stage
-    auto text = s.summary();
-    EXPECT_NE(text.find("A5"), std::string::npos);
-    EXPECT_NE(text.find("Baseline"), std::string::npos);
-    EXPECT_NE(text.find("mJ"), std::string::npos);
 }
 
 TEST(Platform, OnlyRequiredIpsAreInstantiated)

@@ -287,8 +287,11 @@ TEST(VipSimCli, RejectsBadFlagValues)
         "--metrics-interval-ms 1e-10 --checkpoint-on-steady",
         "--audit periodic:1e-10", "--audit periodic:nan",
         "--audit periodic:inf",   "--guard-ms 1e-10",
-        // A column glob with no CSV to pick columns for.
+        // A column glob with no CSV to pick columns for, and a
+        // period or cadence with nothing to pace.
         "--ts=*",
+        "--metrics-interval-ms 2",
+        "--checkpoint-every-ms 10",
     };
     for (const char *args : bad) {
         SCOPED_TRACE(args);

@@ -171,7 +171,9 @@ usage()
         "                               --restore run cuts the rows\n"
         "                               past its snapshot and appends;\n"
         "                               digest-neutral)\n"
-        "  --metrics-interval-ms <ms>   sampling period (default 1)\n"
+        "  --metrics-interval-ms <ms>   sampling period (default 1);\n"
+        "                               needs --metrics-out or\n"
+        "                               --checkpoint-on-steady\n"
         "  --stats-out <file>           write every registered counter\n"
         "                               as self-describing JSON (the\n"
         "                               format vip_stats_diff reads)\n"
@@ -215,7 +217,8 @@ usage()
         "                               snapshot lands at the first\n"
         "                               quiescent point at or after a\n"
         "                               boundary, and an interrupt\n"
-        "                               writes one before it stops\n"
+        "                               writes one before it stops;\n"
+        "                               needs one of the two\n"
         "  --restore <file>             resume from a snapshot; pass\n"
         "                               the same workload/config/seed\n"
         "                               flags as the original run (any\n"
@@ -418,6 +421,8 @@ main(int argc, char **argv)
     std::string frameCsv;
     std::string digestFile;
     std::string tsGlob;
+    bool intervalGiven = false;
+    bool cadenceGiven = false;
     vip::SocConfig cfg;
     cfg.simSeconds = 0.4;
 
@@ -575,12 +580,14 @@ main(int argc, char **argv)
             cfg.checkpointOut = arg.substr(17);
         } else if (arg == "--checkpoint-every-ms") {
             cfg.checkpointEveryMs = periodArg(arg, next(), 1e3);
+            cadenceGiven = true;
         } else if (arg == "--restore") {
             cfg.restorePath = next();
         } else if (arg.rfind("--restore=", 0) == 0) {
             cfg.restorePath = arg.substr(10);
         } else if (arg == "--metrics-interval-ms") {
             cfg.ts.intervalMs = periodArg(arg, next(), 1e3);
+            intervalGiven = true;
         } else if (arg == "--list") {
             listWorkloads();
             return 0;
@@ -600,6 +607,16 @@ main(int argc, char **argv)
                            "columns, but no --metrics-out was given");
             cfg.ts.glob = tsGlob;
         }
+        if (intervalGiven && cfg.ts.metricsOut.empty() &&
+            cfg.ts.checkpointOnSteady.empty())
+            vip::fatal("--metrics-interval-ms sets the sampler's "
+                       "period, but no --metrics-out or "
+                       "--checkpoint-on-steady arms it");
+        if (cadenceGiven && cfg.checkpointOut.empty() &&
+            cfg.postmortemDir.empty())
+            vip::fatal("--checkpoint-every-ms sets the cadence of "
+                       "--checkpoint-out and the --postmortem-dir "
+                       "ring, but neither was given");
         cfg.system = vip::systemConfigByCliName(config);
         if (!digestFile.empty() && !cfg.audit.enabled())
             cfg.audit = vip::AuditConfig::parse("periodic:1");
