@@ -122,8 +122,10 @@ statsWorkloads()
  * "--stats-dir <dir>" into statsDir(), "--stats-workloads <W4,W7>"
  * into statsWorkloads() (every flag also accepts --flag=value) — and
  * return the first other argument (the benches' positional output
- * path), or nullptr.  CI uses --audit=strict for the invariant gate
- * and --stats-dir for the perf-regression gate.
+ * path), or nullptr.  Any other "-"-prefixed argument exits 1: a
+ * mistyped flag must not become the output path.  CI uses
+ * --audit=strict for the invariant gate and --stats-dir for the
+ * perf-regression gate.
  */
 inline const char *
 parseBenchArgs(int argc, char **argv)
@@ -156,6 +158,10 @@ parseBenchArgs(int argc, char **argv)
             statsWorkloads() = splitList(argv[++i]);
         } else if (arg.rfind("--stats-workloads=", 0) == 0) {
             statsWorkloads() = splitList(arg.substr(18));
+        } else if (arg[0] == '-') {
+            std::fprintf(stderr, "fatal: unknown argument '%s'\n",
+                         argv[i]);
+            std::exit(1);
         } else if (!positional) {
             positional = argv[i];
         }

@@ -64,9 +64,9 @@ FlowRuntime::buildBurstPolicy()
     if (!(_cls == AppClass::Game && isInteractive()))
         effective = _spec.hasGop ? AppClass::VideoPlayback
                                  : AppClass::AudioOnly;
+    constexpr std::uint32_t kGameBurstCap = 9; // "<10 frames"
     _burst = makeBurstPolicy(effective, _spec,
-                             _p.cfg->burstFrames,
-                             _p.cfg->gameBurstCap);
+                             _p.cfg->burstFrames, kGameBurstCap);
 }
 
 bool
@@ -124,10 +124,9 @@ FlowRuntime::shouldShed() const
     if (_p.cfg->overloadPolicy != OverloadPolicy::Degrade)
         return false;
     // The pipeline is hopelessly behind: new frames could only queue.
-    if (_frames.size() >=
-        static_cast<std::size_t>(_p.cfg->overloadMaxInFlight)) {
+    constexpr std::size_t kOverloadMaxInFlight = 32;
+    if (_frames.size() >= kOverloadMaxInFlight)
         return true;
-    }
     // EDF slack has been negative for K consecutive frames.
     return _consecLate >= _p.cfg->shedAfterLateFrames;
 }
@@ -200,7 +199,8 @@ FlowRuntime::frameDone(std::uint64_t k)
     Tick judged = now;
     if (_p.cfg->vsyncAligned && !_ips.empty() &&
         _ips.back()->kind() == IpKind::DC) {
-        Tick vs = fromSec(1.0 / _p.cfg->vsyncHz);
+        constexpr double kVsyncHz = 60.0;
+        Tick vs = fromSec(1.0 / kVsyncHz);
         judged = (now + vs - 1) / vs * vs;
     }
     bool violated = ctx.degraded || judged > ctx.deadline;

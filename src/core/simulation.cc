@@ -704,10 +704,8 @@ Simulation::identityString() const
     os << "overload=" << overloadPolicyName(_cfg.overloadPolicy)
        << " headroom=" << _cfg.admissionHeadroom
        << " shedAfter=" << _cfg.shedAfterLateFrames
-       << " maxInFlight=" << _cfg.overloadMaxInFlight
        << " deadline=" << _cfg.deadlineFrames
-       << " vsync=" << (_cfg.vsyncAligned ? 1 : 0) << "@"
-       << _cfg.vsyncHz
+       << " vsync=" << (_cfg.vsyncAligned ? 1 : 0)
        << " cpuCores=" << _cfg.cpuCores
        << " vipLanes=" << _cfg.vipLanes
        << " sched=" << schedPolicyName(_cfg.vipSched)
@@ -715,8 +713,8 @@ Simulation::identityString() const
        << " subframeBytes=" << _cfg.subframeBytes
        << " csp=" << _cfg.contextSwitchPenalty
        << " spill=" << (_cfg.overflowToMemory ? 1 : 0)
-       << " burst=" << _cfg.burstFrames << "/" << _cfg.gameBurstCap
-       << "/" << (_cfg.enableRollback ? 1 : 0)
+       << " burst=" << _cfg.burstFrames << "/"
+       << (_cfg.enableRollback ? 1 : 0)
        << " noProgress=" << _cfg.noProgressSec
        << " recordTrace=" << (_cfg.recordTrace ? 1 : 0)
        << " stops=[";

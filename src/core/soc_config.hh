@@ -91,7 +91,6 @@ struct SocConfig
 
     /** @{ Frame-burst knobs (Section 4.3). */
     std::uint32_t burstFrames = 5;    ///< default/video burst size
-    std::uint32_t gameBurstCap = 9;   ///< "<10 frames" for games
     bool enableRollback = true;       ///< recompute on mid-burst input
     /** @} */
 
@@ -110,7 +109,6 @@ struct SocConfig
      * deadline bookkeeping uses completion time).
      */
     bool vsyncAligned = false;
-    double vsyncHz = 60.0;
 
     /** Record the full per-frame trace into RunStats. */
     bool recordTrace = false;
@@ -203,11 +201,6 @@ struct SocConfig
      * many consecutive frames completed past their deadline.
      */
     std::uint32_t shedAfterLateFrames = 3;
-    /**
-     * Under Degrade, also shed when this many frames of the flow are
-     * already in flight (the pipeline is hopelessly behind).
-     */
-    std::uint32_t overloadMaxInFlight = 32;
     /** @} */
 
     /**

@@ -60,18 +60,15 @@ backoffUnitDraw(const std::string &jobId, int failedAttempts)
  * Decorrelated-jitter delay (the AWS "decorrelated jitter" recipe,
  * seeded): d_k = min(cap, base + u_k * (3 * d_{k-1} - base)), with
  * d_0 = base and u_k drawn deterministically per (job, attempt).
- * Grows on the same order as the exponential ladder but spreads
- * concurrent failures across the window instead of synchronizing
- * them.  Never returns less than base or more than cap, and with
- * jitter disabled in the policy, falls back to backoffDelayMs() so
- * existing cap/attempt semantics (and their tests) are unchanged.
+ * Grows on the same order as the exponential ladder
+ * (backoffDelayMs) but spreads concurrent failures across the window
+ * instead of synchronizing them.  Never returns less than base or
+ * more than cap.
  */
 inline double
 retryDelayMs(const FleetPolicy &p, const std::string &jobId,
              int failedAttempts)
 {
-    if (!p.backoffJitter)
-        return backoffDelayMs(p, failedAttempts);
     if (failedAttempts < 1 || p.backoffBaseMs <= 0.0)
         return 0.0;
     double prev = p.backoffBaseMs;

@@ -7,26 +7,11 @@ namespace vip
 namespace fleet
 {
 
-const char *
-HostHealth::stateName() const
-{
-    switch (_state) {
-    case HostState::Healthy:
-        return "healthy";
-    case HostState::Quarantined:
-        return "quarantined";
-    case HostState::Dead:
-        return "dead";
-    }
-    return "?";
-}
-
 bool
 HostHealth::onOpFailure(double nowMs, const std::string &detail)
 {
     if (_state == HostState::Dead)
         return false;
-    ++_totalOpFailures;
     _lastError = detail;
     if (_state == HostState::Quarantined)
         return false; // already benched; probes decide its fate

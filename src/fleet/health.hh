@@ -69,11 +69,10 @@ class HostHealth
     /** Probe failed.  Returns true when the host is now dead. */
     bool onProbeFailure(double nowMs, const std::string &detail);
 
-    /** @{ report fields */
+    /** @{ what the journal's host records and a lease expiry's
+     *  reason cite */
     int quarantines() const { return _quarantineCount; }
-    long opFailures() const { return _totalOpFailures; }
     const std::string &lastError() const { return _lastError; }
-    const char *stateName() const;
     /** @} */
 
   private:
@@ -82,7 +81,6 @@ class HostHealth
     HealthPolicy _policy;
     HostState _state = HostState::Healthy;
     int _consecutiveFailures = 0;
-    long _totalOpFailures = 0;
     int _quarantineCount = 0;     ///< times quarantined, ever
     int _probeFailures = 0;       ///< within the current quarantine
     double _nextProbeMs = 0.0;

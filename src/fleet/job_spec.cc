@@ -126,7 +126,7 @@ parsePolicy(const json::JsonValue &spec)
         *f, "'fleet'",
         {"workers", "max_attempts", "backoff_base_ms", "backoff_cap_ms",
          "heartbeat_deadline_ms", "heartbeat_interval_ms",
-         "checkpoint_every_ms", "backoff_jitter", "lease_ms",
+         "checkpoint_every_ms", "lease_ms",
          "heartbeat_grace_ms", "quarantine_after", "probe_interval_ms",
          "max_probes", "max_quarantines", "fetch_retries", "resume",
          "digests"});
@@ -156,7 +156,6 @@ parsePolicy(const json::JsonValue &spec)
             fatal("job spec: field '", key, "' = ", ms,
                   " ms is below one tick (1e-9 ms); 0 turns it off");
     }
-    p.backoffJitter = boolOr(*f, "backoff_jitter", p.backoffJitter);
     p.leaseMs = checkedNum(*f, "lease_ms", p.leaseMs, 0.0, 1e9);
     p.heartbeatGraceMs = checkedNum(*f, "heartbeat_grace_ms",
                                     p.heartbeatGraceMs, 0.0, 1e9);

@@ -22,7 +22,6 @@
  *     "max_attempts": 3,
  *     "backoff_base_ms": 250,
  *     "backoff_cap_ms": 10000,
- *     "backoff_jitter": true,
  *     "lease_ms": 10000,
  *     "heartbeat_deadline_ms": 5000,
  *     "heartbeat_grace_ms": 1000,
@@ -57,22 +56,16 @@ struct FleetPolicy
     /** Total tries per job, first run included (>= 1). */
     int maxAttempts = 3;
 
-    /** @{ Exponential backoff between attempts (wall-clock ms):
-     *  delay before retry k (k = 1 after the first failure) is
-     *  min(cap, base * 2^(k-1)).  base 0 retries immediately. */
+    /** @{ Backoff between attempts (wall-clock ms), decorrelated
+     *  with seeded jitter: retry k waits min(cap, base + u * (3 *
+     *  prev - base)) where u is drawn deterministically from (job
+     *  id, attempt).  Prevents lockstep retry storms when many
+     *  shards fail together (a host dying fails a whole slot-full at
+     *  once) while staying exactly reproducible.  base 0 retries
+     *  immediately. */
     double backoffBaseMs = 250.0;
     double backoffCapMs = 10000.0;
     /** @} */
-
-    /**
-     * Decorrelate retry delays with seeded jitter: retry k waits
-     * min(cap, base + u * (3 * prev - base)) where u is drawn
-     * deterministically from (job id, attempt).  Prevents
-     * lockstep retry storms when many shards fail together (a host
-     * dying fails a whole slot-full at once) while staying exactly
-     * reproducible.  Off = the plain exponential ladder above.
-     */
-    bool backoffJitter = true;
 
     /**
      * Lease duration for job ownership (wall-clock ms).  A claimed

@@ -1,24 +1,33 @@
 /**
  * @file
- * FleetJournal: the supervisor's append-only event journal.
+ * FleetJournal: the sweep's one record, and the fold that reads it.
  *
- * Every semantically meaningful supervisor transition — launch,
- * heartbeat-driven lease renewal, chaos/hang kill, lease expiry,
- * zombie settlement, commit, quarantine, probe, sweep start/end —
- * is one JSON object on one line of <outDir>/journal.jsonl, written
- * and flushed immediately so a SIGKILLed sweep still leaves a
- * replayable record.
+ * Every supervisor transition — job and host declarations, launch,
+ * heartbeat, chaos/hang kill, job failure, lease expiry, zombie
+ * settlement, commit, transport op failure, quarantine, probe,
+ * abandonment, interrupt, fatal error, fault tallies, sweep
+ * start/end — is one JSON object on one line of
+ * <outDir>/journal.jsonl, written and flushed immediately so a
+ * SIGKILLed sweep still leaves its whole story.  With echo on, the
+ * same line goes to stderr as "[fleet] <record>" (heartbeats
+ * excepted): the journal is also the supervisor's log.
  *
  * Records carry a strictly monotonic "seq" and the supervisor's
  * wall-clock "wall_ms"; job-scoped records also carry the attempt's
- * fencing token, so the journal alone reconstructs the ownership
- * story chaos tests assert on.
+ * fencing token, and every record that moves a job to a new state
+ * names that state:
  *
  *   {"seq": 12, "wall_ms": 153.2, "type": "lease_expiry",
- *    "job": "vip-W1-s2", "token": 3, "host": "local"}
+ *    "job": "vip-W1-s2", "token": 3, "attempt": 1, "host": "local",
+ *    "why": "lease expired ...", "elapsed_ms": 140.5,
+ *    "can_resume": false, "state": "backoff"}
  *
- * A journal that was never open()ed swallows records silently: the
- * supervisor calls it unconditionally.
+ * foldJournal() turns the file back into the sweep — every job's
+ * state, attempts and history, every host's health, the summary
+ * counts.  report.json is the fold of a finished sweep; vip_top
+ * folds a live (or killed) one, so the two cannot disagree.
+ *
+ * A journal that was never open()ed swallows records silently.
  */
 
 #ifndef VIP_FLEET_JOURNAL_HH
@@ -26,7 +35,11 @@
 
 #include <cstdint>
 #include <fstream>
+#include <istream>
 #include <string>
+#include <vector>
+
+#include "fleet/scheduler.hh"
 
 namespace vip
 {
@@ -36,11 +49,11 @@ namespace fleet
 class FleetJournal
 {
   public:
-    /** Truncate-open @p path; fatal on failure.  "" disables. */
-    void open(const std::string &path);
+    /** Truncate-open @p path; fatal on failure.  @p echo also prints
+     *  every record but heartbeats to stderr. */
+    void open(const std::string &path, bool echo);
 
     bool enabled() const { return _out.is_open(); }
-    std::uint64_t records() const { return _seq; }
 
     /**
      * One in-flight record; fields append in call order and the
@@ -52,7 +65,8 @@ class FleetJournal
     class Record
     {
       public:
-        Record(Record &&o) noexcept : _j(o._j), _line(std::move(o._line))
+        Record(Record &&o) noexcept
+            : _j(o._j), _echo(o._echo), _line(std::move(o._line))
         {
             o._j = nullptr;
         }
@@ -71,6 +85,7 @@ class FleetJournal
         Record(FleetJournal *j, double wallMs, const char *type);
 
         FleetJournal *_j; ///< null when disabled or moved-from
+        bool _echo = false;
         std::string _line;
     };
 
@@ -80,8 +95,87 @@ class FleetJournal
   private:
     friend class Record;
     std::ofstream _out;
+    bool _echo = false;
     std::uint64_t _seq = 0;
 };
+
+/** One job as the journal tells it. */
+struct FoldedJob
+{
+    FleetJob job;
+    JobState state = JobState::Pending;
+    int attempts = 0;
+    bool resumed = false;     ///< some attempt restored a checkpoint
+    std::string host;         ///< owner of the newest attempt
+    int leaseExpiries = 0;
+    int zombieRejects = 0;    ///< stale or duplicate results refused
+    bool rescued = false;     ///< done via a post-expiry zombie
+    double wallMs = 0.0;      ///< wall time of the settled attempts
+    std::string lastError;
+    std::vector<std::string> history; ///< one line per lost attempt
+    double steadyTickMs = -1.0; ///< committed sim.steady.tick; -1 none
+
+    /** @{ live progress: the current attempt's newest heartbeat tick
+     *  and its recent sim-ms-per-wall-s rates (newest last, <= 16) */
+    double tickMs = -1.0;
+    double tickWallMs = -1.0;
+    std::vector<double> rates;
+    /** @} */
+};
+
+/** One host as the journal tells it. */
+struct FoldedHost
+{
+    std::string name;
+    std::string transport;
+    int slots = 0;
+    std::string state = "healthy"; ///< healthy | quarantined | dead
+    int quarantines = 0;
+    long opFailures = 0;
+    std::size_t jobsDone = 0;
+    std::string lastError;
+    bool faulty = false; ///< fault injection was active
+    long faultsInjected = 0;
+};
+
+/** The sweep a journal describes. */
+struct FoldedSweep
+{
+    std::string name;
+    double seconds = 0.0;     ///< simulated seconds per job
+    double wallMs = 0.0;      ///< newest record's stamp
+    bool ended = false;       ///< sweep_end seen
+    bool interrupted = false; ///< stop flag fired mid-sweep
+    std::string fatal;        ///< terminal error ("" = none)
+    std::vector<FoldedJob> jobs;   ///< spec order
+    std::vector<FoldedHost> hosts; ///< roster order
+
+    /** @{ summary counts */
+    std::size_t done = 0;
+    std::size_t failed = 0;
+    std::size_t retries = 0;  ///< attempts beyond each job's first
+    std::size_t resumes = 0;  ///< attempts restored from a ring
+    std::size_t hangKills = 0;
+    long leaseExpiries = 0;
+    long zombieRejects = 0;
+    long zombieRescues = 0;
+    int hostsQuarantined = 0; ///< quarantine entries over the sweep
+    int hostsDead = 0;
+    /** @} */
+
+    /** 0 all done; 1 completed with failed jobs; 2 interrupted or
+     *  terminal (every host lost). */
+    int exitCode() const
+    {
+        if (interrupted || !fatal.empty())
+            return 2;
+        return failed == 0 ? 0 : 1;
+    }
+};
+
+/** Fold a journal.  An unterminated last line (a record still being
+ *  written) is skipped; SimFatal on a malformed record. */
+FoldedSweep foldJournal(std::istream &in);
 
 } // namespace fleet
 } // namespace vip

@@ -34,13 +34,11 @@ FleetScheduler::FleetScheduler(std::vector<FleetJob> jobs,
 }
 
 void
-FleetScheduler::startAttempt(JobProgress &p, double nowMs,
-                             const std::string &host)
+FleetScheduler::startAttempt(JobProgress &p, double nowMs)
 {
     p.state = JobState::Running;
     ++p.attempts;
     p.token = ++_nextToken;
-    p.host = host;
     p.leaseUntilMs =
         _policy.leaseMs > 0.0
             ? nowMs + _policy.leaseMs
@@ -48,13 +46,13 @@ FleetScheduler::startAttempt(JobProgress &p, double nowMs,
 }
 
 std::size_t
-FleetScheduler::claimNext(double nowMs, const std::string &host)
+FleetScheduler::claimNext(double nowMs)
 {
     std::size_t backoffPick = npos;
     for (std::size_t i = 0; i < _jobs.size(); ++i) {
         JobProgress &p = _jobs[i];
         if (p.state == JobState::Pending) {
-            startAttempt(p, nowMs, host);
+            startAttempt(p, nowMs);
             return i;
         }
         if (p.state == JobState::Backoff && nowMs >= p.readyAtMs &&
@@ -63,7 +61,7 @@ FleetScheduler::claimNext(double nowMs, const std::string &host)
         }
     }
     if (backoffPick != npos)
-        startAttempt(_jobs[backoffPick], nowMs, host);
+        startAttempt(_jobs[backoffPick], nowMs);
     return backoffPick;
 }
 
@@ -78,7 +76,6 @@ FleetScheduler::releaseClaim(std::size_t idx)
     // token can never surface in a result.
     p.state = JobState::Pending;
     --p.attempts;
-    p.host.clear();
     p.leaseUntilMs = std::numeric_limits<double>::infinity();
 }
 
@@ -99,24 +96,8 @@ FleetScheduler::leaseExpired(std::size_t idx, double nowMs) const
 }
 
 void
-FleetScheduler::onLeaseExpired(std::size_t idx, double nowMs,
-                               double elapsedMs,
-                               const std::string &why, bool canResume)
+FleetScheduler::retire(JobProgress &p, double nowMs, bool canResume)
 {
-    vip_assert(idx < _jobs.size(), "onLeaseExpired: job ", idx);
-    JobProgress &p = _jobs[idx];
-    vip_assert(p.state == JobState::Running, "onLeaseExpired on a "
-               "job in state ", jobStateName(p.state));
-    ++_leaseExpiries;
-    ++p.leaseExpiries;
-    p.wallMs += elapsedMs;
-    if (p.resumeNext)
-        p.everResumed = true;
-    p.lastError = why;
-    p.history.push_back("attempt " + std::to_string(p.attempts) +
-                        ": " + why);
-    // The token deliberately stays current: if the zombie finishes
-    // before a retry claims this job, its result is rescued.
     if (p.attempts >= _policy.maxAttempts) {
         p.state = JobState::Failed;
         p.resumeNext = false;
@@ -128,41 +109,33 @@ FleetScheduler::onLeaseExpired(std::size_t idx, double nowMs,
     p.resumeNext = _policy.resume && canResume;
 }
 
+void
+FleetScheduler::onLeaseExpired(std::size_t idx, double nowMs,
+                               bool canResume)
+{
+    vip_assert(idx < _jobs.size(), "onLeaseExpired: job ", idx);
+    JobProgress &p = _jobs[idx];
+    vip_assert(p.state == JobState::Running, "onLeaseExpired on a "
+               "job in state ", jobStateName(p.state));
+    // The token deliberately stays current: if the zombie finishes
+    // before a retry claims this job, its result is rescued.
+    retire(p, nowMs, canResume);
+}
+
 bool
-FleetScheduler::acceptSuccess(std::size_t idx, std::uint64_t token,
-                              double elapsedMs)
+FleetScheduler::acceptSuccess(std::size_t idx, std::uint64_t token)
 {
     vip_assert(idx < _jobs.size(), "acceptSuccess: job ", idx);
     JobProgress &p = _jobs[idx];
-    if (token != p.token) {
-        // A newer attempt owns this job: the zombie lost the race.
-        ++_zombieRejects;
-        ++p.zombieRejects;
+    // A stale token lost the race to a newer attempt.  From Backoff
+    // or Failed the current token is a rescue: the attempt outlived
+    // its lease but no newer attempt was ever issued, so its work is
+    // valid.  Done already committed once (a duplicate delivery must
+    // not merge twice); a released (Pending) claim never ran.
+    if (token != p.token || p.state == JobState::Done ||
+        p.state == JobState::Pending)
         return false;
-    }
-    switch (p.state) {
-    case JobState::Running:
-        break;
-    case JobState::Backoff:
-    case JobState::Failed:
-        // The attempt outlived its lease, but no newer attempt was
-        // ever issued — its work is valid.  Rescue it.
-        ++_zombieRescues;
-        p.rescued = true;
-        break;
-    case JobState::Done:
-    case JobState::Pending:
-        // Done: this attempt already committed once — a duplicate
-        // delivery must not merge twice.  Pending: a released claim
-        // cannot produce results (no worker ever ran).
-        ++_zombieRejects;
-        ++p.zombieRejects;
-        return false;
-    }
     p.state = JobState::Done;
-    p.wallMs += elapsedMs;
-    if (p.resumeNext)
-        p.everResumed = true;
     p.resumeNext = false;
     p.leaseUntilMs = std::numeric_limits<double>::infinity();
     return true;
@@ -170,78 +143,32 @@ FleetScheduler::acceptSuccess(std::size_t idx, std::uint64_t token,
 
 bool
 FleetScheduler::acceptFailure(std::size_t idx, std::uint64_t token,
-                              double nowMs, double elapsedMs,
-                              const std::string &why, bool canResume)
+                              double nowMs, bool canResume)
 {
     vip_assert(idx < _jobs.size(), "acceptFailure: job ", idx);
     JobProgress &p = _jobs[idx];
-    if (token != p.token || p.state != JobState::Running) {
-        // Stale token, or an attempt already written off by lease
-        // expiry — either way this failure is already accounted.
-        if (token != p.token) {
-            ++_zombieRejects;
-            ++p.zombieRejects;
-        }
+    // Stale token, or an attempt already written off by lease
+    // expiry — either way this failure is already accounted.
+    if (token != p.token || p.state != JobState::Running)
         return false;
-    }
-    p.wallMs += elapsedMs;
-    if (p.resumeNext)
-        p.everResumed = true;
-    p.lastError = why;
-    p.history.push_back("attempt " + std::to_string(p.attempts) +
-                        ": " + why);
     p.leaseUntilMs = std::numeric_limits<double>::infinity();
-    if (p.attempts >= _policy.maxAttempts) {
-        p.state = JobState::Failed;
-        p.resumeNext = false;
-        return true;
-    }
-    p.state = JobState::Backoff;
-    p.readyAtMs =
-        nowMs + retryDelayMs(_policy, p.job.id, p.attempts);
-    p.resumeNext = _policy.resume && canResume;
+    retire(p, nowMs, canResume);
     return true;
 }
 
-void
-FleetScheduler::onSuccess(std::size_t idx, double elapsedMs)
+std::vector<std::size_t>
+FleetScheduler::failAllUnsettled()
 {
-    vip_assert(idx < _jobs.size(), "onSuccess: job ", idx);
-    JobProgress &p = _jobs[idx];
-    vip_assert(p.state == JobState::Running, "onSuccess on a job in "
-               "state ", jobStateName(p.state));
-    const bool ok = acceptSuccess(idx, p.token, elapsedMs);
-    vip_assert(ok, "onSuccess rejected for job ", idx);
-}
-
-void
-FleetScheduler::onFailure(std::size_t idx, double nowMs,
-                          double elapsedMs, const std::string &why,
-                          bool canResume)
-{
-    vip_assert(idx < _jobs.size(), "onFailure: job ", idx);
-    JobProgress &p = _jobs[idx];
-    vip_assert(p.state == JobState::Running, "onFailure on a job in "
-               "state ", jobStateName(p.state));
-    const bool acted =
-        acceptFailure(idx, p.token, nowMs, elapsedMs, why, canResume);
-    vip_assert(acted, "onFailure ignored for job ", idx);
-}
-
-std::size_t
-FleetScheduler::failAllUnsettled(const std::string &why)
-{
-    std::size_t n = 0;
-    for (auto &p : _jobs) {
+    std::vector<std::size_t> abandoned;
+    for (std::size_t i = 0; i < _jobs.size(); ++i) {
+        JobProgress &p = _jobs[i];
         if (p.state == JobState::Done || p.state == JobState::Failed)
             continue;
         p.state = JobState::Failed;
-        p.lastError = why;
-        p.history.push_back("abandoned: " + why);
         p.resumeNext = false;
-        ++n;
+        abandoned.push_back(i);
     }
-    return n;
+    return abandoned;
 }
 
 bool
@@ -254,26 +181,6 @@ FleetScheduler::allSettled() const
             return false;
     }
     return true;
-}
-
-double
-FleetScheduler::nextReadyMs() const
-{
-    double next = std::numeric_limits<double>::infinity();
-    for (const auto &p : _jobs) {
-        if (p.state == JobState::Backoff && p.readyAtMs < next)
-            next = p.readyAtMs;
-    }
-    return next;
-}
-
-std::size_t
-FleetScheduler::count(JobState s) const
-{
-    std::size_t n = 0;
-    for (const auto &p : _jobs)
-        n += p.state == s ? 1 : 0;
-    return n;
 }
 
 } // namespace fleet

@@ -21,7 +21,7 @@
  * transport — the job is released for another worker under a larger
  * token.  Results are *accepted*, not just reported: an artifact
  * set carrying a stale token (a zombie attempt from an expired lease
- * that finished anyway) is rejected and counted, never merged; with
+ * that finished anyway) is rejected, never merged; with
  * the current token it is accepted even from Backoff/Failed (a
  * zombie rescue: the attempt outlived its lease but no newer attempt
  * was ever issued), and a Done job never accepts twice.  Exactly
@@ -62,7 +62,8 @@ enum class JobState
 
 const char *jobStateName(JobState s);
 
-/** Everything the supervisor tracks about one job. */
+/** What the scheduler's decisions read about one job.  Everything a
+ *  report says beyond this lives in the journal (journal.hh). */
 struct JobProgress
 {
     FleetJob job;
@@ -70,19 +71,11 @@ struct JobProgress
     int attempts = 0;           ///< attempts started so far
     double readyAtMs = 0.0;     ///< Backoff: eligible wall time
     bool resumeNext = false;    ///< next attempt restores a checkpoint
-    bool everResumed = false;   ///< any attempt restored a checkpoint
-    std::string lastError;      ///< most recent failure reason
-    std::vector<std::string> history; ///< one line per failed attempt
-    double wallMs = 0.0;        ///< total wall time across attempts
 
     /** @{ lease-fenced ownership */
     std::uint64_t token = 0;    ///< newest fencing token issued
     double leaseUntilMs =
         std::numeric_limits<double>::infinity();
-    std::string host;           ///< owner of the newest attempt
-    int leaseExpiries = 0;      ///< attempts lost to expired leases
-    int zombieRejects = 0;      ///< stale-token results refused
-    bool rescued = false;       ///< done via a post-expiry zombie
     /** @} */
 };
 
@@ -92,15 +85,14 @@ class FleetScheduler
     FleetScheduler(std::vector<FleetJob> jobs, FleetPolicy policy);
 
     /**
-     * Claim the next job eligible to start at wall time @p nowMs for
-     * @p host: Pending jobs first (spec order), then Backoff jobs
-     * whose delay has elapsed.  Marks it Running, counts the
-     * attempt, and issues a fresh fencing token with a lease of
-     * policy.leaseMs (0 = unleased, never expires).
+     * Claim the next job eligible to start at wall time @p nowMs:
+     * Pending jobs first (spec order), then Backoff jobs whose delay
+     * has elapsed.  Marks it Running, counts the attempt, and issues
+     * a fresh fencing token with a lease of policy.leaseMs (0 =
+     * unleased, never expires).
      * @return the job index, or npos when nothing is eligible now.
      */
-    std::size_t claimNext(double nowMs,
-                          const std::string &host = "local");
+    std::size_t claimNext(double nowMs);
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
     /**
@@ -122,18 +114,15 @@ class FleetScheduler
      * should the zombie still finish before a retry claims the job,
      * its result is rescued rather than wasted.
      */
-    void onLeaseExpired(std::size_t idx, double nowMs,
-                        double elapsedMs, const std::string &why,
-                        bool canResume);
+    void onLeaseExpired(std::size_t idx, double nowMs, bool canResume);
 
     /**
      * Offer a successful result under @p token.  Accepted (true)
      * when the token is current and the job has not completed some
-     * other way; rejected (false, counted) for stale tokens and
-     * duplicates.  Only accepted offers may be merged.
+     * other way; rejected (false) for stale tokens and duplicates.
+     * Only accepted offers may be merged.
      */
-    bool acceptSuccess(std::size_t idx, std::uint64_t token,
-                       double elapsedMs);
+    bool acceptSuccess(std::size_t idx, std::uint64_t token);
 
     /**
      * Offer a failure under @p token.  Acted on (true) only for the
@@ -142,54 +131,29 @@ class FleetScheduler
      * accounted.
      */
     bool acceptFailure(std::size_t idx, std::uint64_t token,
-                       double nowMs, double elapsedMs,
-                       const std::string &why, bool canResume);
-
-    /** @{ Unfenced convenience for the current token (fake-clock
-     *  unit tests of the plain retry ladder). */
-    void onSuccess(std::size_t idx, double elapsedMs);
-    void onFailure(std::size_t idx, double nowMs, double elapsedMs,
-                   const std::string &why, bool canResume);
-    /** @} */
+                       double nowMs, bool canResume);
 
     /**
      * Terminal degradation (every host dead): everything not yet
-     * Done or Failed becomes Failed with @p why on its record.
-     * Returns how many jobs were abandoned.
+     * Done or Failed becomes Failed.  Returns the abandoned jobs.
      */
-    std::size_t failAllUnsettled(const std::string &why);
+    std::vector<std::size_t> failAllUnsettled();
 
     /** True when no job is Pending, Running, or in Backoff. */
     bool allSettled() const;
-
-    /** Earliest Backoff deadline, or +inf when none are waiting
-     *  (lets the supervisor sleep exactly as long as it may). */
-    double nextReadyMs() const;
-
-    /** @{ outcome accounting */
-    std::size_t doneCount() const { return count(JobState::Done); }
-    std::size_t failedCount() const { return count(JobState::Failed); }
-    std::size_t runningCount() const { return count(JobState::Running); }
-    long leaseExpiries() const { return _leaseExpiries; }
-    long zombieRejects() const { return _zombieRejects; }
-    long zombieRescues() const { return _zombieRescues; }
-    /** @} */
 
     const std::vector<JobProgress> &jobs() const { return _jobs; }
     const JobProgress &job(std::size_t idx) const { return _jobs[idx]; }
     const FleetPolicy &policy() const { return _policy; }
 
   private:
-    std::size_t count(JobState s) const;
-    void startAttempt(JobProgress &p, double nowMs,
-                      const std::string &host);
+    void startAttempt(JobProgress &p, double nowMs);
+    /** The attempt is over: Backoff, or Failed at the attempt cap. */
+    void retire(JobProgress &p, double nowMs, bool canResume);
 
     std::vector<JobProgress> _jobs;
     FleetPolicy _policy;
     std::uint64_t _nextToken = 0;
-    long _leaseExpiries = 0;
-    long _zombieRejects = 0;
-    long _zombieRescues = 0;
 };
 
 } // namespace fleet

@@ -2,15 +2,12 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <deque>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -31,6 +28,14 @@ namespace fleet
 namespace
 {
 
+/** Supervisor poll cadence, wall ms. */
+constexpr double kPollMs = 10.0;
+
+/** How long after the sweep settles to keep waiting for zombie
+ *  attempts to finish (their results are fence-checked, then rescued
+ *  or rejected) before force-killing them, wall ms. */
+constexpr double kZombieGraceMs = 250.0;
+
 std::string
 fmtNum(double v)
 {
@@ -50,18 +55,6 @@ hasArtifact(const ArtifactManifest &m, const char *name)
 {
     const Artifact *a = findArtifact(m, name);
     return a && a->present;
-}
-
-/** Done jobs whose newest attempt ran on @p host.  Committing needs
- *  the job's current fencing token, so that attempt is the one that
- *  produced the shard — live or rescued zombie alike. */
-std::size_t
-jobsDoneOn(const std::vector<JobProgress> &jobs, const std::string &host)
-{
-    std::size_t n = 0;
-    for (const JobProgress &p : jobs)
-        n += p.state == JobState::Done && p.host == host ? 1 : 0;
-    return n;
 }
 
 } // namespace
@@ -159,13 +152,6 @@ struct FleetSupervisor::Slot
     /** @{ heartbeat tracking */
     long lastSize = -1;      ///< newest observed CSV size
     double lastBeatMs = 0.0; ///< wall time the CSV last changed
-    double lastTickMs = -1.0;     ///< newest simulated progress
-    double lastTickWallMs = -1.0; ///< transport stamp of that sample
-    double simRate = 0.0;    ///< sim ms per wall second (smoothed)
-    /** Recent simRate observations, newest last (bounded); the
-     *  per-shard throughput window fleet-status.json publishes and
-     *  vip_top renders as a sparkline. */
-    std::deque<double> rateWindow;
     /** @} */
 
     bool chaosKilled = false;
@@ -194,13 +180,6 @@ FleetSupervisor::FleetSupervisor(JobSpec spec, FleetOptions opt)
 }
 
 FleetSupervisor::~FleetSupervisor() = default;
-
-void
-FleetSupervisor::note(const std::string &line) const
-{
-    if (_opt.verbose)
-        std::fprintf(stderr, "[fleet] %s\n", line.c_str());
-}
 
 void
 FleetSupervisor::buildHosts()
@@ -247,36 +226,29 @@ FleetSupervisor::buildHosts()
     }
 }
 
-bool
-FleetSupervisor::hostUsable(std::size_t hostIdx) const
-{
-    return _hosts[hostIdx].health.usable();
-}
-
 void
 FleetSupervisor::hostOpFailure(std::size_t hostIdx, double nowMs,
-                               const std::string &detail)
+                               const char *op, const std::string &jobId,
+                               const std::string &err, const char *state)
 {
     HostRuntime &h = _hosts[hostIdx];
-    if (!h.health.onOpFailure(nowMs, detail))
-        return;
-    if (h.health.state() == HostState::Dead) {
-        _journal.event(nowMs, "host_dead")
+    if (h.health.state() == HostState::Dead)
+        return; // benched for good: nothing left to score
+    {
+        auto r = _journal.event(nowMs, "op_fail");
+        r.str("host", h.spec.name).str("op", op).str("job", jobId)
+            .str("error", err);
+        if (*state)
+            r.str("state", state);
+    }
+    if (h.health.onOpFailure(nowMs, std::string(op) + " " + jobId +
+                                        ": " + err))
+        _journal.event(nowMs, h.health.state() == HostState::Dead
+                                  ? "host_dead"
+                                  : "quarantine")
             .str("host", h.spec.name)
             .u64("quarantines",
-                 static_cast<std::uint64_t>(h.health.quarantines()))
-            .str("error", detail);
-        note("host " + h.spec.name + ": dead (flapped through " +
-             std::to_string(h.health.quarantines() - 1) +
-             " quarantines): " + detail);
-    } else {
-        _journal.event(nowMs, "quarantine")
-            .str("host", h.spec.name)
-            .str("error", detail);
-        note("host " + h.spec.name + ": quarantined after " +
-             std::to_string(_spec.fleet.quarantineAfter) +
-             " consecutive transport failures: " + detail);
-    }
+                 static_cast<std::uint64_t>(h.health.quarantines()));
 }
 
 void
@@ -286,33 +258,21 @@ FleetSupervisor::probeQuarantined(double nowMs)
         if (!h.health.probeDue(nowMs))
             continue;
         std::string err;
-        if (h.transport->probe(&err)) {
+        const bool ok = h.transport->probe(&err);
+        if (ok)
             h.health.onProbeSuccess();
-            _journal.event(nowMs, "probe")
-                .str("host", h.spec.name)
-                .b("ok", true)
-                .b("readmitted", true);
-            note("host " + h.spec.name +
-                 ": probe answered; re-admitted");
-        } else if (h.health.onProbeFailure(nowMs, err)) {
-            _journal.event(nowMs, "probe")
-                .str("host", h.spec.name)
-                .b("ok", false)
-                .str("error", err);
+        const bool dead = !ok && h.health.onProbeFailure(nowMs, err);
+        {
+            auto r = _journal.event(nowMs, "probe");
+            r.str("host", h.spec.name).b("ok", ok);
+            if (!ok)
+                r.str("error", err);
+        }
+        if (dead)
             _journal.event(nowMs, "host_dead")
                 .str("host", h.spec.name)
-                .str("error", err);
-            note("host " + h.spec.name + ": dead (" +
-                 std::to_string(_spec.fleet.maxProbes) +
-                 " re-admission probes failed): " + err);
-        } else {
-            _journal.event(nowMs, "probe")
-                .str("host", h.spec.name)
-                .b("ok", false)
-                .str("error", err);
-            note("host " + h.spec.name + ": probe failed (" + err +
-                 "); still quarantined");
-        }
+                .u64("quarantines", static_cast<std::uint64_t>(
+                                        h.health.quarantines()));
     }
 }
 
@@ -321,7 +281,6 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
 {
     const JobProgress &p = _sched.job(jobIdx);
     HostRuntime &h = _hosts[slot.hostIdx];
-    const ShardPaths paths = shardPaths(_opt.outDir, p.job.id);
     const bool resume = p.resumeNext;
 
     LaunchRequest req;
@@ -329,7 +288,8 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
     req.token = p.token;
     req.attemptDir = attemptDir(_opt.outDir, p.job.id, p.token);
     req.args = workerArgs(_spec, p.job);
-    req.restoreFrom = resume ? paths.checkpoint : "";
+    req.restoreFrom =
+        resume ? shardPaths(_opt.outDir, p.job.id).checkpoint : "";
 
     std::string err;
     auto handle = h.transport->launch(req, &err);
@@ -337,13 +297,9 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
         // The worker never started: hand the claim back untouched
         // (no attempt burned, no zombie possible) and score the
         // host.
-        _journal.event(nowMs, "launch_fail")
-            .str("job", p.job.id)
-            .str("host", h.spec.name)
-            .str("error", err);
         _sched.releaseClaim(jobIdx);
-        hostOpFailure(slot.hostIdx, nowMs,
-                      "launch " + p.job.id + ": " + err);
+        hostOpFailure(slot.hostIdx, nowMs, "launch", p.job.id, err,
+                      jobStateName(p.state));
         return;
     }
     h.health.onOpSuccess();
@@ -356,17 +312,13 @@ FleetSupervisor::launch(Slot &slot, std::size_t jobIdx, double nowMs)
     slot.lastBeatMs = nowMs;
     slot.handle = std::move(handle);
 
-    if (resume)
-        ++_resumes;
     _journal.event(nowMs, "launch")
         .str("job", p.job.id)
         .u64("token", p.token)
         .u64("attempt", static_cast<std::uint64_t>(p.attempts))
         .str("host", h.spec.name)
-        .b("resume", resume);
-    note(p.job.id + ": attempt " + std::to_string(p.attempts) +
-         " on " + h.spec.name +
-         (resume ? " (resuming from " + paths.checkpoint + ")" : ""));
+        .b("resume", resume)
+        .str("state", jobStateName(p.state));
 }
 
 bool
@@ -450,123 +402,108 @@ FleetSupervisor::fetchVerified(Slot &slot, ArtifactManifest *m,
 }
 
 void
+FleetSupervisor::commitSuccess(const Slot &slot, double nowMs,
+                               const ArtifactManifest &m, bool rescue)
+{
+    const JobProgress &p = _sched.job(slot.jobIdx);
+    std::string err;
+    if (!commitArtifacts(p.job.id, m, true, rescue ? 0 : p.attempts,
+                         &err))
+        fatal("fleet: cannot commit ", rescue ? "rescued" : "accepted",
+              " artifacts of ", p.job.id, ": ", err);
+    auto r = _journal.event(nowMs, rescue ? "zombie_rescue" : "commit");
+    r.str("job", p.job.id)
+        .u64("token", slot.token)
+        .u64("attempt", static_cast<std::uint64_t>(p.attempts))
+        .str("host", _hosts[slot.hostIdx].spec.name)
+        .num("elapsed_ms", nowMs - slot.startMs);
+    std::ifstream sf(shardPaths(_opt.outDir, p.job.id).statsJson);
+    try {
+        const StatsFile f = parseStatsJson(sf);
+        if (const StatEntry *e = f.find("sim.steady.tick"))
+            r.num("steady_tick_ms", e->value);
+    } catch (const SimFatal &) {
+        // Informational only: the report excludes a malformed stats
+        // file from the aggregate.
+    }
+    r.str("state", jobStateName(p.state));
+}
+
+void
+FleetSupervisor::failAttempt(Slot &slot, double nowMs,
+                             const std::string &why, bool canResume,
+                             const ArtifactManifest *m)
+{
+    const JobProgress &p = _sched.job(slot.jobIdx);
+    if (!_sched.acceptFailure(slot.jobIdx, slot.token, nowMs, canResume))
+        return;
+    std::string err;
+    const bool committed =
+        !m || commitArtifacts(p.job.id, *m, false, p.attempts, &err);
+    auto r = _journal.event(nowMs, "job_fail");
+    r.str("job", p.job.id)
+        .u64("token", slot.token)
+        .u64("attempt", static_cast<std::uint64_t>(p.attempts))
+        .str("host", _hosts[slot.hostIdx].spec.name)
+        .str("why", why)
+        .num("elapsed_ms", nowMs - slot.startMs);
+    if (!committed)
+        r.str("commit_error", err);
+    r.b("will_resume", p.resumeNext).str("state", jobStateName(p.state));
+}
+
+void
 FleetSupervisor::settleAttempt(Slot &slot, double nowMs,
                                const ArtifactManifest &m)
 {
-    const std::size_t idx = slot.jobIdx;
-    const double elapsed = nowMs - slot.startMs;
-    HostRuntime &h = _hosts[slot.hostIdx];
-    const JobProgress &p = _sched.job(idx);
-    const std::string id = p.job.id;
-    const int attempt = p.attempts;
-
     if (slot.exitResult.ok && produced(m)) {
-        if (_sched.acceptSuccess(idx, slot.token, elapsed)) {
-            std::string err;
-            if (!commitArtifacts(id, m, true, attempt, &err))
-                fatal("fleet: cannot commit accepted artifacts of ",
-                      id, ": ", err);
-            // Surface the shard's steady-state verdict (if its
-            // stats carry one) into fleet-status.json.
-            if (_jobSteadyTickMs.size() < _sched.jobs().size())
-                _jobSteadyTickMs.resize(_sched.jobs().size(), -1.0);
-            const ShardPaths paths = shardPaths(_opt.outDir, id);
-            std::ifstream sf(paths.statsJson);
-            if (sf) {
-                try {
-                    StatsFile f = parseStatsJson(sf);
-                    if (const StatEntry *e =
-                            f.find("sim.steady.tick"))
-                        _jobSteadyTickMs[idx] = e->value;
-                } catch (const SimFatal &) {
-                    // Informational only; a malformed stats file
-                    // already failed digest/stats gates elsewhere.
-                }
-            }
-            _journal.event(nowMs, "commit")
-                .str("job", id)
-                .u64("token", slot.token)
-                .u64("attempt", static_cast<std::uint64_t>(attempt))
-                .str("host", h.spec.name)
-                .num("job_wall_ms", elapsed);
-            note(id + ": done (" + fmtNum(elapsed) + " wall ms)");
-        } else {
-            _journal.event(nowMs, "stale_reject")
-                .str("job", id)
-                .u64("token", slot.token);
-            note(id + ": result rejected (stale fencing token); "
-                 "not merged");
-        }
-    } else {
-        std::string why;
-        if (slot.chaosKilled && slot.exitResult.termSignal != 0)
-            why = "chaos SIGKILL (injected)";
-        else if (slot.hangKilled)
-            why = "hung (no heartbeat), killed";
-        else if (slot.exitResult.ok)
-            why = std::string("worker succeeded but ") +
-                  (hasArtifact(m, attempt_files::kStats)
-                       ? attempt_files::kDigest
-                       : attempt_files::kStats) +
-                  " was not produced";
+        if (_sched.acceptSuccess(slot.jobIdx, slot.token))
+            commitSuccess(slot, nowMs, m, false);
         else
-            why = slot.exitResult.error.empty()
-                      ? "failed"
-                      : slot.exitResult.error;
-        const bool canResume =
-            hasArtifact(m, attempt_files::kCheckpoint);
-        if (_sched.acceptFailure(idx, slot.token, nowMs, elapsed,
-                                 why, canResume)) {
-            std::string err;
-            if (!commitArtifacts(id, m, false, attempt, &err))
-                note(id + ": checkpoint commit failed: " + err);
-            const JobProgress &q = _sched.job(idx);
-            _journal.event(nowMs, "job_fail")
-                .str("job", id)
-                .u64("token", slot.token)
-                .u64("attempt", static_cast<std::uint64_t>(attempt))
-                .str("host", h.spec.name)
-                .str("why", why)
-                .str("next_state", jobStateName(q.state))
-                .b("will_resume", q.resumeNext);
-            note(id + ": " + why + " -> " + jobStateName(q.state) +
-                 (q.state == JobState::Backoff
-                      ? (q.resumeNext ? " (will resume)"
-                                      : " (will restart)")
-                      : ""));
-        }
+            _journal.event(nowMs, "stale_reject")
+                .str("job", _sched.job(slot.jobIdx).job.id)
+                .u64("token", slot.token);
+        return;
     }
+    std::string why;
+    if (slot.chaosKilled && slot.exitResult.termSignal != 0)
+        why = "chaos SIGKILL (injected)";
+    else if (slot.hangKilled)
+        why = "hung (no heartbeat), killed";
+    else if (slot.exitResult.ok)
+        why = std::string("worker succeeded but ") +
+              (hasArtifact(m, attempt_files::kStats)
+                   ? attempt_files::kDigest
+                   : attempt_files::kStats) +
+              " was not produced";
+    else
+        why = slot.exitResult.error.empty() ? "failed"
+                                            : slot.exitResult.error;
+    failAttempt(slot, nowMs, why,
+                hasArtifact(m, attempt_files::kCheckpoint), &m);
 }
 
 void
 FleetSupervisor::tryFetch(Slot &slot, double nowMs)
 {
-    HostRuntime &h = _hosts[slot.hostIdx];
-    const std::size_t idx = slot.jobIdx;
     ArtifactManifest m;
     std::string err;
     if (fetchVerified(slot, &m, &err)) {
-        h.health.onOpSuccess();
-        _sched.renewLease(idx, nowMs);
+        _hosts[slot.hostIdx].health.onOpSuccess();
+        _sched.renewLease(slot.jobIdx, nowMs);
         settleAttempt(slot, nowMs, m);
         slot.vacate();
         return;
     }
-    const std::string id = _sched.job(idx).job.id;
-    hostOpFailure(slot.hostIdx, nowMs, "fetch " + id + ": " + err);
+    hostOpFailure(slot.hostIdx, nowMs, "fetch",
+                  _sched.job(slot.jobIdx).job.id, err);
     if (++slot.fetchAttempts < _spec.fleet.fetchRetries)
         return;
-    const std::string why = "artifact fetch failed after " +
-                            std::to_string(slot.fetchAttempts) +
-                            " attempts: " + err;
-    _journal.event(nowMs, "fetch_fail")
-        .str("job", id)
-        .u64("token", slot.token)
-        .str("host", h.spec.name)
-        .str("error", err);
-    if (_sched.acceptFailure(idx, slot.token, nowMs,
-                             nowMs - slot.startMs, why, false))
-        note(id + ": " + why);
+    failAttempt(slot, nowMs,
+                "artifact fetch failed after " +
+                    std::to_string(slot.fetchAttempts) +
+                    " attempts: " + err,
+                false, nullptr);
     slot.vacate();
 }
 
@@ -582,8 +519,8 @@ FleetSupervisor::pollSlot(Slot &slot, double nowMs)
     if (!slot.exited) {
         const PollResult pr = h.transport->poll(*slot.handle);
         if (pr.state == WorkerState::Unreachable) {
-            hostOpFailure(slot.hostIdx, nowMs,
-                          "poll " + p.job.id + ": " + pr.error);
+            hostOpFailure(slot.hostIdx, nowMs, "poll", p.job.id,
+                          pr.error);
             return; // no lease renewal: expiry reassigns the job
         }
         h.health.onOpSuccess();
@@ -593,40 +530,21 @@ FleetSupervisor::pollSlot(Slot &slot, double nowMs)
             HeartbeatInfo hb;
             std::string err;
             if (!h.transport->heartbeat(*slot.handle, &hb, &err)) {
-                hostOpFailure(slot.hostIdx, nowMs,
-                              "heartbeat " + p.job.id + ": " + err);
+                hostOpFailure(slot.hostIdx, nowMs, "heartbeat",
+                              p.job.id, err);
             } else {
                 h.health.onOpSuccess();
                 if (hb.size >= 0 && hb.size != slot.lastSize) {
                     slot.lastSize = hb.size;
                     slot.lastBeatMs = nowMs;
                     _sched.renewLease(slot.jobIdx, nowMs);
-
-                    // Per-worker rate from the transport's own
-                    // sample stamps (a cached remote observation
-                    // keeps its original stamp).
-                    if (hb.tickMs >= 0.0 && hb.wallMs >= 0.0) {
-                        if (slot.lastTickMs >= 0.0 &&
-                            hb.wallMs > slot.lastTickWallMs) {
-                            slot.simRate =
-                                (hb.tickMs - slot.lastTickMs) /
-                                ((hb.wallMs - slot.lastTickWallMs) /
-                                 1000.0);
-                            slot.rateWindow.push_back(slot.simRate);
-                            if (slot.rateWindow.size() > 16)
-                                slot.rateWindow.pop_front();
-                        }
-                        slot.lastTickMs = hb.tickMs;
-                        slot.lastTickWallMs = hb.wallMs;
-                    }
                     _journal.event(nowMs, "heartbeat")
                         .str("job", p.job.id)
                         .u64("token", slot.token)
                         .str("host", h.spec.name)
                         .num("tick_ms", hb.tickMs)
                         .u64("size",
-                             static_cast<std::uint64_t>(hb.size))
-                        .b("lease_renewed", true);
+                             static_cast<std::uint64_t>(hb.size));
 
                     // Chaos injection keys on *simulated* progress
                     // so a ring checkpoint older than the kill point
@@ -642,8 +560,6 @@ FleetSupervisor::pollSlot(Slot &slot, double nowMs)
                             .str("job", p.job.id)
                             .u64("token", slot.token)
                             .num("tick_ms", hb.tickMs);
-                        note(p.job.id + ": chaos SIGKILL at " +
-                             fmtNum(hb.tickMs) + " simulated ms");
                     }
                 }
             }
@@ -654,16 +570,12 @@ FleetSupervisor::pollSlot(Slot &slot, double nowMs)
                 nowMs - slot.startMs > pol.heartbeatGraceMs &&
                 nowMs - slot.lastBeatMs > pol.heartbeatDeadlineMs) {
                 slot.hangKilled = true;
-                ++_hangKills;
                 h.transport->forceKill(*slot.handle);
                 _journal.event(nowMs, "hang_kill")
                     .str("job", p.job.id)
                     .u64("token", slot.token)
                     .str("host", h.spec.name)
                     .num("silent_ms", nowMs - slot.lastBeatMs);
-                note(p.job.id + ": no heartbeat for " +
-                     fmtNum(nowMs - slot.lastBeatMs) +
-                     " wall ms; killed as hung");
             }
             return;
         }
@@ -681,7 +593,6 @@ FleetSupervisor::expireLease(Slot &slot, double nowMs)
     const std::size_t idx = slot.jobIdx;
     HostRuntime &h = _hosts[slot.hostIdx];
     const JobProgress &p = _sched.job(idx);
-    const ShardPaths paths = shardPaths(_opt.outDir, p.job.id);
     const std::string why =
         "lease expired after " + fmtNum(_spec.fleet.leaseMs) +
         " ms on host " + h.spec.name +
@@ -691,17 +602,18 @@ FleetSupervisor::expireLease(Slot &slot, double nowMs)
     // Resume eligibility comes from the canonical checkpoint (a
     // previously committed attempt): the zombie's own ring is out of
     // reach until — unless — it is fetched and rescued later.
-    const bool canResume = fileExists(paths.checkpoint);
-    _sched.onLeaseExpired(idx, nowMs, nowMs - slot.startMs, why,
-                          canResume);
+    const bool canResume =
+        fileExists(shardPaths(_opt.outDir, p.job.id).checkpoint);
+    _sched.onLeaseExpired(idx, nowMs, canResume);
     _journal.event(nowMs, "lease_expiry")
         .str("job", p.job.id)
         .u64("token", slot.token)
+        .u64("attempt", static_cast<std::uint64_t>(p.attempts))
         .str("host", h.spec.name)
-        .b("can_resume", canResume);
-    note(p.job.id + ": " + why + "; reassigning (attempt's fencing "
-         "token " + std::to_string(slot.token) + " retired to "
-         "zombie)");
+        .str("why", why)
+        .num("elapsed_ms", nowMs - slot.startMs)
+        .b("can_resume", canResume)
+        .str("state", jobStateName(p.state));
 
     _zombies.push_back(std::move(slot));
     slot.vacate();
@@ -725,7 +637,7 @@ FleetSupervisor::pollZombies(double nowMs)
             z.exitResult = pr;
         }
 
-        const std::string id = _sched.job(z.jobIdx).job.id;
+        const JobProgress &p = _sched.job(z.jobIdx);
         ArtifactManifest m;
         std::string err;
         if (!fetchVerified(z, &m, &err)) {
@@ -734,55 +646,36 @@ FleetSupervisor::pollZombies(double nowMs)
                 continue;
             }
             _journal.event(nowMs, "zombie_unfetchable")
-                .str("job", id)
+                .str("job", p.job.id)
                 .u64("token", z.token)
                 .str("error", err);
-            note(id + ": zombie artifacts unfetchable (" + err +
-                 "); discarded");
         } else if (z.exitResult.ok && produced(m)) {
-            if (_sched.acceptSuccess(z.jobIdx, z.token,
-                                     nowMs - z.startMs)) {
-                if (!commitArtifacts(id, m, true, 0, &err))
-                    fatal("fleet: cannot commit rescued artifacts "
-                          "of ", id, ": ", err);
-                _journal.event(nowMs, "zombie_rescue")
-                    .str("job", id)
-                    .u64("token", z.token);
-                note(id + ": zombie attempt (token " +
-                     std::to_string(z.token) +
-                     ") finished and was rescued");
-            } else {
+            if (_sched.acceptSuccess(z.jobIdx, z.token))
+                commitSuccess(z, nowMs, m, true);
+            else
                 _journal.event(nowMs, "zombie_reject")
-                    .str("job", id)
+                    .str("job", p.job.id)
                     .u64("token", z.token);
-                note(id + ": zombie result (token " +
-                     std::to_string(z.token) +
-                     ") rejected by fencing; not merged");
-            }
         } else {
-            // A zombie's failure adds nothing: its attempt was
-            // written off at lease expiry.  Offer it anyway so stale
-            // tokens are counted uniformly.
-            (void)_sched.acceptFailure(z.jobIdx, z.token, nowMs,
-                                       nowMs - z.startMs,
-                                       "zombie attempt failed", false);
+            // A zombie's failure changes nothing: its attempt was
+            // written off at lease expiry.  Under a stale token it
+            // still counts as a refused result.
             _journal.event(nowMs, "zombie_fail")
-                .str("job", id)
-                .u64("token", z.token);
-            note(id + ": zombie attempt (token " +
-                 std::to_string(z.token) + ") failed; discarded");
+                .str("job", p.job.id)
+                .u64("token", z.token)
+                .b("stale", z.token != p.token);
         }
         _zombies.erase(_zombies.begin() + static_cast<long>(zi));
     }
 }
 
 void
-FleetSupervisor::killZombies()
+FleetSupervisor::killZombies(double nowMs)
 {
     for (Slot &z : _zombies) {
-        note(_sched.job(z.jobIdx).job.id +
-             ": zombie attempt (token " + std::to_string(z.token) +
-             ") force-killed at drain");
+        _journal.event(nowMs, "zombie_kill")
+            .str("job", _sched.job(z.jobIdx).job.id)
+            .u64("token", z.token);
         _hosts[z.hostIdx].transport->forceKill(*z.handle);
     }
     _zombies.clear(); // handle destructors reap what remains
@@ -798,7 +691,7 @@ FleetSupervisor::interruptAll()
         _hosts[z.hostIdx].transport->interrupt(*z.handle);
 }
 
-FleetOutcome
+FoldedSweep
 FleetSupervisor::run()
 {
     if (_opt.outDir.empty())
@@ -809,16 +702,12 @@ FleetSupervisor::run()
         fatal("cannot create ", _opt.outDir, ": ", ec.message());
 
     buildHosts();
-    _journal.open(_opt.outDir + "/journal.jsonl");
+    const std::string journalPath = _opt.outDir + "/journal.jsonl";
+    _journal.open(journalPath, _opt.verbose);
 
     std::size_t totalSlots = 0;
     for (const HostRuntime &h : _hosts)
         totalSlots += static_cast<std::size_t>(h.spec.slots);
-    note("sweep '" + _spec.name + "': " +
-         std::to_string(_spec.jobs.size()) + " jobs on " +
-         std::to_string(totalSlots) + " workers across " +
-         std::to_string(_hosts.size()) + " host(s)");
-
     const auto t0 = std::chrono::steady_clock::now();
     auto nowMs = [&t0]() {
         return std::chrono::duration<double, std::milli>(
@@ -827,9 +716,25 @@ FleetSupervisor::run()
     };
     _journal.event(nowMs(), "sweep_start")
         .str("name", _spec.name)
+        .num("seconds", _spec.seconds)
         .u64("jobs", _spec.jobs.size())
         .u64("hosts", _hosts.size())
         .u64("slots", totalSlots);
+    for (const HostRuntime &h : _hosts)
+        _journal.event(nowMs(), "host")
+            .str("host", h.spec.name)
+            .str("transport", h.spec.transport)
+            .u64("slots", static_cast<std::uint64_t>(h.spec.slots))
+            .b("faulty", h.faulty != nullptr);
+    for (const FleetJob &j : _spec.jobs) {
+        auto r = _journal.event(nowMs(), "job");
+        r.str("job", j.id)
+            .str("config", j.config)
+            .str("workload", j.workload)
+            .u64("seed", j.seed);
+        if (!j.faultPlan.empty())
+            r.str("fault_plan", j.faultPlan);
+    }
 
     bool interrupted = false;
     double drainStartMs = -1.0;
@@ -839,7 +744,6 @@ FleetSupervisor::run()
             _opt.stopFlag->load(std::memory_order_relaxed) != 0) {
             interrupted = true;
             _journal.event(now, "interrupt");
-            note("interrupted; draining workers");
             interruptAll();
         }
 
@@ -863,14 +767,19 @@ FleetSupervisor::run()
                     break;
                 }
             if (allDead) {
-                const std::size_t n = _sched.failAllUnsettled(
-                    "all hosts dead; job abandoned");
+                const std::vector<std::size_t> abandoned =
+                    _sched.failAllUnsettled();
+                for (std::size_t i : abandoned)
+                    _journal.event(now, "abandon")
+                        .str("job", _sched.job(i).job.id)
+                        .str("why", "all hosts dead; job abandoned")
+                        .str("state", jobStateName(_sched.job(i).state));
                 _fatal = "all " + std::to_string(_hosts.size()) +
-                         " host(s) dead; " + std::to_string(n) +
+                         " host(s) dead; " +
+                         std::to_string(abandoned.size()) +
                          " unsettled job(s) abandoned";
                 _journal.event(now, "fatal").str("error", _fatal);
-                note("FATAL: " + _fatal);
-                killZombies();
+                killZombies(now);
                 for (Slot &slot : _slots) {
                     if (!slot.active)
                         continue;
@@ -883,10 +792,9 @@ FleetSupervisor::run()
 
         if (!interrupted && _fatal.empty()) {
             for (Slot &slot : _slots) {
-                if (slot.active || !hostUsable(slot.hostIdx))
+                if (slot.active || !_hosts[slot.hostIdx].health.usable())
                     continue;
-                const std::size_t idx = _sched.claimNext(
-                    now, _hosts[slot.hostIdx].spec.name);
+                const std::size_t idx = _sched.claimNext(now);
                 if (idx == FleetScheduler::npos)
                     break;
                 launch(slot, idx, now);
@@ -907,245 +815,70 @@ FleetSupervisor::run()
                 for (Slot &z : _zombies)
                     _hosts[z.hostIdx].transport->interrupt(
                         *z.handle);
-            } else if (now - drainStartMs > _opt.zombieGraceMs) {
-                killZombies();
+            } else if (now - drainStartMs > kZombieGraceMs) {
+                killZombies(now);
                 break;
             }
         } else {
             drainStartMs = -1.0;
         }
-        if (_opt.statusIntervalMs > 0.0 &&
-            now - _lastStatusMs >= _opt.statusIntervalMs) {
-            _lastStatusMs = now;
-            writeStatus(now, false);
-        }
-        std::this_thread::sleep_for(std::chrono::duration<double,
-                                    std::milli>(_opt.pollMs));
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(kPollMs));
     }
 
-    FleetOutcome out;
-    out.interrupted = interrupted;
-    out.fatal = _fatal;
-    out.done = _sched.doneCount();
-    out.failed = _sched.failedCount();
-    out.resumes = _resumes;
-    out.hangKills = _hangKills;
-    out.leaseExpiries = _sched.leaseExpiries();
-    out.zombieRejects = _sched.zombieRejects();
-    out.zombieRescues = _sched.zombieRescues();
-    out.reportPath = _opt.outDir + "/report.json";
-    out.jobs = _sched.jobs();
-    // A failed launch hands its claim back (releaseClaim), so every
-    // attempt a job counts beyond its first is a retry that ran.
-    for (const JobProgress &p : out.jobs)
-        out.retries += static_cast<std::size_t>(
-            std::max(0, p.attempts - 1));
-    for (const HostRuntime &h : _hosts) {
-        HostReport hr;
-        hr.name = h.spec.name;
-        hr.transport = h.spec.transport;
-        hr.slots = h.spec.slots;
-        hr.state = h.health.stateName();
-        hr.quarantines = h.health.quarantines();
-        hr.opFailures = h.health.opFailures();
-        hr.jobsDone = jobsDoneOn(out.jobs, h.spec.name);
-        hr.lastError = h.health.lastError();
-        if (h.faulty) {
-            hr.faulty = true;
-            hr.faultsInjected = h.faulty->counters().injected();
-        }
-        out.hostsQuarantined += hr.quarantines;
-        if (h.health.state() == HostState::Dead)
-            ++out.hostsDead;
-        out.hosts.push_back(std::move(hr));
+    for (const HostRuntime &h : _hosts)
+        if (h.faulty)
+            _journal.event(nowMs(), "faults")
+                .str("host", h.spec.name)
+                .u64("injected", static_cast<std::uint64_t>(
+                                     h.faulty->counters().injected()));
+    _journal.event(nowMs(), "sweep_end");
+
+    // The journal is the sweep's one record: the report is its fold,
+    // and the fold must tell every job's state and attempt count
+    // exactly as the scheduler decided them.
+    std::ifstream in(journalPath);
+    FoldedSweep out = foldJournal(in);
+    vip_assert(out.jobs.size() == _sched.jobs().size(),
+               "journal declares ", out.jobs.size(), " jobs, not ",
+               _sched.jobs().size());
+    for (std::size_t i = 0; i < out.jobs.size(); ++i) {
+        const FoldedJob &f = out.jobs[i];
+        const JobProgress &p = _sched.job(i);
+        vip_assert(f.job.id == p.job.id && f.state == p.state &&
+                       f.attempts == p.attempts,
+                   "journal fold disagrees with the scheduler on ",
+                   p.job.id, ": ", jobStateName(f.state), "/",
+                   f.attempts, " vs ", jobStateName(p.state), "/",
+                   p.attempts);
     }
-    _journal.event(nowMs(), "sweep_end")
-        .u64("done", out.done)
-        .u64("failed", out.failed)
-        .u64("retries", out.retries)
-        .u64("resumes", out.resumes)
-        .u64("hang_kills", out.hangKills)
-        .u64("lease_expiries",
-             static_cast<std::uint64_t>(out.leaseExpiries))
-        .u64("zombie_rejects",
-             static_cast<std::uint64_t>(out.zombieRejects))
-        .u64("zombie_rescues",
-             static_cast<std::uint64_t>(out.zombieRescues))
-        .u64("hosts_quarantined",
-             static_cast<std::uint64_t>(out.hostsQuarantined))
-        .u64("hosts_dead",
-             static_cast<std::uint64_t>(out.hostsDead))
-        .b("interrupted", out.interrupted)
-        .b("fatal", !out.fatal.empty());
-    writeStatus(nowMs(), true);
-    writeReport(out);
-    note("sweep '" + _spec.name + "' " +
-         (!out.fatal.empty()
-              ? "aborted"
-              : interrupted ? "interrupted" : "complete") +
-         ": " + std::to_string(out.done) + " done, " +
-         std::to_string(out.failed) + " failed, " +
-         std::to_string(out.retries) + " retries (" +
-         std::to_string(out.resumes) + " resumed), " +
-         std::to_string(out.leaseExpiries) + " lease expiries, " +
-         std::to_string(out.zombieRejects) + " zombie rejects, "
-         "report " + out.reportPath);
+    writeFleetReport(_opt.outDir, out, _spec.fleet);
     return out;
 }
 
 void
-FleetSupervisor::writeStatus(double nowMs, bool final)
-{
-    const std::vector<JobProgress> &jobs = _sched.jobs();
-    const double targetMs = _spec.seconds * 1000.0;
-
-    // Per-job simulated progress: a running job's newest heartbeat
-    // tick, a done job's full target, otherwise zero.
-    std::vector<double> simMs(jobs.size(), 0.0);
-    std::vector<double> rates(jobs.size(), 0.0);
-    std::vector<const std::deque<double> *> windows(jobs.size(),
-                                                    nullptr);
-    for (const Slot &s : _slots) {
-        if (!s.active || s.jobIdx == FleetScheduler::npos)
-            continue;
-        if (s.lastTickMs > 0.0)
-            simMs[s.jobIdx] = s.lastTickMs;
-        rates[s.jobIdx] = s.simRate;
-        if (!s.rateWindow.empty())
-            windows[s.jobIdx] = &s.rateWindow;
-    }
-    std::size_t nPending = 0, nRunning = 0, nBackoff = 0, nDone = 0,
-                nFailed = 0;
-    double simDone = 0.0, activeRate = 0.0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        switch (jobs[i].state) {
-          case JobState::Pending: ++nPending; break;
-          case JobState::Running: ++nRunning; break;
-          case JobState::Backoff: ++nBackoff; break;
-          case JobState::Done:
-            ++nDone;
-            simMs[i] = targetMs;
-            break;
-          case JobState::Failed: ++nFailed; break;
-        }
-        simDone += simMs[i];
-        activeRate += rates[i];
-    }
-    // ETA from the fleet's current aggregate rate; failed jobs are
-    // out of the race, so their remaining sim time does not count.
-    const double remaining =
-        targetMs * static_cast<double>(jobs.size() - nFailed) -
-        simDone;
-    const double etaMs =
-        activeRate > 0.0 && remaining > 0.0
-            ? remaining / activeRate * 1000.0
-            : (remaining <= 0.0 ? 0.0 : -1.0);
-
-    std::ostringstream os;
-    os << "{\n"
-       << "  \"kind\": \"vip-fleet-status\",\n"
-       << "  \"schemaVersion\": 2,\n"
-       << "  \"name\": " << json::quoted(_spec.name) << ",\n"
-       << "  \"final\": " << (final ? "true" : "false") << ",\n"
-       << "  \"wall_ms\": " << fmtNum(nowMs) << ",\n"
-       << "  \"jobs\": {\n"
-       << "    \"total\": " << jobs.size() << ",\n"
-       << "    \"pending\": " << nPending << ",\n"
-       << "    \"running\": " << nRunning << ",\n"
-       << "    \"backoff\": " << nBackoff << ",\n"
-       << "    \"done\": " << nDone << ",\n"
-       << "    \"failed\": " << nFailed << "\n  },\n";
-    os << "  \"throughput\": {\n"
-       << "    \"sim_target_ms_per_job\": " << fmtNum(targetMs)
-       << ",\n"
-       << "    \"sim_ms_done\": " << fmtNum(simDone) << ",\n"
-       << "    \"sim_ms_per_wall_s\": " << fmtNum(activeRate)
-       << ",\n"
-       << "    \"eta_ms\": " << fmtNum(etaMs) << "\n  },\n";
-    os << "  \"job_detail\": [\n";
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const JobProgress &p = jobs[i];
-        os << "    {\"id\": " << json::quoted(p.job.id)
-           << ", \"state\": \"" << jobStateName(p.state)
-           << "\", \"attempts\": "
-           << p.attempts << ", \"sim_ms\": " << fmtNum(simMs[i]);
-        if (rates[i] > 0.0)
-            os << ", \"sim_ms_per_wall_s\": " << fmtNum(rates[i]);
-        if (!p.host.empty())
-            os << ", \"host\": " << json::quoted(p.host);
-        // Per-shard throughput window (newest last) plus the
-        // steady-state verdict: a running shard is judged on the
-        // relative spread of its rate window; a committed shard
-        // reports the tick its own detector latched (if any).
-        if (const std::deque<double> *w = windows[i]) {
-            os << ", \"rate_window\": [";
-            for (std::size_t k = 0; k < w->size(); ++k)
-                os << (k ? ", " : "") << fmtNum((*w)[k]);
-            os << "]";
-            double lo = (*w)[0], hi = (*w)[0], sum = 0.0;
-            for (double v : *w) {
-                lo = std::min(lo, v);
-                hi = std::max(hi, v);
-                sum += v;
-            }
-            const double mean =
-                sum / static_cast<double>(w->size());
-            os << ", \"rate_steady\": "
-               << (w->size() >= 8 && mean > 0.0 &&
-                           (hi - lo) <= 0.5 * mean
-                       ? "true"
-                       : "false");
-        }
-        const double steadyTick =
-            i < _jobSteadyTickMs.size() ? _jobSteadyTickMs[i] : -1.0;
-        if (steadyTick >= 0.0)
-            os << ", \"steady_tick_ms\": " << fmtNum(steadyTick);
-        os << "}" << (i + 1 < jobs.size() ? ",\n" : "\n");
-    }
-    os << "  ],\n";
-    os << "  \"hosts\": [\n";
-    for (std::size_t i = 0; i < _hosts.size(); ++i) {
-        const HostRuntime &h = _hosts[i];
-        os << "    {\"name\": " << json::quoted(h.spec.name)
-           << ", \"state\": \"" << h.health.stateName()
-           << "\", \"quarantines\": " << h.health.quarantines()
-           << ", \"op_failures\": " << h.health.opFailures()
-           << ", \"jobs_done\": " << jobsDoneOn(jobs, h.spec.name);
-        if (h.faulty)
-            os << ", \"faults_injected\": "
-               << h.faulty->counters().injected();
-        os << "}" << (i + 1 < _hosts.size() ? ",\n" : "\n");
-    }
-    os << "  ]\n}\n";
-
-    std::string err;
-    if (!writeFileAtomic(_opt.outDir + "/fleet-status.json",
-                         os.str(), &err))
-        note("cannot write fleet-status.json: " + err);
-}
-
-void
-FleetSupervisor::writeReport(const FleetOutcome &out) const
+writeFleetReport(const std::string &outDir, const FoldedSweep &out,
+                 const FleetPolicy &pol)
 {
     // Aggregate every completed shard's committed stats.json.
     std::vector<StatsFile> parsed;
     parsed.reserve(out.jobs.size());
     std::vector<const StatsFile *> shards;
-    for (const JobProgress &p : out.jobs) {
-        if (p.state != JobState::Done)
+    for (const FoldedJob &j : out.jobs) {
+        if (j.state != JobState::Done)
             continue;
-        const ShardPaths paths = shardPaths(_opt.outDir, p.job.id);
+        const ShardPaths paths = shardPaths(outDir, j.job.id);
         std::ifstream in(paths.statsJson);
         if (!in) {
-            note(p.job.id + ": done but " + paths.statsJson +
+            warn("fleet: ", j.job.id, ": done but ", paths.statsJson,
                  " is unreadable; excluded from the aggregate");
             continue;
         }
         try {
             parsed.push_back(parseStatsJson(in));
         } catch (const std::exception &e) {
-            note(p.job.id + ": stats.json rejected (" + e.what() +
-                 "); excluded from the aggregate");
+            warn("fleet: ", j.job.id, ": stats.json rejected (",
+                 e.what(), "); excluded from the aggregate");
         }
     }
     for (const StatsFile &f : parsed)
@@ -1153,12 +886,11 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
     const auto agg = aggregateStats(shards);
 
     std::ostringstream os;
-    const FleetPolicy &pol = _spec.fleet;
     os << "{\n"
        << "  \"kind\": \"vip-fleet-report\",\n"
        << "  \"schemaVersion\": 2,\n"
-       << "  \"name\": " << json::quoted(_spec.name) << ",\n"
-       << "  \"seconds\": " << fmtNum(_spec.seconds) << ",\n"
+       << "  \"name\": " << json::quoted(out.name) << ",\n"
+       << "  \"seconds\": " << fmtNum(out.seconds) << ",\n"
        << "  \"interrupted\": "
        << (out.interrupted ? "true" : "false") << ",\n";
     if (!out.fatal.empty())
@@ -1170,8 +902,6 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
        << ",\n"
        << "    \"backoff_cap_ms\": " << fmtNum(pol.backoffCapMs)
        << ",\n"
-       << "    \"backoff_jitter\": "
-       << (pol.backoffJitter ? "true" : "false") << ",\n"
        << "    \"lease_ms\": " << fmtNum(pol.leaseMs) << ",\n"
        << "    \"heartbeat_deadline_ms\": "
        << fmtNum(pol.heartbeatDeadlineMs) << ",\n"
@@ -1206,7 +936,7 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
 
     os << "  \"hosts\": [\n";
     for (std::size_t i = 0; i < out.hosts.size(); ++i) {
-        const HostReport &h = out.hosts[i];
+        const FoldedHost &h = out.hosts[i];
         os << "    {\n"
            << "      \"name\": " << json::quoted(h.name) << ",\n"
            << "      \"transport\": " << json::quoted(h.transport)
@@ -1231,10 +961,10 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
     os << "  \"reassigned_jobs\": [";
     {
         bool first = true;
-        for (const JobProgress &p : out.jobs) {
-            if (p.leaseExpiries == 0)
+        for (const FoldedJob &j : out.jobs) {
+            if (j.leaseExpiries == 0)
                 continue;
-            os << (first ? "" : ", ") << json::quoted(p.job.id);
+            os << (first ? "" : ", ") << json::quoted(j.job.id);
             first = false;
         }
     }
@@ -1242,7 +972,7 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
     os << "  \"quarantined_hosts\": [";
     {
         bool first = true;
-        for (const HostReport &h : out.hosts) {
+        for (const FoldedHost &h : out.hosts) {
             if (h.quarantines == 0)
                 continue;
             os << (first ? "" : ", ") << json::quoted(h.name);
@@ -1251,43 +981,46 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
     }
     os << "],\n";
 
-    auto jobJson = [&os](const JobProgress &p, bool failedOnly) {
+    auto jobJson = [&os](const FoldedJob &j, bool failedOnly) {
         os << "    {\n"
-           << "      \"id\": " << json::quoted(p.job.id) << ",\n"
-           << "      \"config\": " << json::quoted(p.job.config)
+           << "      \"id\": " << json::quoted(j.job.id) << ",\n"
+           << "      \"config\": " << json::quoted(j.job.config)
            << ",\n"
-           << "      \"workload\": " << json::quoted(p.job.workload)
+           << "      \"workload\": " << json::quoted(j.job.workload)
            << ",\n"
-           << "      \"seed\": " << p.job.seed << ",\n";
-        if (!p.job.faultPlan.empty())
+           << "      \"seed\": " << j.job.seed << ",\n";
+        if (!j.job.faultPlan.empty())
             os << "      \"fault_plan\": "
-               << json::quoted(p.job.faultPlan) << ",\n";
-        os << "      \"state\": \"" << jobStateName(p.state)
+               << json::quoted(j.job.faultPlan) << ",\n";
+        os << "      \"state\": \"" << jobStateName(j.state)
            << "\",\n"
-           << "      \"attempts\": " << p.attempts << ",\n"
-           << "      \"resumed\": "
-           << (p.everResumed ? "true" : "false") << ",\n";
-        if (!p.host.empty())
-            os << "      \"host\": " << json::quoted(p.host) << ",\n";
-        if (p.leaseExpiries > 0)
-            os << "      \"lease_expiries\": " << p.leaseExpiries
+           << "      \"attempts\": " << j.attempts << ",\n"
+           << "      \"resumed\": " << (j.resumed ? "true" : "false")
+           << ",\n";
+        if (!j.host.empty())
+            os << "      \"host\": " << json::quoted(j.host) << ",\n";
+        if (j.leaseExpiries > 0)
+            os << "      \"lease_expiries\": " << j.leaseExpiries
                << ",\n";
-        if (p.zombieRejects > 0)
-            os << "      \"zombie_rejects\": " << p.zombieRejects
+        if (j.zombieRejects > 0)
+            os << "      \"zombie_rejects\": " << j.zombieRejects
                << ",\n";
-        if (p.rescued)
+        if (j.rescued)
             os << "      \"rescued\": true,\n";
-        os << "      \"wall_ms\": " << fmtNum(p.wallMs);
-        if (!failedOnly && p.state == JobState::Done)
+        if (j.steadyTickMs >= 0.0)
+            os << "      \"steady_tick_ms\": " << fmtNum(j.steadyTickMs)
+               << ",\n";
+        os << "      \"wall_ms\": " << fmtNum(j.wallMs);
+        if (!failedOnly && j.state == JobState::Done)
             os << ",\n      \"stats\": "
-               << json::quoted("shards/" + p.job.id + "/stats.json");
-        if (!p.lastError.empty())
+               << json::quoted("shards/" + j.job.id + "/stats.json");
+        if (!j.lastError.empty())
             os << ",\n      \"last_error\": "
-               << json::quoted(p.lastError);
-        if (!p.history.empty()) {
+               << json::quoted(j.lastError);
+        if (!j.history.empty()) {
             os << ",\n      \"history\": [";
-            for (std::size_t i = 0; i < p.history.size(); ++i)
-                os << (i ? ", " : "") << json::quoted(p.history[i]);
+            for (std::size_t i = 0; i < j.history.size(); ++i)
+                os << (i ? ", " : "") << json::quoted(j.history[i]);
             os << "]";
         }
         os << "\n    }";
@@ -1302,13 +1035,13 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
 
     os << "  \"failed_jobs\": [\n";
     bool first = true;
-    for (const JobProgress &p : out.jobs) {
-        if (p.state != JobState::Failed)
+    for (const FoldedJob &j : out.jobs) {
+        if (j.state != JobState::Failed)
             continue;
         if (!first)
             os << ",\n";
         first = false;
-        jobJson(p, true);
+        jobJson(j, true);
     }
     os << (first ? "" : "\n") << "  ],\n";
 
@@ -1317,15 +1050,14 @@ FleetSupervisor::writeReport(const FleetOutcome &out) const
     os << "\n}\n";
 
     std::string err;
-    if (!writeFileAtomic(out.reportPath, os.str(), &err))
-        fatal("cannot write ", out.reportPath, ": ", err);
+    const std::string reportPath = outDir + "/report.json";
+    if (!writeFileAtomic(reportPath, os.str(), &err))
+        fatal("cannot write ", reportPath, ": ", err);
 
     std::ostringstream as;
-    writeAggregateDocument(as, agg, shards.size(), _spec.name);
-    if (!writeFileAtomic(_opt.outDir + "/aggregate.json", as.str(),
-                         &err))
-        fatal("cannot write ", _opt.outDir, "/aggregate.json: ",
-              err);
+    writeAggregateDocument(as, agg, shards.size(), out.name);
+    if (!writeFileAtomic(outDir + "/aggregate.json", as.str(), &err))
+        fatal("cannot write ", outDir, "/aggregate.json: ", err);
 }
 
 } // namespace fleet

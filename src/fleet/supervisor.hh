@@ -39,7 +39,11 @@
  *    failure; the shard retries after decorrelated-jitter backoff,
  *    resuming from the newest fetched ring checkpoint when one
  *    exists.  Jobs that exhaust their attempts land in the report's
- *    failed_jobs section — the sweep completes regardless.
+ *    failed_jobs section — the sweep completes regardless;
+ *  - every transition is one record of <outDir>/journal.jsonl
+ *    (journal.hh), the sweep's only account: the report is the
+ *    journal's fold, and the scheduler holds just what its decisions
+ *    read.
  *
  * Chaos injection (--kill <job>@<sim-ms>) force-kills a named job's
  * first attempt once its heartbeat crosses a simulated-time
@@ -103,11 +107,6 @@ struct FleetOptions
      *  its own "fault" entry.  "" = none. */
     std::string faultSpec;
 
-    /** How long after the sweep settles to keep waiting for zombie
-     *  attempts to finish (their results are fence-checked, then
-     *  rescued or rejected) before force-killing them. */
-    double zombieGraceMs = 250.0;
-
     /** @{ chaos injection: force-kill job killJobId's first attempt
      *  once its heartbeat reaches killAtSimMs simulated ms.  The
      *  threshold is simulated time, so a ring checkpoint (cadence
@@ -122,61 +121,8 @@ struct FleetOptions
      *  gets written. */
     const std::atomic<int> *stopFlag = nullptr;
 
-    /** Supervisor poll cadence, wall ms. */
-    double pollMs = 10.0;
-
-    /** Live-status cadence (--status-interval-ms): how often the
-     *  rolling <outDir>/fleet-status.json snapshot is rewritten
-     *  (atomic tmp+rename, so a concurrent reader never sees a torn
-     *  file).  <= 0 disables the periodic write; the final snapshot
-     *  (final: true) is always written. */
-    double statusIntervalMs = 500.0;
-
+    /** Echo every journal record but heartbeats to stderr. */
     bool verbose = true;
-};
-
-/** Per-host rollup for the report. */
-struct HostReport
-{
-    std::string name;
-    std::string transport;
-    int slots = 0;
-    std::string state; ///< healthy | quarantined | dead
-    int quarantines = 0;
-    long opFailures = 0;
-    std::size_t jobsDone = 0;
-    std::string lastError;
-    bool faulty = false; ///< fault injection was active
-    long faultsInjected = 0;
-};
-
-/** What a finished sweep looked like. */
-struct FleetOutcome
-{
-    bool interrupted = false;   ///< stopFlag fired mid-sweep
-    std::string fatal;          ///< terminal error ("" = none)
-    std::size_t done = 0;
-    std::size_t failed = 0;
-    std::size_t retries = 0;    ///< attempts beyond each job's first
-    std::size_t resumes = 0;    ///< attempts restored from a ring
-    std::size_t hangKills = 0;  ///< liveness-watchdog kills
-    long leaseExpiries = 0;     ///< attempts reassigned off dead leases
-    long zombieRejects = 0;     ///< stale-token artifact sets refused
-    long zombieRescues = 0;     ///< post-expiry results still accepted
-    int hostsQuarantined = 0;   ///< quarantine entries over the sweep
-    int hostsDead = 0;
-    std::string reportPath;     ///< merged report (<outDir>/report.json)
-    std::vector<JobProgress> jobs;
-    std::vector<HostReport> hosts;
-
-    /** 0 all done; 1 completed with failed_jobs; 2 interrupted or
-     *  terminal (every host lost). */
-    int exitCode() const
-    {
-        if (interrupted || !fatal.empty())
-            return 2;
-        return failed == 0 ? 0 : 1;
-    }
 };
 
 /**
@@ -193,6 +139,17 @@ struct FleetOutcome
 std::vector<std::string> workerArgs(const JobSpec &spec,
                                     const FleetJob &job);
 
+/**
+ * Render a folded journal as <outDir>/report.json (schema v2: the
+ * sweep's summary, hosts and jobs, plus @p policy) and write
+ * <outDir>/aggregate.json, the percentile merge of every done
+ * shard's committed stats.json.  SimFatal when either cannot be
+ * written.
+ */
+void writeFleetReport(const std::string &outDir,
+                      const FoldedSweep &sweep,
+                      const FleetPolicy &policy);
+
 class FleetSupervisor
 {
   public:
@@ -200,10 +157,12 @@ class FleetSupervisor
     ~FleetSupervisor(); ///< out-of-line: Slot is complete in the .cc
 
     /** Run the sweep to completion (or until stopFlag, or until the
-     *  last host dies) and write the merged report.  SimFatal only
-     *  on setup errors (bad outDir, missing worker binary, bad hosts
-     *  file) — job failures and lost hosts never throw. */
-    FleetOutcome run();
+     *  last host dies), then fold the journal into the merged report
+     *  and return the fold.  SimFatal only on setup errors (bad
+     *  outDir, missing worker binary, bad hosts file) — job failures
+     *  and lost hosts never throw; SimPanic if the fold disagrees
+     *  with the scheduler on any job's state or attempts. */
+    FoldedSweep run();
 
   private:
     struct HostRuntime;
@@ -213,9 +172,13 @@ class FleetSupervisor
     struct Slot;
 
     void buildHosts();
-    bool hostUsable(std::size_t hostIdx) const;
+    /** Journal and score a failed transport op on @p jobId's behalf;
+     *  @p state names the job's new state when the failure moved it
+     *  (a released launch claim), "" otherwise. */
     void hostOpFailure(std::size_t hostIdx, double nowMs,
-                       const std::string &detail);
+                       const char *op, const std::string &jobId,
+                       const std::string &err,
+                       const char *state = "");
     void probeQuarantined(double nowMs);
     void launch(Slot &slot, std::size_t jobIdx, double nowMs);
     void pollSlot(Slot &slot, double nowMs);
@@ -230,17 +193,20 @@ class FleetSupervisor
     void tryFetch(Slot &slot, double nowMs);
     void settleAttempt(Slot &slot, double nowMs,
                        const ArtifactManifest &m);
+    /** Offer a live attempt's failure; when acted on, commit its
+     *  checkpoint (if @p m) and journal the job's new state. */
+    void failAttempt(Slot &slot, double nowMs, const std::string &why,
+                     bool canResume, const ArtifactManifest *m);
+    /** Commit an accepted attempt (@p rescue: a zombie's) and journal
+     *  it with the shard's own sim.steady.tick, when it has one. */
+    void commitSuccess(const Slot &slot, double nowMs,
+                       const ArtifactManifest &m, bool rescue);
     bool commitArtifacts(const std::string &jobId,
                          const ArtifactManifest &m, bool success,
                          int attempt, std::string *err);
     void pollZombies(double nowMs);
-    void killZombies();
+    void killZombies(double nowMs);
     void interruptAll();
-    void writeReport(const FleetOutcome &out) const;
-    void note(const std::string &line) const;
-    /** Rewrite <outDir>/fleet-status.json (atomic).  @p final marks
-     *  the post-sweep snapshot. */
-    void writeStatus(double nowMs, bool final);
 
     JobSpec _spec;
     FleetOptions _opt;
@@ -249,19 +215,8 @@ class FleetSupervisor
     std::vector<Slot> _slots;
     std::vector<Slot> _zombies;
     bool _chaosFired = false;
-    /** @{ Counted here because nothing else records them; retries,
-     *  quarantines and per-host jobs done are derived from the
-     *  scheduler and host health at report time. */
-    std::size_t _resumes = 0;
-    std::size_t _hangKills = 0;
-    /** @} */
     std::string _fatal;
     FleetJournal _journal;
-    double _lastStatusMs = -1e300;
-    /** Per-job steady-state detection tick (simulated ms) parsed
-     *  from the committed stats.json's sim.steady.tick; -1 while
-     *  unknown/undetected.  Sized lazily against _sched.jobs(). */
-    std::vector<double> _jobSteadyTickMs;
 };
 
 } // namespace fleet

@@ -234,7 +234,6 @@ LocalTransport::heartbeat(WorkerHandle &wh, HeartbeatInfo *info,
         h.attemptDir + "/" + attempt_files::kMetrics;
     info->size = statFileSize(csv);
     info->tickMs = info->size > 0 ? readLastTickMs(csv) : -1.0;
-    info->wallMs = steadyWallMs();
     return true;
 }
 

@@ -348,10 +348,6 @@ RemoteTransport::heartbeat(WorkerHandle &wh, HeartbeatInfo *info,
             *row == '.')
             out.tickMs = std::strtod(row, nullptr);
     }
-    // A cache hit above returns the *original* stamp, so the
-    // supervisor's Δtick/Δwall rate never sees a stale sample as
-    // fresh.
-    out.wallMs = steadyWallMs();
     h.cachedOk = true;
     h.cached = out;
     *info = out;

@@ -2,22 +2,10 @@
 
 #include <sys/stat.h>
 
-#include <chrono>
-
 namespace vip
 {
 namespace fleet
 {
-
-double
-steadyWallMs()
-{
-    // One process-wide epoch so every transport's stamps compare.
-    static const auto t0 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 const std::vector<std::string> &
 attemptArtifactNames()

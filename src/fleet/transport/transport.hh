@@ -93,15 +93,7 @@ struct HeartbeatInfo
 {
     long size = -1;       ///< metrics CSV bytes; -1 = no file yet
     double tickMs = -1.0; ///< newest simulated tick; -1 = unknown
-    /** Steady-clock wall ms (steadyWallMs()) when the observation
-     *  was actually taken — a cached remote observation keeps its
-     *  original stamp, so rate math (Δtick/Δwall) stays honest. */
-    double wallMs = -1.0;
 };
-
-/** Monotonic wall-clock milliseconds (process-wide steady epoch);
- *  the time base every HeartbeatInfo::wallMs stamp uses. */
-double steadyWallMs();
 
 /** Opaque per-attempt state owned by the caller, implemented per
  *  transport.  Destruction must reap/cancel any live worker (last-

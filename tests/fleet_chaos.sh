@@ -70,8 +70,9 @@ JOBS="vip-A1-s1 vip-A1-s2 vip-W1-s1 vip-W1-s2"
 # ownership story is coherent: per-job launch tokens strictly
 # increase, every commit cites a token that was actually launched,
 # every job commits exactly once, and no launch reuses a token whose
-# lease already expired.  The final fleet-status.json must agree with
-# the spec's job count.
+# lease already expired.  The report, the journal's fold, must agree
+# with it: one entry per spec job, the summary's done count equal to
+# the journal's commits, and its lease expiries to the journal's.
 journal_gate() {
     python3 - "$1" <<'EOF'
 import json, sys, collections
@@ -115,11 +116,11 @@ assert len(commits) == summ["done"], (len(commits), summ["done"])
 exp = sum(1 for r in recs if r["type"] == "lease_expiry")
 assert exp == summ["lease_expiries"], (exp, summ["lease_expiries"])
 
-st = json.load(open(run + "/fleet-status.json"))
-assert st["kind"] == "vip-fleet-status" and st["final"], st
-jb = st["jobs"]
-assert jb["pending"] + jb["running"] + jb["backoff"] + jb["done"] \
-    + jb["failed"] == jb["total"] == summ["jobs"], jb
+rep = json.load(open(run + "/report.json"))
+states = collections.Counter(j["state"] for j in rep["jobs"])
+assert sum(states.values()) == summ["jobs"] == \
+    sum(1 for r in recs if r["type"] == "job"), (states, summ)
+assert states["done"] == summ["done"], (states, summ)
 print("journal: %d records, %d launches, %d commits, %d expiries"
       % (len(recs), sum(map(len, launches.values())),
          len(commits), exp))
@@ -127,7 +128,7 @@ EOF
 }
 
 # gate <run-dir> : every job done, nothing failed, the journal and
-# status snapshot are coherent, and every shard's stats + digest
+# report are coherent, and every shard's stats + digest
 # stream (and the merged aggregate) bit-identical to the clean run.
 gate() {
     run=$1
@@ -236,14 +237,14 @@ EOF
 "$VIP_FLEET" --spec "$WORK/spec-quar.json" --out "$WORK/quar" \
     --vip-sim "$VIP_SIM" --hosts "$WORK/die-hosts.json" --quiet
 gate "$WORK/quar"
-python3 - "$WORK/quar/journal.jsonl" <<'EOF'
+python3 - "$WORK/quar" <<'EOF'
 import json, sys
-recs = [json.loads(l) for l in open(sys.argv[1])]
+recs = [json.loads(l) for l in open(sys.argv[1] + "/journal.jsonl")]
 quars = [r for r in recs if r["type"] == "quarantine"]
 assert quars, "no quarantine record for the dying host"
 assert all(r["host"] == "mortal" for r in quars), quars
-end = recs[-1]
-assert end["hosts_quarantined"] >= 1, end
+summ = json.load(open(sys.argv[1] + "/report.json"))["summary"]
+assert summ["hosts_quarantined"] >= 1, summ
 # Once the journal declares the host dead, it must never launch
 # another attempt there.
 dead_at = [r["seq"] for r in recs if r["type"] == "host_dead"]

