@@ -131,6 +131,8 @@ struct FoldedHost
     int slots = 0;
     std::string state = "healthy"; ///< healthy | quarantined | dead
     int quarantines = 0;
+    /** Transport op failures while the host was in rotation; a
+     *  quarantined or dead host's failures are not journaled. */
     long opFailures = 0;
     std::size_t jobsDone = 0;
     std::string lastError;

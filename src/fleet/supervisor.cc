@@ -232,8 +232,16 @@ FleetSupervisor::hostOpFailure(std::size_t hostIdx, double nowMs,
                                const std::string &err, const char *state)
 {
     HostRuntime &h = _hosts[hostIdx];
-    if (h.health.state() == HostState::Dead)
-        return; // benched for good: nothing left to score
+    if (h.health.state() != HostState::Healthy) {
+        // Benched: a dead host has nothing left to score, and a
+        // quarantined one's fate is its probes'.  Its live slots are
+        // still polled, so journaling each failure would flood the
+        // record; keep only the error a lease expiry cites.  (No
+        // such failure moves a job: launches go to healthy hosts.)
+        h.health.onOpFailure(nowMs, std::string(op) + " " + jobId +
+                                        ": " + err);
+        return;
+    }
     {
         auto r = _journal.event(nowMs, "op_fail");
         r.str("host", h.spec.name).str("op", op).str("job", jobId)
@@ -407,8 +415,9 @@ FleetSupervisor::commitSuccess(const Slot &slot, double nowMs,
 {
     const JobProgress &p = _sched.job(slot.jobIdx);
     std::string err;
-    if (!commitArtifacts(p.job.id, m, true, rescue ? 0 : p.attempts,
-                         &err))
+    // A rescue only ever accepts the current token, so the rescued
+    // attempt is the job's latest, p.attempts, in both cases.
+    if (!commitArtifacts(p.job.id, m, true, p.attempts, &err))
         fatal("fleet: cannot commit ", rescue ? "rescued" : "accepted",
               " artifacts of ", p.job.id, ": ", err);
     auto r = _journal.event(nowMs, rescue ? "zombie_rescue" : "commit");

@@ -91,6 +91,12 @@ IpCore::IpCore(System &system, std::string name, const IpParams &params,
         std::max<std::uint64_t>(1, _p.laneBytes) * 2 * _p.numLanes);
     _bufferEnergy.setPower(est.leakageWatts, 0);
     _energy.setPower(_p.power.idleWatts, 0);
+    _laneSram = SramModel::forCapacity(_p.laneBytes);
+    // A power-of-two word count, so a chunk's ring slot is a mask.
+    std::uint64_t pending = ceilDiv(_p.laneBytes, _p.subframeBytes);
+    while (_feedRingWords * 64 < pending)
+        _feedRingWords *= 2;
+    _feedArrived.assign(_lanes.size() * _feedRingWords, 0);
 }
 
 Tick
@@ -138,12 +144,11 @@ IpCore::outputBlocked(const Lane &l) const
     const StreamFrame &f = l.frames.front();
     if (f.unitsDone >= f.units)
         return false;
-    if (l.inAvail < f.unitIn(f.unitsDone))
+    if (l.inAvail < f.curIn)
         return false;
     if (l.sink || !l.next || _p.overflowToMemory)
         return false;
-    return l.outAccum + l.outQueueBytes + f.unitOut(f.unitsDone) >
-           _p.laneBytes;
+    return l.outAccum + l.outQueueBytes + f.curOut > _p.laneBytes;
 }
 
 bool
@@ -610,10 +615,10 @@ IpCore::tryComputeJobUnit()
     --_unitsReady;
     std::uint64_t in_unit = ceilDiv(_job.inputBytes, _unitsTotal);
     std::uint64_t out_unit = ceilDiv(_job.outputBytes, _unitsTotal);
+    Tick time = computeTime(in_unit, out_unit);
     if (!_jobFaulted)
-        _obsJobComputeAccum += computeTime(in_unit, out_unit);
-    startUnit(/*stream=*/false, /*lane=*/-1,
-              computeTime(in_unit, out_unit), _jobFaulted);
+        _obsJobComputeAccum += time;
+    startUnit(/*stream=*/false, /*lane=*/-1, time, _jobFaulted);
     updateEngineState();
 }
 
@@ -775,6 +780,7 @@ IpCore::announceFrame(int lane, std::uint64_t frame_id,
     f.deadline = deadline;
     f.txnEnd = txn_end;
     f.units = ceilDiv(std::max(in_bytes, out_bytes), _p.subframeBytes);
+    fillUnitGeometry(f);
     f.obsAnnounce = curTick();
     if (Tracer *tr = system().tracer();
         tr && tr->enabled(TraceCat::Frame)) {
@@ -786,7 +792,6 @@ IpCore::announceFrame(int lane, std::uint64_t frame_id,
     }
     l.frames.push_back(f);
     kickStream();
-    updateEngineState();
 }
 
 std::uint64_t
@@ -835,10 +840,8 @@ IpCore::deliverBytes(int lane, std::uint32_t bytes)
     if (l.inAvail == 0)
         l.headArrival = curTick();
     l.inAvail += bytes;
-    _bufferEnergy.addDynamicNj(
-        SramModel::writeEnergyNj(_p.laneBytes, bytes));
+    _bufferEnergy.addDynamicNj(_laneSram.writeNj(bytes));
     kickStream();
-    updateEngineState();
 }
 
 void
@@ -911,11 +914,11 @@ IpCore::pumpFeeds(int lane)
         reserveLaneSpace(lane, sz);
         std::uint64_t offset = f.issued;
         f.issued += sz;
-        scheduleIn(f.genInterval, [this, lane, offset, sz] {
+        scheduleIn(f.genInterval, [this, lane, offset] {
             Lane &ll = _lanes[lane];
             if (!ll.feeds.empty())
                 ll.feeds.front().genArmed = false;
-            onFeedChunkReady(lane, offset, sz);
+            onFeedChunkReady(lane, offset);
         }, EventPriority::Default, "ip.gen");
         return;
     }
@@ -936,22 +939,32 @@ IpCore::pumpFeeds(int lane)
         req.bytes = sz;
         req.write = false;
         req.requesterId = static_cast<std::uint32_t>(_p.kind);
-        req.onComplete = [this, lane, offset, sz] {
+        req.onComplete = [this, lane, offset] {
             --_lanes[lane].outstandingDma;
-            onFeedChunkReady(lane, offset, sz);
+            onFeedChunkReady(lane, offset);
         };
         _sa.memoryAccess(std::move(req));
     }
 }
 
+std::uint64_t &
+IpCore::feedArrivedWord(int lane, std::uint64_t chunk_idx)
+{
+    return _feedArrived[static_cast<std::size_t>(lane) * _feedRingWords +
+                        ((chunk_idx >> 6) & (_feedRingWords - 1))];
+}
+
 void
-IpCore::onFeedChunkReady(int lane, std::uint64_t offset,
-                         std::uint32_t bytes)
+IpCore::onFeedChunkReady(int lane, std::uint64_t offset)
 {
     Lane &l = _lanes[lane];
     vip_assert(!l.feeds.empty(), "feed chunk for retired feed on ",
                name());
-    l.feeds.front().ready.emplace(offset, bytes);
+    vip_assert(offset - l.feeds.front().delivered <
+                   _feedRingWords * 64 * _p.subframeBytes,
+               "feed chunk past the arrival ring on ", name());
+    std::uint64_t idx = offset / _p.subframeBytes;
+    feedArrivedWord(lane, idx) |= std::uint64_t(1) << (idx & 63);
     deliverInOrder(lane);
 }
 
@@ -959,15 +972,20 @@ void
 IpCore::deliverInOrder(int lane)
 {
     Lane &l = _lanes[lane];
+    const std::uint32_t chunk = _p.subframeBytes;
     bool deliveredAny = false;
     bool retired = false;
     while (!l.feeds.empty()) {
         Feed &f = l.feeds.front();
-        auto it = f.ready.begin();
-        if (it == f.ready.end() || it->first != f.delivered)
+        std::uint64_t idx = f.delivered / chunk;
+        std::uint64_t &word = feedArrivedWord(lane, idx);
+        std::uint64_t bit = std::uint64_t(1) << (idx & 63);
+        if (!(word & bit))
             break;
-        std::uint32_t sz = it->second;
-        f.ready.erase(it);
+        word &= ~bit;
+        // The chunk's size, derived as pumpFeeds() cut it.
+        std::uint32_t sz = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(chunk, f.total - f.delivered));
         bool first = f.delivered == 0;
         f.delivered += sz;
         bool last = f.delivered >= f.total;
@@ -978,27 +996,37 @@ IpCore::deliverInOrder(int lane)
         if (l.inAvail == 0)
             l.headArrival = curTick();
         l.inAvail += sz;
-        _bufferEnergy.addDynamicNj(
-            SramModel::writeEnergyNj(_p.laneBytes, sz));
+        _bufferEnergy.addDynamicNj(_laneSram.writeNj(sz));
         deliveredAny = true;
 
         if (last) {
-            vip_assert(f.ready.empty(), "stray chunks past frame end");
+            const std::uint64_t *ring =
+                &_feedArrived[static_cast<std::size_t>(lane) *
+                              _feedRingWords];
+            vip_assert(std::all_of(ring, ring + _feedRingWords,
+                                   [](std::uint64_t w) { return w == 0; }),
+                       "stray chunks past frame end");
             l.feeds.pop_front();
             retired = true;
         }
     }
     if (deliveredAny || retired)
         pumpFeeds(lane);
-    if (deliveredAny) {
+    if (deliveredAny)
         kickStream();
-        updateEngineState();
-    }
 }
 
 // --------------------------------------------------------------------
 // Stream mode: engine
 // --------------------------------------------------------------------
+
+void
+IpCore::fillUnitGeometry(StreamFrame &f) const
+{
+    f.curIn = f.unitIn(f.unitsDone);
+    f.curOut = f.unitOut(f.unitsDone);
+    f.curTime = computeTime(f.curIn, f.curOut);
+}
 
 bool
 IpCore::laneRunnable(const Lane &l) const
@@ -1008,14 +1036,13 @@ IpCore::laneRunnable(const Lane &l) const
     const StreamFrame &f = l.frames.front();
     if (f.unitsDone >= f.units)
         return false;
-    if (l.inAvail < f.unitIn(f.unitsDone))
+    if (l.inAvail < f.curIn)
         return false;
     // Output must fit the lane's output buffer (sinks produce none).
     // With the overflow-to-memory option the output buffer drains to
     // DRAM instead, so it never gates the engine.
     if (!l.sink && l.next && !_p.overflowToMemory) {
-        std::uint64_t pendingOut =
-            l.outAccum + l.outQueueBytes + f.unitOut(f.unitsDone);
+        std::uint64_t pendingOut = l.outAccum + l.outQueueBytes + f.curOut;
         if (pendingOut > _p.laneBytes)
             return false;
     }
@@ -1072,25 +1099,24 @@ IpCore::pickLane() const
 void
 IpCore::kickStream()
 {
-    if (_computing || _jobActive)
-        return;
-    int lane;
-    if (_stickyLane >= 0) {
-        // Single-context IP committed to a transaction: it may only
+    int lane = -1;
+    if (!_computing && !_jobActive) {
+        // A single-context IP committed to a transaction may only
         // continue that lane; while the lane is not runnable the
         // engine waits, blocking other flows (Fig 7).
-        if (!laneRunnable(_lanes[_stickyLane])) {
-            updateEngineState();
-            return;
-        }
-        lane = _stickyLane;
-    } else {
-        lane = pickLane();
+        if (_stickyLane < 0)
+            lane = pickLane();
+        else if (laneRunnable(_lanes[_stickyLane]))
+            lane = _stickyLane;
     }
-    if (lane < 0) {
-        updateEngineState();
-        return;
-    }
+    if (lane >= 0)
+        startStreamUnit(lane);
+    updateEngineState();
+}
+
+void
+IpCore::startStreamUnit(int lane)
+{
     Lane &l = _lanes[lane];
     StreamFrame &f = l.frames.front();
 
@@ -1104,9 +1130,6 @@ IpCore::kickStream()
     // Commit the single context until the frame/transaction boundary.
     if (_p.switchGranularity != SwitchGranularity::Subframe)
         _stickyLane = lane;
-
-    std::uint64_t uIn = f.unitIn(f.unitsDone);
-    std::uint64_t uOut = f.unitOut(f.unitsDone);
 
     if (Tracer *tr = system().tracer();
         tr && tr->enabled(TraceCat::Sched)) {
@@ -1123,20 +1146,16 @@ IpCore::kickStream()
     if (f.unitsDone == 0 && f.obsFirstStart == 0)
         f.obsFirstStart = curTick();
     if (!f.faulted)
-        f.obsComputeAccum += computeTime(uIn, uOut);
+        f.obsComputeAccum += f.curTime;
 
-    if (uIn > 0) {
-        _bufferEnergy.addDynamicNj(
-            SramModel::readEnergyNj(_p.laneBytes, uIn));
-        consumeInput(lane, uIn);
+    if (f.curIn > 0) {
+        _bufferEnergy.addDynamicNj(_laneSram.readNj(f.curIn));
+        consumeInput(lane, f.curIn);
     }
-    _unitInBytes = uIn;
+    _unitInBytes = f.curIn;
 
     startUnit(/*stream=*/true, lane,
-              computeTime(uIn, uOut) +
-                  (cs ? _p.contextSwitchPenalty : 0),
-              f.faulted);
-    updateEngineState();
+              f.curTime + (cs ? _p.contextSwitchPenalty : 0), f.faulted);
 }
 
 void
@@ -1150,11 +1169,12 @@ IpCore::onUnitComputed(int lane)
     vip_assert(!l.frames.empty(), "unit completed on empty lane");
     StreamFrame &f = l.frames.front();
 
-    std::uint64_t uIn = f.unitIn(f.unitsDone);
-    std::uint64_t uOut = f.unitOut(f.unitsDone);
-    _bytesProcessed += std::max(uIn, uOut);
+    std::uint64_t uOut = f.curOut;
+    _bytesProcessed += std::max(f.curIn, uOut);
     ++f.unitsDone;
     bool frameDone = f.unitsDone >= f.units;
+    if (!frameDone)
+        fillUnitGeometry(f);
 
     if (!l.sink && l.next) {
         l.outAccum += uOut;
@@ -1214,14 +1234,12 @@ IpCore::onUnitComputed(int lane)
                 onExit(flow, frame_id);
             // The lane (and this reference) may be gone now.
             kickStream();
-            updateEngineState();
             return;
         }
     }
 
     pushOutput(lane);
     kickStream();
-    updateEngineState();
 }
 
 void
@@ -1251,15 +1269,13 @@ IpCore::pushOutput(int lane)
             next->setCreditWaiter(nl, [this, lane] {
                 pushOutput(lane);
                 kickStream();
-                updateEngineState();
             });
             break;
         }
         l.next->reserveLaneSpace(l.nextLane, sz);
         l.outQueue.pop_front();
         l.outQueueBytes -= sz;
-        _bufferEnergy.addDynamicNj(
-            SramModel::readEnergyNj(_p.laneBytes, sz));
+        _bufferEnergy.addDynamicNj(_laneSram.readNj(sz));
         IpCore *next = l.next;
         int nl = l.nextLane;
         _sa.peerTransfer(sz, [next, nl, sz] {
@@ -1267,10 +1283,8 @@ IpCore::pushOutput(int lane)
         });
         pushed = true;
     }
-    if (pushed) {
+    if (pushed)
         kickStream();
-        updateEngineState();
-    }
 }
 
 void
@@ -1376,8 +1390,18 @@ IpCore::auditInvariants(AuditContext &ctx) const
             spillq += sp.bytes;
         ctx.checkLe("ip.spill_bytes", spillq, l.spillBytes, lane);
         for (const StreamFrame &f : l.frames) {
-            ctx.checkLe("ip.units_done", f.unitsDone, f.units,
-                        lane + " frame " + std::to_string(f.frameId));
+            std::string frame = lane + " frame " + std::to_string(f.frameId);
+            ctx.checkLe("ip.units_done", f.unitsDone, f.units, frame);
+            if (f.unitsDone >= f.units)
+                continue;
+            // The cached geometry of the unit in line is the formula's.
+            ctx.checkEq("ip.unit_geometry", f.curIn,
+                        f.unitIn(f.unitsDone), frame + " input bytes");
+            ctx.checkEq("ip.unit_geometry", f.curOut,
+                        f.unitOut(f.unitsDone), frame + " output bytes");
+            ctx.checkEq("ip.unit_geometry", f.curTime,
+                        computeTime(f.curIn, f.curOut),
+                        frame + " compute ticks");
         }
         if (!l.bound) {
             ctx.checkTrue("ip.unbound_lane_empty", !l.active(),

@@ -45,7 +45,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -273,6 +272,17 @@ class IpCore : public ClockedObject
         std::uint64_t units = 1;
         std::uint64_t unitsDone = 0;
         /**
+         * @{ unit `unitsDone`'s input bytes, output bytes and nominal
+         * compute time: filled by fillUnitGeometry() when the frame
+         * is announced and whenever unitsDone advances, so the engine
+         * derives each unit's geometry once (audited as
+         * `ip.unit_geometry`).
+         */
+        std::uint64_t curIn = 0;
+        std::uint64_t curOut = 0;
+        Tick curTime = 0;
+        /** @} */
+        /**
          * Retry budget exhausted on some unit: the payload is lost
          * and the remaining units drain as zero-cost passthrough.
          */
@@ -287,7 +297,8 @@ class IpCore : public ClockedObject
         Tick obsComputeAccum = 0; ///< nominal compute time consumed
         /** @} */
 
-        /** Input bytes unit @p u consumes (fractional distribution). */
+        /** Input bytes unit @p u consumes (fractional distribution);
+         *  the reference formula behind curIn. */
         std::uint64_t
         unitIn(std::uint64_t u) const
         {
@@ -302,7 +313,12 @@ class IpCore : public ClockedObject
         }
     };
 
-    /** A head-of-chain input feed (DMA or sensor). */
+    /**
+     * A head-of-chain input feed (DMA or sensor).  It is cut into
+     * subframeBytes chunks (the last one short); chunks that complete
+     * out of order wait in the lane's arrival ring (_feedArrived)
+     * until every chunk before them has arrived.
+     */
     struct Feed
     {
         std::uint64_t frameId = 0;
@@ -310,11 +326,56 @@ class IpCore : public ClockedObject
         std::uint64_t total = 0;      ///< frame bytes at this stage
         std::uint64_t issued = 0;     ///< bytes issued to DMA/sensor
         std::uint64_t delivered = 0;  ///< bytes delivered, in order
-        /** Out-of-order DMA completions awaiting in-order delivery. */
-        std::map<std::uint64_t, std::uint32_t> ready;
         bool generate = false;
         Tick genInterval = 0;   ///< sensor pacing between chunks
         bool genArmed = false;  ///< a generation event is scheduled
+    };
+
+    /**
+     * FIFO of output chunk sizes that keeps its storage: a pop
+     * advances the head, and a push that finds the buffer full first
+     * drops the consumed prefix, so a lane stops allocating once its
+     * queue has reached its deepest backlog.
+     */
+    class ChunkFifo
+    {
+      public:
+        bool empty() const { return _head == _buf.size(); }
+        std::uint32_t front() const { return _buf[_head]; }
+
+        void
+        push_back(std::uint32_t bytes)
+        {
+            if (_head > 0 && _buf.size() == _buf.capacity()) {
+                _buf.erase(_buf.begin(), begin());
+                _head = 0;
+            }
+            _buf.push_back(bytes);
+        }
+
+        void
+        pop_front()
+        {
+            if (++_head == _buf.size()) {
+                _buf.clear();
+                _head = 0;
+            }
+        }
+
+        std::vector<std::uint32_t>::const_iterator
+        begin() const
+        {
+            return _buf.begin() + static_cast<std::ptrdiff_t>(_head);
+        }
+        std::vector<std::uint32_t>::const_iterator
+        end() const
+        {
+            return _buf.end();
+        }
+
+      private:
+        std::vector<std::uint32_t> _buf;
+        std::size_t _head = 0;
     };
 
     struct Lane
@@ -337,7 +398,7 @@ class IpCore : public ClockedObject
 
         /** @{ output side */
         std::uint64_t outAccum = 0;       ///< partial chunk
-        std::deque<std::uint32_t> outQueue;
+        ChunkFifo outQueue;
         std::uint64_t outQueueBytes = 0;
         /** @} */
 
@@ -393,12 +454,22 @@ class IpCore : public ClockedObject
 
     /** @{ stream-mode engine */
     void pumpFeeds(int lane);
-    void onFeedChunkReady(int lane, std::uint64_t offset,
-                          std::uint32_t bytes);
+    /** Mark the feed chunk at byte @p offset of the lane's front
+     *  feed as arrived, then deliver what is now in order. */
+    void onFeedChunkReady(int lane, std::uint64_t offset);
     void deliverInOrder(int lane);
+    /** The arrival-ring word and bit of feed chunk @p chunk_idx. */
+    std::uint64_t &feedArrivedWord(int lane, std::uint64_t chunk_idx);
+    /** Load unit f.unitsDone's sizes and compute time into @p f. */
+    void fillUnitGeometry(StreamFrame &f) const;
     bool laneRunnable(const Lane &l) const;
     int pickLane() const;
+    /**
+     * Start the next stream unit if the engine is free and a lane is
+     * runnable, then update the engine state (on every path).
+     */
     void kickStream();
+    void startStreamUnit(int lane);
     void onUnitComputed(int lane);
     void pushOutput(int lane);
     void spillChunk(int lane, std::uint32_t bytes);
@@ -449,6 +520,8 @@ class IpCore : public ClockedObject
     SystemAgent &_sa;
     EnergyAccount &_energy;
     EnergyAccount &_bufferEnergy;
+    /** One lane buffer's SRAM estimate (per-access energy). */
+    SramModel::Estimate _laneSram{};
     FaultInjector *_faults;
 
     // ---- unit-in-flight fault/watchdog state (either mode) ----
@@ -480,6 +553,15 @@ class IpCore : public ClockedObject
 
     // ---- stream mode state ----
     std::vector<Lane> _lanes;
+    /**
+     * Feed-chunk arrival bits, a ring of _feedRingWords words per
+     * lane indexed by chunk number modulo its bit count.  Every
+     * chunk past Feed::delivered holds lane occupancy, so at most
+     * ceil(laneBytes / subframeBytes) of them are pending and the
+     * ring (sized for that) never aliases.
+     */
+    std::vector<std::uint64_t> _feedArrived;
+    std::uint64_t _feedRingWords = 1;
     int _currentLane = -1;
     /**
      * Lane the single context is committed to until the boundary of

@@ -1,6 +1,5 @@
 #include "power/sram_model.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -19,7 +18,6 @@ constexpr double kAreaA0Mm2 = 0.0006;  // periphery floor
 constexpr double kAreaA1Mm2 = 0.0055;  // * KB (cell array)
 constexpr double kLeakW0 = 2.0e-5;     // periphery leakage floor
 constexpr double kLeakW1 = 5.5e-5;     // * KB
-constexpr double kAccessBytes = 64.0;  // modelled access width
 
 } // namespace
 
@@ -34,24 +32,6 @@ SramModel::forCapacity(std::uint64_t bytes)
     e.areaMm2 = kAreaA0Mm2 + kAreaA1Mm2 * kb;
     e.leakageWatts = kLeakW0 + kLeakW1 * kb;
     return e;
-}
-
-double
-SramModel::readEnergyNj(std::uint64_t capacity, std::uint64_t bytes)
-{
-    auto est = forCapacity(capacity);
-    double accesses =
-        std::ceil(static_cast<double>(bytes) / kAccessBytes);
-    return est.readEnergyNj * std::max(1.0, accesses);
-}
-
-double
-SramModel::writeEnergyNj(std::uint64_t capacity, std::uint64_t bytes)
-{
-    auto est = forCapacity(capacity);
-    double accesses =
-        std::ceil(static_cast<double>(bytes) / kAccessBytes);
-    return est.writeEnergyNj * std::max(1.0, accesses);
 }
 
 } // namespace vip

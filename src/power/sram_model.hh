@@ -31,18 +31,36 @@ class SramModel
         double writeEnergyNj; ///< dynamic energy per 64 B write
         double areaMm2;       ///< total macro area
         double leakageWatts;  ///< standby leakage
+
+        /** Energy (nJ) to read @p bytes: one access per started
+         *  64 B, at least one. */
+        double
+        readNj(std::uint64_t bytes) const
+        {
+            return readEnergyNj * accesses(bytes);
+        }
+
+        /** Energy (nJ) to write @p bytes. */
+        double
+        writeNj(std::uint64_t bytes) const
+        {
+            return writeEnergyNj * accesses(bytes);
+        }
     };
 
     /** Estimate for a buffer of @p bytes capacity. */
     static Estimate forCapacity(std::uint64_t bytes);
 
-    /** Energy (nJ) to read @p bytes from a buffer of @p capacity. */
-    static double readEnergyNj(std::uint64_t capacity,
-                               std::uint64_t bytes);
+  private:
+    /** Width of one modelled buffer access. */
+    static constexpr std::uint64_t kAccessBytes = 64;
 
-    /** Energy (nJ) to write @p bytes into a buffer of @p capacity. */
-    static double writeEnergyNj(std::uint64_t capacity,
-                                std::uint64_t bytes);
+    static double
+    accesses(std::uint64_t bytes)
+    {
+        std::uint64_t n = (bytes + kAccessBytes - 1) / kAccessBytes;
+        return static_cast<double>(n > 0 ? n : 1);
+    }
 };
 
 } // namespace vip

@@ -209,8 +209,18 @@ exp = {(e["job"], e["token"]) for e in recs
        if e["type"] == "lease_expiry"}
 assert stale <= exp, ("zombie_reject without lease_expiry",
                       stale - exp)
-print("partition: lease_expiries=%d reassigned=%s"
-      % (s["lease_expiries"], ",".join(r["reassigned_jobs"])))
+# Attempts count from 1, and a rescued zombie's output is logged
+# under the attempt its zombie_rescue record names.
+import glob
+for path in glob.glob(run + "/shards/*/log.txt"):
+    assert "=== attempt 0 ===" not in open(path).read(), path
+rescues = [z for z in recs if z["type"] == "zombie_rescue"]
+for z in rescues:
+    log = open("%s/shards/%s/log.txt" % (run, z["job"])).read()
+    assert "=== attempt %d ===" % z["attempt"] in log, z
+print("partition: lease_expiries=%d reassigned=%s rescues=%d"
+      % (s["lease_expiries"], ",".join(r["reassigned_jobs"]),
+         len(rescues)))
 EOF
 
 echo "== chaos: one host dies mid-sweep, the survivor finishes"
@@ -252,9 +262,22 @@ if dead_at:
     after = [r for r in recs if r["seq"] > dead_at[0]
              and r["type"] == "launch" and r["host"] == "mortal"]
     assert not after, ("launch on a dead host", after)
+# A benched host's failures are not journaled: no op_fail may name
+# a host between its quarantine and its next successful probe, nor
+# after it is declared dead.
+benched = {}
+for r in recs:
+    h = r.get("host")
+    if r["type"] in ("quarantine", "host_dead"):
+        benched[h] = True
+    elif r["type"] == "probe" and r.get("ok"):
+        benched[h] = False
+    elif r["type"] == "op_fail":
+        assert not benched.get(h), ("op_fail while benched", r)
+op_fails = sum(1 for r in recs if r["type"] == "op_fail")
 probes = [r for r in recs if r["type"] == "probe"]
-print("quarantine journal: %d quarantines, %d probes, dead=%s"
-      % (len(quars), len(probes), bool(dead_at)))
+print("quarantine journal: %d quarantines, %d probes, %d op_fail, "
+      "dead=%s" % (len(quars), len(probes), op_fails, bool(dead_at)))
 EOF
 cat > "$WORK/ssh-hosts.json" <<EOF
 { "hosts": [

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "ip/ip_core.hh"
+#include "sim/audit.hh"
 #include "test_util.hh"
 
 namespace vip
@@ -82,7 +83,28 @@ class IpStreamTest : public PlatformFixture
         c.prod->feedFrame(c.prodLane, id, in_bytes, 0, false);
     }
 
+    /**
+     * Issue @p left reads, one after another, to DRAM channel 0,
+     * bank 0, each to a new row (a row conflict every time): a
+     * backlog that delays whatever else lands on that channel.
+     */
+    void
+    hammerChannel0(int left)
+    {
+        if (left == 0)
+            return;
+        // 128 KiB spans 4 channels x 8 banks x 4 KiB rows, so every
+        // multiple of it is channel 0, bank 0, and its own row.
+        MemRequest req;
+        req.addr = (64 + hammerRow++) * 128_KiB;
+        req.bytes = 1024;
+        req.requesterId = 99;
+        req.onComplete = [this, left] { hammerChannel0(left - 1); };
+        sa->memoryAccess(std::move(req));
+    }
+
     std::vector<std::unique_ptr<IpCore>> ips;
+    std::uint64_t hammerRow = 0;
 };
 
 TEST_F(IpStreamTest, LaneBindingLifecycle)
@@ -403,6 +425,105 @@ TEST_F(IpStreamTest, AnnounceValidation)
                  SimPanic); // zero input
 }
 
+
+TEST_F(IpStreamTest, OddGeometryConservesBytesExactly)
+{
+    // Sizes that are not multiples of the 1 KiB sub-frame.  Frame 0
+    // shrinks 5 KiB + 7 to 3 bytes over 6 units, so half its units
+    // produce nothing; frame 1 expands 1 KiB + 1 to 64 KiB + 3 over
+    // 65 units.  Every unit of frame 0 is input-dominated and every
+    // unit of frame 1 output-dominated, so the closed form of the
+    // producer's bytes_processed, the sum over units of
+    // max(in, out), is max(in, out) per frame.
+    const std::uint64_t in0 = 5_KiB + 7, out0 = 3;
+    const std::uint64_t in1 = 1_KiB + 1, out1 = 64_KiB + 3;
+    std::vector<std::uint64_t> exits;
+    auto chain = makeChain(fastParams(), fastParams(IpKind::DC),
+                           [&](FlowId, std::uint64_t k) {
+                               exits.push_back(k);
+                           });
+    sendFrame(chain, 0, in0, out0);
+    sendFrame(chain, 1, in1, out1);
+    run();
+    EXPECT_EQ(exits, (std::vector<std::uint64_t>{0, 1}));
+    EXPECT_EQ(sa->peerBytes(), out0 + out1);
+    EXPECT_EQ(chain.prod->bytesProcessed(), in0 + out1);
+    EXPECT_EQ(chain.prod->subframesProcessed(), 6u + 65u);
+    // The sink consumes what the producer pushed, one unit per
+    // started KiB of it.
+    EXPECT_EQ(chain.sink->bytesProcessed(), out0 + out1);
+    EXPECT_EQ(chain.sink->subframesProcessed(), 1u + 65u);
+    EXPECT_EQ(chain.prod->laneOccupancy(chain.prodLane), 0u);
+    EXPECT_EQ(chain.sink->laneOccupancy(chain.sinkLane), 0u);
+    EXPECT_EQ(chain.prod->creditsReserved(), in0 + in1);
+    EXPECT_EQ(chain.prod->creditsReturned(), in0 + in1);
+}
+
+TEST_F(IpStreamTest, OutOfOrderFeedCompletionsDeliverInOrder)
+{
+    // A DRAM-fed head lane on non-ideal memory.  DRAM interleaves
+    // 1 KiB blocks over 4 channels, so the feed's consecutive chunks
+    // land on consecutive channels, 4 reads in flight.  Eight chains
+    // of row-conflicting reads keep channel 0 backlogged, so each
+    // chunk there completes after the chunks issued behind it on
+    // channels 1-3.  (Checked once by logging onFeedChunkReady():
+    // 73 chunks arrived ahead of the next in-order one with 8 KiB
+    // lanes, in all three frames, and 204 with 96 KiB lanes, with up
+    // to 7 and 22 chunks pending.)  Frames of more than 64 chunks wrap
+    // the arrival ring; 96 KiB lanes make it two words.  Every feed
+    // byte must be read once, delivered once and in order, under
+    // strict audits throughout.
+    for (std::uint32_t laneBytes : {8_KiB, 96_KiB}) {
+        SCOPED_TRACE("laneBytes " + std::to_string(laneBytes));
+        ips.clear();
+        buildPlatform(/*ideal_memory=*/false);
+        IpParams pp = fastParams();
+        pp.laneBytes = laneBytes;
+        ASSERT_EQ(pp.maxOutstandingDma, 4u);
+        std::vector<std::uint64_t> starts, exits;
+        auto chain = makeChain(pp, fastParams(IpKind::DC),
+                               [&](FlowId, std::uint64_t k) {
+                                   exits.push_back(k);
+                               });
+        chain.prod->setLaneFrameStartCb(
+            chain.prodLane,
+            [&](FlowId, std::uint64_t k) { starts.push_back(k); });
+
+        Auditor audit(AuditConfig{AuditMode::Strict, 1.0});
+        audit.attach("prod", chain.prod);
+        audit.attach("sink", chain.sink);
+        audit.attach("sa", sa.get());
+        audit.attach("mem", mem.get());
+
+        for (int c = 0; c < 8; ++c)
+            hammerChannel0(40);
+        const std::uint64_t in = 96_KiB + 5;
+        std::uint64_t fed = 0;
+        for (std::uint64_t k = 0; k < 3; ++k) {
+            sendFrame(chain, k, in, in);
+            fed += in;
+        }
+        for (int i = 0; i < 400; ++i) {
+            run(fromUs(1));
+            audit.runAudit(sys->curTick());
+        }
+        run();
+        audit.runAudit(sys->curTick());
+
+        EXPECT_EQ(starts, (std::vector<std::uint64_t>{0, 1, 2}));
+        EXPECT_EQ(exits, (std::vector<std::uint64_t>{0, 1, 2}));
+        EXPECT_EQ(mem->bytesForRequester(
+                      static_cast<std::uint32_t>(pp.kind)), fed);
+        EXPECT_EQ(chain.prod->creditsReserved(), fed);
+        EXPECT_EQ(chain.prod->creditsReturned(), fed);
+        EXPECT_EQ(chain.prod->bytesProcessed(), fed);
+        EXPECT_EQ(sa->peerBytes(), fed);
+        EXPECT_EQ(chain.prod->laneOccupancy(chain.prodLane), 0u);
+        EXPECT_EQ(chain.prod->laneInAvail(chain.prodLane), 0u);
+        EXPECT_EQ(chain.prod->laneOverflows(), 0u);
+        EXPECT_TRUE(audit.violations().empty());
+    }
+}
 
 TEST_F(IpStreamTest, OverflowToMemorySpillsInsteadOfStalling)
 {

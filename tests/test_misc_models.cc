@@ -53,9 +53,14 @@ TEST(SramModel, WritesCostSlightlyMoreThanReads)
 
 TEST(SramModel, AccessEnergyScalesWithBytes)
 {
-    double one = SramModel::readEnergyNj(2048, 64);
-    double many = SramModel::readEnergyNj(2048, 1024);
+    auto est = SramModel::forCapacity(2048);
+    double one = est.readNj(64);
+    double many = est.readNj(1024);
     EXPECT_NEAR(many / one, 16.0, 0.01);
+    // One access per started 64 B, and at least one.
+    EXPECT_EQ(est.readNj(0), est.readEnergyNj);
+    EXPECT_EQ(est.readNj(65), 2 * est.readEnergyNj);
+    EXPECT_EQ(est.writeNj(1024), 16 * est.writeEnergyNj);
 }
 
 TEST(EnergyAccount, IntegratesPowerOverTime)
