@@ -15,24 +15,6 @@ namespace fleet
 {
 
 /**
- * Wall-clock delay before retrying a job that has failed
- * @p failedAttempts times (>= 1): min(cap, base * 2^(failures-1)).
- * Saturates at the cap — the shift is computed in floating point, so
- * absurd failure counts cannot overflow.
- */
-inline double
-backoffDelayMs(const FleetPolicy &p, int failedAttempts)
-{
-    if (failedAttempts < 1 || p.backoffBaseMs <= 0.0)
-        return 0.0;
-    // 2^53 dwarfs any real cap; stop doubling well before overflow.
-    double delay = p.backoffBaseMs;
-    for (int i = 1; i < failedAttempts && delay < p.backoffCapMs; ++i)
-        delay *= 2.0;
-    return delay < p.backoffCapMs ? delay : p.backoffCapMs;
-}
-
-/**
  * Deterministic unit draw in [0, 1) for retry @p failedAttempts of
  * @p jobId: FNV-1a over the id and attempt number, mixed through
  * splitmix64.  The same (job, attempt) always jitters identically —
@@ -57,13 +39,14 @@ backoffUnitDraw(const std::string &jobId, int failedAttempts)
 }
 
 /**
- * Decorrelated-jitter delay (the AWS "decorrelated jitter" recipe,
- * seeded): d_k = min(cap, base + u_k * (3 * d_{k-1} - base)), with
- * d_0 = base and u_k drawn deterministically per (job, attempt).
- * Grows on the same order as the exponential ladder
- * (backoffDelayMs) but spreads concurrent failures across the window
- * instead of synchronizing them.  Never returns less than base or
- * more than cap.
+ * Wall-clock delay before retrying job @p jobId after
+ * @p failedAttempts failures (>= 1; fewer, or a zero base, give 0):
+ * the AWS "decorrelated jitter" recipe, seeded,
+ * d_k = min(cap, base + u_k * (3 * d_{k-1} - base)), with d_0 = base
+ * and u_k drawn deterministically per (job, attempt).  It grows
+ * about 1.5x per failure on average, and concurrent failures spread
+ * across the window instead of retrying in lockstep.  Never returns
+ * less than base or more than cap.
  */
 inline double
 retryDelayMs(const FleetPolicy &p, const std::string &jobId,

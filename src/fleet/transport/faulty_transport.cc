@@ -13,14 +13,6 @@ namespace fleet
 namespace
 {
 
-double
-wallMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /** splitmix64: a full-period mix of (seed, op) into one draw. */
 std::uint64_t
 mix64(std::uint64_t x)
@@ -119,10 +111,6 @@ FaultSpec::parse(const std::string &s, FaultSpec *out,
                 out->dup = n;
             else
                 out->corrupt = n;
-        } else if (key == "dieMs") {
-            if (!parseNum(val, &n) || n < 0)
-                return bad("expected dieMs=<ms>");
-            out->dieAtMs = n;
         } else {
             return bad("unknown key");
         }
@@ -149,8 +137,7 @@ struct FaultyTransport::Handle : WorkerHandle
 FaultyTransport::FaultyTransport(
     std::unique_ptr<WorkerTransport> inner, FaultSpec spec)
     : _inner(std::move(inner)), _spec(spec),
-      _kind(std::string("faulty+") + _inner->kind()),
-      _t0Ms(wallMs())
+      _kind(std::string("faulty+") + _inner->kind())
 {
 }
 
@@ -170,11 +157,9 @@ FaultyTransport::Verdict
 FaultyTransport::nextOp(bool probabilistic, bool fetchOp)
 {
     const long op = _counters.ops++;
-    const double elapsed = wallMs() - _t0Ms;
     Verdict v;
 
-    if ((_spec.dieAtOp >= 0 && op >= _spec.dieAtOp) ||
-        (_spec.dieAtMs >= 0.0 && elapsed >= _spec.dieAtMs)) {
+    if (_spec.dieAtOp >= 0 && op >= _spec.dieAtOp) {
         v.dead = true;
         _counters.died = true;
         killAllOnce();

@@ -18,7 +18,6 @@
  *   partition@N+M     ops [N, N+M) all fail; workers keep running
  *   die@N             from op N on, the host is permanently dead
  *                     (live workers are killed once — a host crash)
- *   dieMs=N           same, on wall ms since construction
  *
  * Probability faults apply to poll/heartbeat/fetch/probe only;
  * launch, interrupt, and forceKill stay clean so claims release
@@ -47,7 +46,6 @@ struct FaultSpec
     long partitionAtOp = -1; ///< first partitioned op, -1 = none
     long partitionOps = 0;   ///< window length in ops
     long dieAtOp = -1;    ///< first dead op, -1 = never
-    double dieAtMs = -1.0;
 
     /** Parse the spec grammar above; false + *err on bad input. */
     static bool parse(const std::string &s, FaultSpec *out,
@@ -116,7 +114,6 @@ class FaultyTransport : public WorkerTransport
     FaultSpec _spec;
     std::string _kind;
     FaultCounters _counters;
-    double _t0Ms;
     bool _killed = false;
     std::vector<Handle *> _live;
 };

@@ -7,6 +7,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace vip
 {
@@ -17,37 +18,32 @@ MemoryController::MemoryController(System &system, std::string name,
                                    FaultInjector *faults)
     : SimObject(system, std::move(name)),
       _cfg(cfg),
+      _bankMask(cfg.banksPerRank * cfg.ranksPerChannel - 1),
+      _stripeShift(std::countr_zero(cfg.interleaveBytes)),
+      _bankShift(_stripeShift + std::countr_zero(cfg.channels)),
+      _rowShift(std::countr_zero(cfg.rowBytes) +
+                std::countr_zero(cfg.channels) +
+                std::countr_zero(_bankMask + 1)),
+      _fullStripeBurst(fromNs(static_cast<double>(cfg.interleaveBytes) /
+                              cfg.channelBytesPerNs)),
       _channels(cfg.channels),
       _energy(ledger.account("dram", this->name())),
-      _faults(faults)
+      _faults(faults),
+      _byRequester(kMaxRequesters, 0)
 {
-    vip_assert(cfg.channels > 0 && (cfg.channels & (cfg.channels - 1)) == 0,
+    vip_assert(std::has_single_bit(cfg.channels),
                "channel count must be a power of two");
+    vip_assert(std::has_single_bit(cfg.interleaveBytes),
+               "interleave granularity must be a power of two");
+    vip_assert(std::has_single_bit(cfg.rowBytes),
+               "row size must be a power of two");
+    vip_assert(std::has_single_bit(_bankMask + 1),
+               "banks per channel must be a power of two");
     for (auto &c : _channels)
-        c.banks.resize(cfg.banksPerRank * cfg.ranksPerChannel);
+        c.banks.resize(_bankMask + 1);
     // Background power is always on while the platform runs.
     _energy.setPower(
         cfg.power.backgroundWattsPerChannel * cfg.channels, 0);
-}
-
-std::uint32_t
-MemoryController::channelOf(Addr addr) const
-{
-    return (addr / _cfg.interleaveBytes) & (_cfg.channels - 1);
-}
-
-std::uint32_t
-MemoryController::bankOf(Addr addr) const
-{
-    std::uint64_t block = addr / (_cfg.interleaveBytes * _cfg.channels);
-    return block % _channels[0].banks.size();
-}
-
-std::uint64_t
-MemoryController::rowOf(Addr addr) const
-{
-    return addr / (static_cast<std::uint64_t>(_cfg.rowBytes) *
-                   _cfg.channels * _channels[0].banks.size());
 }
 
 void
@@ -192,6 +188,8 @@ MemoryController::access(MemRequest req)
     else
         _bytesRead += req.bytes;
     _windowBytes += req.bytes;
+    vip_assert(req.requesterId < kMaxRequesters, "requester id ",
+               req.requesterId, " past the traffic ledger");
     _byRequester[req.requesterId] += req.bytes;
     _energy.addDynamicNj(_cfg.power.energyPerByteNj * req.bytes);
     if (!_cfg.ideal)
@@ -203,7 +201,7 @@ MemoryController::access(MemRequest req)
     // mode delivers the whole transaction as one burst.
     const std::uint32_t stripes = _cfg.ideal
         ? 1
-        : (req.bytes + _cfg.interleaveBytes - 1) / _cfg.interleaveBytes;
+        : (req.bytes + _cfg.interleaveBytes - 1) >> _stripeShift;
     std::uint32_t t;
     if (_txnFree.empty()) {
         t = static_cast<std::uint32_t>(_txns.size());
@@ -312,8 +310,9 @@ MemoryController::trySchedule(std::uint32_t ch)
     bank.open = true;
     bank.row = row;
 
-    Tick burst = fromNs(static_cast<double>(p.bytes) /
-                        _cfg.channelBytesPerNs);
+    const Tick burst = p.bytes == _cfg.interleaveBytes
+        ? _fullStripeBurst
+        : fromNs(static_cast<double>(p.bytes) / _cfg.channelBytesPerNs);
     Tick service = access + burst + _wakePenalty;
     _wakePenalty = 0; // exit latency charged once
 
@@ -373,13 +372,6 @@ MemoryController::trySchedule(std::uint32_t ch)
         if (_inFlight == 0)
             onAllIdle();
     }, EventPriority::Default, "dram.burst");
-}
-
-std::uint64_t
-MemoryController::bytesForRequester(std::uint32_t requester) const
-{
-    auto it = _byRequester.find(requester);
-    return it == _byRequester.end() ? 0 : it->second;
 }
 
 double
@@ -496,7 +488,7 @@ MemoryController::auditInvariants(AuditContext &ctx) const
     // Every byte counted at the front door is attributed to exactly
     // one requester.
     std::uint64_t attributed = 0;
-    for (const auto &[id, bytes] : _byRequester)
+    for (std::uint64_t bytes : _byRequester)
         attributed += bytes;
     ctx.checkEq("mem.byte_attribution", _bytesRead + _bytesWritten,
                 attributed, "requester attribution leaks bytes");
@@ -525,16 +517,12 @@ MemoryController::stateDigest(StateDigest &d) const
         d.add(c.busy);
         d.add(static_cast<std::uint64_t>(c.queue.size()));
     }
-    // Unordered per-requester map: digest in sorted-key order so the
-    // result is independent of hash iteration order.
-    std::vector<std::uint32_t> ids;
-    ids.reserve(_byRequester.size());
-    for (const auto &[id, bytes] : _byRequester)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (std::uint32_t id : ids) {
-        d.add(id);
-        d.add(_byRequester.at(id));
+    // Requesters that moved bytes, in id order.
+    for (std::uint32_t id = 0; id < kMaxRequesters; ++id) {
+        if (_byRequester[id] != 0) {
+            d.add(id);
+            d.add(_byRequester[id]);
+        }
     }
 }
 
@@ -560,19 +548,30 @@ MemoryController::io(StateIO &io)
     io.u64(_burstsCompleted);
     io.tick(_wakePenalty);
 
-    // Per-requester attribution, in sorted-key order so the snapshot
-    // bytes are independent of hash iteration order.
+    // Per-requester attribution: (id, bytes) for the requesters that
+    // moved bytes, in id order.
     std::vector<std::pair<std::uint32_t, std::uint64_t>> byRequester;
     if (io.saving()) {
-        byRequester.assign(_byRequester.begin(), _byRequester.end());
-        std::sort(byRequester.begin(), byRequester.end());
+        for (std::uint32_t id = 0; id < kMaxRequesters; ++id) {
+            if (_byRequester[id] != 0)
+                byRequester.emplace_back(id, _byRequester[id]);
+        }
     }
     io.seq32(byRequester, "requesters", [&](auto &req) {
         io.u32(req.first);
         io.u64(req.second);
     });
-    if (io.loading())
-        _byRequester = {byRequester.begin(), byRequester.end()};
+    if (io.loading()) {
+        std::fill(_byRequester.begin(), _byRequester.end(), 0);
+        for (const auto &[id, bytes] : byRequester) {
+            if (id >= kMaxRequesters) {
+                fatal("snapshot: ", name(), " requester id ", id,
+                      " past the traffic ledger (", kMaxRequesters,
+                      " ids)");
+            }
+            _byRequester[id] = bytes;
+        }
+    }
 
     // Per-channel open-row state and accounting.  Queues are empty
     // and no channel is busy at a quiescent point.

@@ -14,7 +14,6 @@
 #ifndef VIP_MEM_MEMORY_CONTROLLER_HH
 #define VIP_MEM_MEMORY_CONTROLLER_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_injector.hh"
@@ -31,6 +30,12 @@ namespace vip
 class MemoryController : public SimObject
 {
   public:
+    /** Requester ids the traffic ledger holds (IpKind values and the
+     *  CPU sit far below it). */
+    static constexpr std::uint32_t kMaxRequesters = 256;
+
+    /** The channel count, interleave granularity, row size and banks
+     *  per channel must be powers of two: addresses decode by shifts. */
     MemoryController(System &system, std::string name,
                      const DramConfig &cfg, EnergyLedger &ledger,
                      FaultInjector *faults = nullptr);
@@ -59,8 +64,13 @@ class MemoryController : public SimObject
     /** ECC events observed on serviced bursts (0 without faults). */
     std::uint64_t eccCorrected() const { return _eccCorrected; }
     std::uint64_t eccUncorrected() const { return _eccUncorrected; }
-    /** Bytes moved on behalf of @p requester (req.requesterId). */
-    std::uint64_t bytesForRequester(std::uint32_t requester) const;
+    /** Bytes moved on behalf of @p requester (req.requesterId); 0
+     *  for an id never seen. */
+    std::uint64_t
+    bytesForRequester(std::uint32_t requester) const
+    {
+        return requester < kMaxRequesters ? _byRequester[requester] : 0;
+    }
     /** @{ Burst ledger: accepted == completed + inFlight(). */
     std::uint64_t burstsAccepted() const { return _burstsAccepted; }
     std::uint64_t burstsCompleted() const { return _burstsCompleted; }
@@ -159,9 +169,21 @@ class MemoryController : public SimObject
         /** @} */
     };
 
-    std::uint32_t channelOf(Addr addr) const;
-    std::uint32_t bankOf(Addr addr) const;
-    std::uint64_t rowOf(Addr addr) const;
+    /** @{ address decode: stripes interleave across channels, then
+     *  banks; a row spans every channel's and bank's stripes */
+    std::uint32_t
+    channelOf(Addr addr) const
+    {
+        return static_cast<std::uint32_t>(addr >> _stripeShift) &
+               (_cfg.channels - 1);
+    }
+    std::uint32_t
+    bankOf(Addr addr) const
+    {
+        return static_cast<std::uint32_t>(addr >> _bankShift) & _bankMask;
+    }
+    std::uint64_t rowOf(Addr addr) const { return addr >> _rowShift; }
+    /** @} */
 
     /** Start servicing the next request on @p ch if idle. */
     void trySchedule(std::uint32_t ch);
@@ -186,6 +208,14 @@ class MemoryController : public SimObject
     /** @} */
 
     DramConfig _cfg;
+    /** @{ decode mask and shifts (log2 of the geometry) */
+    std::uint32_t _bankMask; ///< banks per channel - 1
+    unsigned _stripeShift;
+    unsigned _bankShift;
+    unsigned _rowShift;
+    /** @} */
+    /** Burst time of a full interleaveBytes stripe. */
+    Tick _fullStripeBurst;
     std::vector<Channel> _channels;
     EnergyAccount &_energy;
     FaultInjector *_faults;
@@ -219,8 +249,8 @@ class MemoryController : public SimObject
     std::uint64_t _burstsAccepted = 0;
     std::uint64_t _burstsCompleted = 0;
 
-    /** Per-requester traffic attribution. */
-    std::unordered_map<std::uint32_t, std::uint64_t> _byRequester;
+    /** Per-requester traffic attribution, by id (kMaxRequesters). */
+    std::vector<std::uint64_t> _byRequester;
 
     // Low-power state machine
     LpState _lpState = LpState::Active;

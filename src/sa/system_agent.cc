@@ -38,8 +38,9 @@ SystemAgent::occupy(std::uint32_t bytes)
     return _busyUntil + _cfg.hopLatency;
 }
 
+template <typename Done>
 void
-SystemAgent::transferAttempt(std::uint32_t bytes, Callback done,
+SystemAgent::transferAttempt(std::uint32_t bytes, Done done,
                              std::uint32_t attempt)
 {
     if (attempt == 0) {
@@ -102,8 +103,7 @@ SystemAgent::memoryAccess(MemRequest req)
         _parkedFree.pop_back();
         _parked[slot] = std::move(req);
     }
-    // [this, slot] fits std::function's inline buffer; CRC retries
-    // re-send the same slot.
+    // CRC retries re-send the same slot.
     transferAttempt(_parked[slot].bytes, [this, slot] {
         MemRequest r = std::move(_parked[slot]);
         _parked[slot].bytes = 0;

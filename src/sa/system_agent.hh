@@ -125,9 +125,12 @@ class SystemAgent : public SimObject
      * Move @p bytes across the link, retransmitting (each attempt
      * re-serializes on the link and re-charges energy) while the
      * injector flags the payload's CRC bad, bounded by the plan's
-     * transfer retry budget; then invoke @p done.
+     * transfer retry budget; then invoke @p done.  @p done rides in
+     * the delivery event's capture: a Callback for peer transfers, a
+     * two-word lambda for DRAM accesses.
      */
-    void transferAttempt(std::uint32_t bytes, Callback done,
+    template <typename Done>
+    void transferAttempt(std::uint32_t bytes, Done done,
                          std::uint32_t attempt);
 
     SaConfig _cfg;

@@ -8,43 +8,39 @@
 namespace vip
 {
 
-EventId
-EventQueue::schedule(Tick when, Callback &&cb, EventPriority prio,
-                     const char *kind)
+void
+EventQueue::growPool()
 {
-    vip_assert(when >= _curTick, "scheduling in the past: when=", when,
-               " cur=", _curTick);
-    vip_assert(_nextSeq >> (64 - kSlotBits) == 0,
-               "event sequence numbers exhausted");
-    if (_free.empty()) {
-        vip_assert(_slots.size() < (std::size_t(1) << kSlotBits),
-                   "event pool full: ", _slots.size(), " pending");
-        _slots.emplace_back();
-        _free.push_back(static_cast<std::uint32_t>(_slots.size() - 1));
-    }
-    const std::uint32_t s = _free.back();
-    _free.pop_back();
-    return insert(_nextSeq++, s, when, prio, kind, std::move(cb));
+    vip_assert(_slots.size() < (std::size_t(1) << kSlotBits),
+               "event pool full: ", _slots.size(), " pending");
+    _slots.emplace_back();
+    _free.push_back(static_cast<std::uint32_t>(_slots.size() - 1));
 }
 
 EventId
 EventQueue::insert(std::uint64_t seq, std::uint32_t s, Tick when,
-                   EventPriority prio, const char *kind, Callback &&cb)
+                   EventPriority prio, const char *kind)
 {
     Slot &slot = _slots[s];
     slot.seq = seq;
     slot.kind = kind;
-    slot.cb = std::move(cb);
     const auto p = static_cast<std::uint64_t>(int(prio) + 128);
-    _heap.emplace_back();
-    siftUp(_heap.size() - 1, Key{when, p << 56 | seq, s});
+    const Key k{when, p << 56 | seq, s};
+    if (_hole) {
+        // The running event's first push takes over its root: one
+        // sift-down stands for that event's pop and this push.
+        _hole = false;
+        siftDown(0, k);
+    } else {
+        _heap.emplace_back();
+        siftUp(_heap.size() - 1, k);
+    }
     return seq << kSlotBits | s;
 }
 
 EventQueue::Callback
-EventQueue::release(std::uint32_t s)
+EventQueue::vacate(std::uint32_t s)
 {
-    removeKey(_slots[s].heapIdx);
     _slots[s].seq = kFreeSeq;
     _free.push_back(s);
     return std::move(_slots[s].cb);
@@ -58,7 +54,7 @@ EventQueue::place(std::size_t i, const Key &k)
 }
 
 void
-EventQueue::siftUp(std::size_t i, Key k)
+EventQueue::siftUp(std::size_t i, const Key &k)
 {
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
@@ -66,6 +62,21 @@ EventQueue::siftUp(std::size_t i, Key k)
             break;
         place(i, _heap[parent]);
         i = parent;
+    }
+    place(i, k);
+}
+
+void
+EventQueue::siftDown(std::size_t i, const Key &k)
+{
+    const std::size_t n = _heap.size();
+    for (std::size_t c = 2 * i + 1; c < n; c = 2 * i + 1) {
+        if (c + 1 < n && before(_heap[c + 1], _heap[c]))
+            ++c;
+        if (!before(_heap[c], k))
+            break;
+        place(i, _heap[c]);
+        i = c;
     }
     place(i, k);
 }
@@ -80,6 +91,8 @@ EventQueue::removeKey(std::size_t i)
         return;
     // Walk the hole down to a leaf along the earlier children, then
     // sift the old last key up from there (it usually belongs low).
+    // Under a root hole (a callback running) this never reaches the
+    // root: the hole's key is below every other.
     for (std::size_t c = 2 * i + 1; c < n; c = 2 * i + 1) {
         if (c + 1 < n && before(_heap[c + 1], _heap[c]))
             ++c;
@@ -89,41 +102,59 @@ EventQueue::removeKey(std::size_t i)
     siftUp(i, last);
 }
 
+void
+EventQueue::closeHole()
+{
+    if (_hole) {
+        _hole = false;
+        removeKey(0);
+    }
+}
+
 bool
 EventQueue::serviceOne()
 {
+    vip_assert(!_hole, "serviceOne() from inside an event callback");
     if (_heap.empty())
         return false;
     const Key top = _heap.front();
     const char *kind = _slots[top.slot].kind;
     // Move the callback out before running it: it may schedule and
-    // so grow (reallocate) the pool.
-    Callback cb = release(top.slot);
-    vip_assert(top.when >= _curTick, "time went backwards");
-    if (top.when != _curTick) {
-        _curTick = top.when;
-        _tickServiced = 0;
+    // so grow (reallocate) the pool.  Its key stays as the root hole.
+    Callback cb = vacate(top.slot);
+    _hole = true;
+    try {
+        vip_assert(top.when >= _curTick, "time went backwards");
+        if (top.when != _curTick) {
+            _curTick = top.when;
+            _tickServiced = 0;
+        }
+        if (++_tickServiced > _maxPerTick) {
+            panic("event queue livelock: ", _tickServiced,
+                  " events serviced at tick ", _curTick,
+                  " without time advancing (", pending(),
+                  " still pending)");
+        }
+        ++_serviced;
+        if (!_prof) {
+            cb();
+        } else if (_prof->beginDispatch(kind, _curTick, pending(),
+                                        heapSize())) {
+            // Profiled dispatch: the hooks are observational (count +
+            // occasional steady_clock read); the callback itself runs
+            // identically, so digests cannot diverge.  The timed
+            // span includes the root's removal.
+            cb();
+            closeHole();
+            _prof->endDispatch();
+        } else {
+            cb();
+        }
+    } catch (...) {
+        closeHole();
+        throw;
     }
-    if (++_tickServiced > _maxPerTick) {
-        panic("event queue livelock: ", _tickServiced,
-              " events serviced at tick ", _curTick,
-              " without time advancing (", pending(),
-              " still pending)");
-    }
-    ++_serviced;
-    if (!_prof) {
-        cb();
-        return true;
-    }
-    // Profiled dispatch: the hooks are observational (count +
-    // occasional steady_clock read); the callback itself runs
-    // identically, so digests cannot diverge.
-    if (_prof->beginDispatch(kind, _curTick, pending(), _heap.size())) {
-        cb();
-        _prof->endDispatch();
-    } else {
-        cb();
-    }
+    closeHole();
     return true;
 }
 
@@ -176,8 +207,9 @@ EventQueue::restoreEvent(EventId id, Tick when, Callback cb,
     auto it = std::find(_free.begin(), _free.end(), s);
     vip_assert(it != _free.end(), "restoreEvent id ", id,
                " names an occupied slot");
+    _slots[s].cb.emplace(std::move(cb));
     _free.erase(it);
-    insert(seq, s, when, prio, kind, std::move(cb));
+    insert(seq, s, when, prio, kind);
 }
 
 void
@@ -200,9 +232,11 @@ EventQueue::auditInvariants(AuditContext &ctx) const
     }
     ctx.checkEq("eventq.live_in_heap", liveInHeap, live,
                 "live ids without a heap entry");
-    ctx.checkEq("eventq.heap_index", _heap.size(), live,
+    ctx.checkEq("eventq.heap_index", heapSize(), live,
                 "heap keys without a live slot");
-    for (std::size_t i = 0; i < _heap.size(); ++i) {
+    // A root hole (an Audit-priority callback running) is no key; its
+    // children may still be checked against it, the least key.
+    for (std::size_t i = _hole; i < _heap.size(); ++i) {
         const Key &k = _heap[i];
         ctx.checkTrue("eventq.heap_index",
                       k.slot < _slots.size() &&
@@ -216,9 +250,10 @@ std::vector<EventId>
 EventQueue::liveIds() const
 {
     std::vector<EventId> ids;
-    ids.reserve(_heap.size());
-    for (const Key &k : _heap)
-        ids.push_back(_slots[k.slot].seq << kSlotBits | k.slot);
+    ids.reserve(pending());
+    for (std::size_t i = _hole; i < _heap.size(); ++i)
+        ids.push_back(_slots[_heap[i].slot].seq << kSlotBits |
+                      _heap[i].slot);
     std::sort(ids.begin(), ids.end());
     return ids;
 }
@@ -226,6 +261,7 @@ EventQueue::liveIds() const
 void
 EventQueue::io(StateIO &io)
 {
+    vip_assert(!_hole, "checkpointing from inside an event callback");
     vip_assert(io.saving() || _heap.empty(),
                "restoring into a non-empty event queue");
     io.tick(_curTick);

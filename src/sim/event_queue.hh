@@ -64,13 +64,7 @@ class EventCallback
                   !std::is_same_v<Fn, EventCallback>>>
     EventCallback(F &&f) // implicit, like std::function
     {
-        static_assert(sizeof(Fn) <= kCapacity &&
-                          alignof(Fn) <= alignof(void *),
-                      "event callback capture exceeds the 56-byte "
-                      "inline buffer");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>);
-        ::new (static_cast<void *>(_buf)) Fn(std::forward<F>(f));
-        _ops = &kOps<Fn>;
+        construct<Fn>(std::forward<F>(f));
     }
 
     EventCallback(EventCallback &&o) noexcept { take(o); }
@@ -88,6 +82,25 @@ class EventCallback
     void operator()() { _ops->invoke(_buf); }
 
     explicit operator bool() const noexcept { return _ops != nullptr; }
+
+    /** Replace the callable with @p f, built in place (the event
+     *  queue builds each callback directly in its pool slot).  An
+     *  EventCallback is moved in; an lvalue one does not compile. */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (std::is_same_v<Fn, EventCallback>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "EventCallback is move-only: pass it with "
+                          "std::move");
+            *this = std::move(f);
+        } else {
+            reset();
+            construct<Fn>(std::forward<F>(f));
+        }
+    }
 
   private:
     struct Ops
@@ -109,6 +122,19 @@ class EventCallback
         std::is_trivially_destructible_v<Fn>
             ? nullptr
             : +[](void *p) { static_cast<Fn *>(p)->~Fn(); }};
+
+    template <typename Fn, typename F>
+    void
+    construct(F &&f)
+    {
+        static_assert(sizeof(Fn) <= kCapacity &&
+                          alignof(Fn) <= alignof(void *),
+                      "event callback capture exceeds the 56-byte "
+                      "inline buffer");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>);
+        ::new (static_cast<void *>(_buf)) Fn(std::forward<F>(f));
+        _ops = &kOps<Fn>;
+    }
 
     void
     take(EventCallback &o) noexcept
@@ -143,6 +169,13 @@ class Profiler;
  * of trivially copyable 24-byte keys orders them.  Each slot records
  * where its key sits in the heap, so deschedule() removes the key at
  * once: the heap holds exactly the pending events, never tombstones.
+ *
+ * While a callback runs, its own key stays at the heap root as a
+ * *hole*: the callback's first schedule() overwrites it and sifts the
+ * new key down, so an event that schedules a successor costs one heap
+ * operation instead of a pop and a push.  A callback that schedules
+ * nothing has the hole removed when it returns (or throws).  Nothing
+ * observable counts the hole.
  */
 class EventQueue : public Auditable
 {
@@ -163,7 +196,9 @@ class EventQueue : public Auditable
     Tick curTick() const { return _curTick; }
 
     /**
-     * Schedule @p cb to run at absolute tick @p when.
+     * Schedule callable @p f to run at absolute tick @p when.  It is
+     * built directly in its pool slot (an EventCallback rvalue is
+     * moved there).
      *
      * @p kind is an optional profiling tag: a string *literal* (the
      * profiler compares pointers on the hot path and merges aliases
@@ -173,17 +208,27 @@ class EventQueue : public Auditable
      *
      * @return an id usable with deschedule().
      */
-    EventId schedule(Tick when, Callback &&cb,
-                     EventPriority prio = EventPriority::Default,
-                     const char *kind = nullptr);
-
-    /** Schedule @p cb to run @p delta ticks from now. */
+    template <typename F>
     EventId
-    scheduleIn(Tick delta, Callback &&cb,
+    schedule(Tick when, F &&f, EventPriority prio = EventPriority::Default,
+             const char *kind = nullptr)
+    {
+        const std::uint32_t s = freeSlot(when);
+        // Built before the slot leaves the free list, so a throwing
+        // copy leaves the pool as it was.
+        _slots[s].cb.emplace(std::forward<F>(f));
+        _free.pop_back();
+        return insert(_nextSeq++, s, when, prio, kind);
+    }
+
+    /** Schedule @p f to run @p delta ticks from now. */
+    template <typename F>
+    EventId
+    scheduleIn(Tick delta, F &&f,
                EventPriority prio = EventPriority::Default,
                const char *kind = nullptr)
     {
-        return schedule(_curTick + delta, std::move(cb), prio, kind);
+        return schedule(_curTick + delta, std::forward<F>(f), prio, kind);
     }
 
     /** Cancel a scheduled event in O(log n).  Harmless once it ran or
@@ -191,15 +236,18 @@ class EventQueue : public Auditable
     void
     deschedule(EventId id)
     {
-        if (isLive(id))
-            release(slotOf(id)); // destroys the callback
+        if (isLive(id)) {
+            const std::uint32_t s = slotOf(id);
+            removeKey(_slots[s].heapIdx);
+            vacate(s); // destroys the callback
+        }
     }
 
     /** Number of scheduled, not-yet-run, not-cancelled events. */
-    std::size_t pending() const { return _heap.size(); }
+    std::size_t pending() const { return _heap.size() - _hole; }
 
     /** True when no live events remain. */
-    bool empty() const { return _heap.empty(); }
+    bool empty() const { return pending() == 0; }
 
     /**
      * Service the single next live event.
@@ -282,7 +330,7 @@ class EventQueue : public Auditable
     std::uint64_t maxEventsPerTick() const { return _maxPerTick; }
 
     /** Heap keys; always equal to pending() (no tombstones). */
-    std::size_t heapSize() const { return _heap.size(); }
+    std::size_t heapSize() const { return pending(); }
     /** Always 0: cancellation never leaves dead entries to compact.
      *  Kept only because vip_bench reports it as a layer row. */
     std::uint64_t compactions() const { return 0; }
@@ -334,18 +382,36 @@ class EventQueue : public Auditable
         return a.when != b.when ? a.when < b.when : a.order < b.order;
     }
 
-    /** Occupy free slot @p s and push its key; returns the id. */
+    /** The free slot the next schedule() at @p when takes (the back
+     *  of the free list, which stays on it). */
+    std::uint32_t
+    freeSlot(Tick when)
+    {
+        vip_assert(when >= _curTick, "scheduling in the past: when=",
+                   when, " cur=", _curTick);
+        vip_assert(_nextSeq >> (64 - kSlotBits) == 0,
+                   "event sequence numbers exhausted");
+        if (_free.empty())
+            growPool();
+        return _free.back();
+    }
+    void growPool();
+    /** Mark slot @p s (already off the free list, its callback in
+     *  place) live and push its key; returns the id. */
     EventId insert(std::uint64_t seq, std::uint32_t s, Tick when,
-                   EventPriority prio, const char *kind, Callback &&cb);
-    /** Remove live slot @p s's key and free the slot; returns its
-     *  callback, so the capture dies once the pool is consistent. */
-    Callback release(std::uint32_t s);
+                   EventPriority prio, const char *kind);
+    /** Free live slot @p s, leaving its key in the heap; returns its
+     *  callback. */
+    Callback vacate(std::uint32_t s);
+    /** Remove the hole, if the callback left one. */
+    void closeHole();
     /** Pending ids, sorted (snapshot save and restore check). */
     std::vector<EventId> liveIds() const;
 
     /** @{ heap maintenance; every key move updates its slot's index */
     void place(std::size_t i, const Key &k);
-    void siftUp(std::size_t i, Key k);
+    void siftUp(std::size_t i, const Key &k);
+    void siftDown(std::size_t i, const Key &k);
     void removeKey(std::size_t i);
     /** @} */
 
@@ -359,6 +425,8 @@ class EventQueue : public Auditable
     /** Nullable hot-path observer; never serialized. */
     Profiler *_prof = nullptr;
     std::vector<Key> _heap;           ///< binary min-heap, one per event
+    /** _heap[0] is the running event's key (see the class comment). */
+    bool _hole = false;
     std::vector<Slot> _slots;         ///< callback pool
     std::vector<std::uint32_t> _free; ///< free slots, LIFO
     /** Sorted live ids from the snapshot (verifyRestore()). */

@@ -6,7 +6,9 @@
  *             user input.  Throws SimPanic (tests catch it; main()
  *             aborts).
  * fatal()  -- the user asked for something the simulator cannot do
- *             (bad configuration).  Throws SimFatal.
+ *             (bad configuration).  Throws SimFatal and prints
+ *             nothing: the catch that handles it decides what reaches
+ *             stderr (each tool's main prints the message once).
  * warn()   -- something may not be modelled exactly; keep running.
  * inform() -- status messages.
  */
@@ -65,14 +67,13 @@ panic(Args &&...args)
     throw SimPanic(msg);
 }
 
-/** Report an invalid user configuration and abort the simulation. */
+/** Abort the simulation over an invalid user configuration; the
+ *  handler of the SimFatal reports it. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    auto msg = logging::format(std::forward<Args>(args)...);
-    logging::emit("fatal", msg);
-    throw SimFatal(msg);
+    throw SimFatal(logging::format(std::forward<Args>(args)...));
 }
 
 /** Warn about approximate or suspicious behaviour; keep running. */

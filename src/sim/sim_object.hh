@@ -11,6 +11,7 @@
 #define VIP_SIM_SIM_OBJECT_HH
 
 #include <string>
+#include <utility>
 
 #include "sim/audit.hh"
 #include "sim/event_queue.hh"
@@ -44,22 +45,24 @@ class SimObject : public Auditable
 
     /** Schedule a callback at an absolute tick.  @p kind is the
      *  optional profiling tag (see EventQueue::schedule). */
+    template <typename F>
     EventId
-    schedule(Tick when, EventQueue::Callback &&cb,
-             EventPriority prio = EventPriority::Default,
+    schedule(Tick when, F &&f, EventPriority prio = EventPriority::Default,
              const char *kind = nullptr)
     {
-        return _system.eventq().schedule(when, std::move(cb), prio, kind);
+        return _system.eventq().schedule(when, std::forward<F>(f), prio,
+                                         kind);
     }
 
     /** Schedule a callback @p delta ticks from now. */
+    template <typename F>
     EventId
-    scheduleIn(Tick delta, EventQueue::Callback &&cb,
+    scheduleIn(Tick delta, F &&f,
                EventPriority prio = EventPriority::Default,
                const char *kind = nullptr)
     {
-        return _system.eventq().scheduleIn(delta, std::move(cb), prio,
-                                           kind);
+        return _system.eventq().scheduleIn(delta, std::forward<F>(f),
+                                           prio, kind);
     }
 
     /** Cancel a scheduled callback. */

@@ -224,10 +224,13 @@ print("partition: lease_expiries=%d reassigned=%s rescues=%d"
 EOF
 
 echo "== chaos: one host dies mid-sweep, the survivor finishes"
+# die@8: mortal's 9th transport op, a few polls into its first job,
+# so the death strands work however fast the host runs (a wall-clock
+# death let a fast host finish its jobs and die idle).
 cat > "$WORK/die-hosts.json" <<'EOF'
 { "hosts": [
     { "name": "mortal", "transport": "process", "slots": 1,
-      "fault": "dieMs=350" },
+      "fault": "die@8" },
     { "name": "survivor", "transport": "process", "slots": 1 } ] }
 EOF
 "$VIP_FLEET" --spec "$WORK/spec.json" --out "$WORK/die" \

@@ -9,6 +9,8 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -307,7 +309,11 @@ TEST(EventQueue, DifferentialAgainstOrderedSet)
     // ~100k random schedule/deschedule/serviceOne operations, checked
     // against a std::set of (when, prio, seq): service order,
     // pending(), isLive() and scheduledWhen() must all agree.  Some
-    // callbacks schedule more events, growing the pool mid-dispatch.
+    // callbacks schedule one or two more events (some at the current
+    // tick, at any priority, so they sort before the running event's
+    // own key), deschedule random ids before and after their first
+    // schedule, and check the queue from inside the callback, while
+    // its key is the heap's root hole.
     using Ref = std::tuple<Tick, int, std::uint64_t>;
     struct Issued
     {
@@ -326,37 +332,67 @@ TEST(EventQueue, DifferentialAgainstOrderedSet)
     std::vector<Issued> issued;
     std::uint64_t fired = ~std::uint64_t(0);
     std::vector<AuditViolation> sink;
+    int op = 0;
+    int midChecks = 0;
+    int midBad = 0;
+    std::string firstBad;
 
+    auto descheduleAny = [&] {
+        // Any id ever issued: live, serviced or cancelled.
+        Issued &e = issued[rng() % issued.size()];
+        if (e.live) {
+            ref.erase(e.key);
+            e.live = false;
+        }
+        eq.deschedule(e.id);
+    };
+    auto checkMid = [&](bool ok, const char *what) {
+        if (!ok && midBad++ == 0)
+            firstBad = std::string(what) + " at op " + std::to_string(op);
+    };
+
+    std::function<void(std::uint64_t, int)> onFire;
     std::function<void()> scheduleOne = [&] {
-        const Tick when = eq.curTick() + rng() % 2000;
+        const Tick when =
+            eq.curTick() + (rng() % 4 == 0 ? 0 : rng() % 2000);
         const EventPriority prio = kPrios[rng() % std::size(kPrios)];
         const std::uint64_t seq = issued.size();
-        const bool spawns = rng() % 8 == 0;
+        const int spawns = rng() % 8 == 0 ? 1 + int(rng() % 2) : 0;
         const EventId id = eq.schedule(
-            when,
-            [&fired, &scheduleOne, seq, spawns] {
-                fired = seq;
-                if (spawns)
-                    scheduleOne();
-            },
-            prio);
+            when, [&onFire, seq, spawns] { onFire(seq, spawns); }, prio);
         const Ref key{when, static_cast<int>(prio), seq};
         issued.push_back(Issued{id, key, true});
         ref.insert(key);
     };
+    onFire = [&](std::uint64_t seq, int spawns) {
+        fired = seq;
+        const bool before = rng() % 3 == 0;
+        const bool after = rng() % 3 == 0;
+        if (before)
+            descheduleAny();
+        for (int k = 0; k < spawns; ++k) {
+            scheduleOne();
+            if (k == 0 && after)
+                descheduleAny();
+        }
+        checkMid(eq.pending() == ref.size(), "pending()");
+        checkMid(eq.heapSize() == ref.size(), "heapSize()");
+        checkMid(!eq.isLive(issued[seq].id), "isLive(running)");
+        const Issued &e = issued[rng() % issued.size()];
+        checkMid(eq.isLive(e.id) == e.live, "isLive()");
+        if (++midChecks % 256 == 0) {
+            AuditContext ctx("eventq", eq.curTick(), /*strict=*/true,
+                             sink);
+            eq.auditInvariants(ctx); // strict: throws on violation
+        }
+    };
 
-    for (int op = 0; op < 100'000; ++op) {
+    for (op = 0; op < 100'000; ++op) {
         const auto dice = rng() % 8;
         if (dice < 4) {
             scheduleOne();
         } else if (dice < 6 && !issued.empty()) {
-            // Any id ever issued: live, serviced or cancelled.
-            Issued &e = issued[rng() % issued.size()];
-            if (e.live) {
-                ref.erase(e.key);
-                e.live = false;
-            }
-            eq.deschedule(e.id);
+            descheduleAny();
         } else if (ref.empty()) {
             ASSERT_FALSE(eq.serviceOne());
         } else {
@@ -381,6 +417,46 @@ TEST(EventQueue, DifferentialAgainstOrderedSet)
             eq.auditInvariants(ctx);
         }
     }
+    EXPECT_GT(midChecks, 1000);
+    EXPECT_EQ(midBad, 0) << firstBad;
+    EXPECT_TRUE(sink.empty());
+}
+
+TEST(EventQueue, ThrowingCallbackLeavesTheQueueConsistent)
+{
+    // A callback that cancels an event and then throws: the event it
+    // was serviced for is gone, the cancelled one too, and the queue
+    // carries on in order.  The same once a callback has scheduled.
+    EventQueue eq;
+    std::vector<int> ran;
+    std::vector<AuditViolation> sink;
+    const EventId b = eq.schedule(20, [&] { ran.push_back(20); });
+    eq.schedule(30, [&] { ran.push_back(30); });
+    eq.schedule(40, [&] {
+        eq.schedule(40, [&] { ran.push_back(41); });
+        throw std::runtime_error("after a schedule");
+    });
+    eq.schedule(10, [&] {
+        eq.deschedule(b);
+        throw std::runtime_error("after a deschedule");
+    });
+
+    EXPECT_THROW(eq.serviceOne(), std::runtime_error);
+    EXPECT_EQ(eq.curTick(), 10u);
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_FALSE(eq.isLive(b));
+    AuditContext ctx("eventq", eq.curTick(), /*strict=*/true, sink);
+    eq.auditInvariants(ctx);
+    ASSERT_TRUE(eq.serviceOne());
+    EXPECT_EQ(ran, (std::vector<int>{30}));
+
+    EXPECT_THROW(eq.serviceOne(), std::runtime_error);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.auditInvariants(ctx);
+    eq.run();
+    EXPECT_EQ(ran, (std::vector<int>{30, 41}));
+    EXPECT_EQ(eq.servicedEvents(), 4u);
+    EXPECT_TRUE(eq.empty());
     EXPECT_TRUE(sink.empty());
 }
 

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
 #include <string>
 
 #include "fleet/backoff.hh"
 #include "fleet/job_spec.hh"
 #include "sim/logging.hh"
+#include "test_util.hh"
 
 namespace vip
 {
@@ -231,17 +234,41 @@ TEST(FleetSpec, ParseFileRejectsMissingFile)
                  SimFatal);
 }
 
-TEST(FleetBackoff, ExponentialWithCap)
+TEST(FleetSpec, CliReportsAMalformedSpecOnce)
+{
+    // The JSON error is re-thrown as a job-spec error; the user still
+    // sees one line, from vip_fleet's main.
+    const std::string spec = ::testing::TempDir() + "vip-bad-spec.json";
+    std::ofstream(spec) << "{\"configs\": [\"vip\",";
+    const test::CliRun r =
+        test::runCli(std::string(VIP_FLEET_PATH) + " --spec " + spec +
+                     " --out " + ::testing::TempDir() + "vip-bad-spec-out");
+    EXPECT_EQ(r.exit, 2) << r.out;
+    EXPECT_EQ(r.out.rfind("fatal: job spec: malformed JSON: ", 0), 0u)
+        << r.out;
+    EXPECT_EQ(r.out.find('\n'), r.out.size() - 1) << r.out; // one line
+}
+
+// Edge cases of the retry delay the scheduler uses (decorrelated
+// jitter; JitterIsDeterministicBoundedAndDecorrelated covers its
+// spread).
+
+TEST(FleetBackoff, RetryDelayStaysWithinBaseAndCap)
 {
     FleetPolicy p;
     p.backoffBaseMs = 250.0;
     p.backoffCapMs = 10000.0;
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 1), 250.0);
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 2), 500.0);
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 3), 1000.0);
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 6), 8000.0);
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 7), 10000.0); // 16000 clamped
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 100), 10000.0);
+    for (int k : {1, 2, 3, 6, 7, 100}) {
+        const double d = retryDelayMs(p, "vip-A1-s1", k);
+        EXPECT_GE(d, 250.0) << k;
+        EXPECT_LE(d, 10000.0) << k;
+    }
+    // Absurd failure counts must not overflow: still finite, capped.
+    p.backoffBaseMs = 1.0;
+    p.backoffCapMs = 1e9;
+    const double d = retryDelayMs(p, "vip-A1-s1", 10000);
+    EXPECT_TRUE(std::isfinite(d));
+    EXPECT_LE(d, 1e9);
 }
 
 TEST(FleetBackoff, DegenerateInputs)
@@ -249,14 +276,10 @@ TEST(FleetBackoff, DegenerateInputs)
     FleetPolicy p;
     p.backoffBaseMs = 250.0;
     p.backoffCapMs = 10000.0;
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 0), 0.0);
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, -3), 0.0);
+    EXPECT_DOUBLE_EQ(retryDelayMs(p, "vip-A1-s1", 0), 0.0);
+    EXPECT_DOUBLE_EQ(retryDelayMs(p, "vip-A1-s1", -3), 0.0);
     p.backoffBaseMs = 0.0; // retry immediately
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 5), 0.0);
-    // Absurd failure counts must not overflow: saturates at the cap.
-    p.backoffBaseMs = 1.0;
-    p.backoffCapMs = 1e9;
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 10000), 1e9);
+    EXPECT_DOUBLE_EQ(retryDelayMs(p, "vip-A1-s1", 5), 0.0);
 }
 
 TEST(FleetBackoff, CapEqualToBasePinsEveryDelay)
@@ -264,8 +287,8 @@ TEST(FleetBackoff, CapEqualToBasePinsEveryDelay)
     FleetPolicy p;
     p.backoffBaseMs = 42.0;
     p.backoffCapMs = 42.0;
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 1), 42.0);
-    EXPECT_DOUBLE_EQ(backoffDelayMs(p, 9), 42.0);
+    for (int k : {1, 2, 9, 10000})
+        EXPECT_DOUBLE_EQ(retryDelayMs(p, "vip-A1-s1", k), 42.0) << k;
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/snapshot.hh"
+#include "sim/state_io.hh"
 #include "test_util.hh"
 
 namespace vip
@@ -162,6 +164,82 @@ TEST_F(MemoryTest, CountsBytesAndRequests)
     access(8192, 512, true);
     EXPECT_EQ(mem->bytesRead(), 1024u);
     EXPECT_EQ(mem->bytesWritten(), 512u);
+}
+
+TEST(MemoryGeometry, NonPowerOfTwoGeometryFailsAtConstruction)
+{
+    // Addresses decode by shifts and masks, so every stride of the
+    // interleave must be a power of two.
+    const auto build = [](void (*edit)(DramConfig &)) {
+        System sys(1);
+        EnergyLedger ledger;
+        DramConfig cfg;
+        edit(cfg);
+        MemoryController mem(sys, "g.mem", cfg, ledger);
+    };
+    EXPECT_NO_THROW(build([](DramConfig &) {}));
+    EXPECT_THROW(build([](DramConfig &c) { c.channels = 3; }), SimPanic);
+    EXPECT_THROW(build([](DramConfig &c) { c.interleaveBytes = 1536; }),
+                 SimPanic);
+    EXPECT_THROW(build([](DramConfig &c) { c.rowBytes = 3000; }),
+                 SimPanic);
+    EXPECT_THROW(build([](DramConfig &c) { c.banksPerRank = 6; }),
+                 SimPanic);
+    EXPECT_THROW(build([](DramConfig &c) { c.ranksPerChannel = 3; }),
+                 SimPanic);
+}
+
+TEST_F(MemoryTest, RequesterLedgerAnswersEveryId)
+{
+    buildPlatform(false);
+    MemRequest a;
+    a.bytes = 1024;
+    a.requesterId = 99;
+    mem->access(std::move(a));
+    MemRequest b;
+    b.addr = 4096;
+    b.bytes = 512;
+    b.requesterId = 3;
+    mem->access(std::move(b));
+    run();
+    EXPECT_EQ(mem->bytesForRequester(99), 1024u);
+    EXPECT_EQ(mem->bytesForRequester(3), 512u);
+    // Ids never seen, inside and past the ledger, answer 0.
+    for (std::uint32_t id : {0u, 5u, MemoryController::kMaxRequesters - 1,
+                             MemoryController::kMaxRequesters,
+                             0xffffffffu})
+        EXPECT_EQ(mem->bytesForRequester(id), 0u) << id;
+    MemRequest far;
+    far.bytes = 64;
+    far.requesterId = MemoryController::kMaxRequesters;
+    EXPECT_THROW(mem->access(std::move(far)), SimPanic);
+}
+
+TEST_F(MemoryTest, SnapshotRequesterPastTheLedgerIsFatal)
+{
+    // Snapshots are external input: an id the ledger cannot hold is a
+    // SimFatal, not a vector sized from the file.
+    buildPlatform(false);
+    const std::string file =
+        ::testing::TempDir() + "vip-mem-requester.vips";
+    SnapshotWriter w;
+    w.beginSection("mem");
+    for (int i = 0; i < 11; ++i)
+        w.u64(0); // the window and traffic counters ahead of the ledger
+    w.u32(1);     // one requester...
+    w.u32(0xffffffffu);
+    w.u64(1024);
+    w.writeFile({file}, SnapshotMeta{});
+    SnapshotReader r(file);
+    StateIO load(r, sys->eventq());
+    try {
+        load.section("mem", [&] { mem->io(load); });
+        ADD_FAILURE() << "loaded a requester id past the ledger";
+    } catch (const SimFatal &e) {
+        EXPECT_NE(std::string(e.what()).find("requester id 4294967295"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST_F(MemoryTest, ZeroByteRequestPanics)

@@ -7,13 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
-#include <cstdio>
 #include <filesystem>
 #include <string>
 
 #include "core/simulation.hh"
+#include "test_util.hh"
 
 namespace vip
 {
@@ -234,32 +232,13 @@ TEST(Simulation, GameAppProcessesTouchInput)
     EXPECT_GT(s.achievedFps, 30.0);
 }
 
-/** One vip_sim run: its exit status (-1 unless it exited) and its
- *  stdout and stderr, interleaved. */
-struct CliRun
-{
-    int exit = -1;
-    std::string out;
-};
+using test::CliRun;
 
+/** One vip_sim run. */
 CliRun
 vipSim(const std::string &args)
 {
-    // -k: a run that ignores SIGTERM is killed 5 s later and fails
-    // its test instead of wedging the suite.
-    const std::string cmd = std::string("timeout -k 5 10 ") + VIP_SIM_PATH +
-                            " " + args + " 2>&1";
-    CliRun r;
-    FILE *p = ::popen(cmd.c_str(), "r");
-    if (!p)
-        return r;
-    char buf[256];
-    while (std::fgets(buf, sizeof(buf), p))
-        r.out += buf;
-    const int status = ::pclose(p);
-    if (WIFEXITED(status))
-        r.exit = WEXITSTATUS(status);
-    return r;
+    return test::runCli(std::string(VIP_SIM_PATH) + " " + args);
 }
 
 bool
@@ -269,11 +248,27 @@ hasLine(const std::string &out, const std::string &prefix)
            out.find("\n" + prefix) != std::string::npos;
 }
 
+/** Lines of @p out that contain @p text. */
+int
+linesWith(const std::string &out, const std::string &text)
+{
+    int n = 0;
+    std::size_t from = 0;
+    while (from < out.size()) {
+        std::size_t end = out.find('\n', from);
+        if (end == std::string::npos)
+            end = out.size();
+        n += out.substr(from, end - from).find(text) != std::string::npos;
+        from = end + 1;
+    }
+    return n;
+}
+
 TEST(VipSimCli, RejectsBadFlagValues)
 {
     // Each bad value must fail fast with exit 1 and a "fatal:" line:
     // no wrap-around to a huge run, no std::bad_alloc abort, no
-    // silent zero or default.
+    // silent zero or default.  The message reaches the output once.
     const char *bad[] = {
         "--seconds -1",        "--seconds abc",
         "--seconds inf",       "--lanes -3",
@@ -297,7 +292,11 @@ TEST(VipSimCli, RejectsBadFlagValues)
         SCOPED_TRACE(args);
         const CliRun r = vipSim(std::string(args) + " --seconds 0.01");
         EXPECT_EQ(r.exit, 1) << r.out;
-        EXPECT_TRUE(hasLine(r.out, "fatal: ")) << r.out;
+        ASSERT_TRUE(hasLine(r.out, "fatal: ")) << r.out;
+        const std::size_t at = r.out.find("fatal: ") + 7;
+        const std::string msg =
+            r.out.substr(at, r.out.find('\n', at) - at);
+        EXPECT_EQ(linesWith(r.out, msg), 1) << r.out;
     }
 }
 

@@ -9,8 +9,11 @@
 #define VIP_TESTS_TEST_UTIL_HH
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "mem/memory_controller.hh"
 #include "power/energy_account.hh"
@@ -81,6 +84,34 @@ class PlatformFixture : public ::testing::Test
     std::unique_ptr<MemoryController> mem;
     std::unique_ptr<SystemAgent> sa;
 };
+
+/** One command-line run: its exit status (-1 unless it exited) and
+ *  its stdout and stderr, interleaved. */
+struct CliRun
+{
+    int exit = -1;
+    std::string out;
+};
+
+/** Run the shell command @p cmd with stderr folded into stdout. */
+inline CliRun
+runCli(const std::string &cmd)
+{
+    // -k: a run that ignores SIGTERM is killed 5 s later and fails
+    // its test instead of wedging the suite.
+    const std::string full = "timeout -k 5 10 " + cmd + " 2>&1";
+    CliRun r;
+    FILE *p = ::popen(full.c_str(), "r");
+    if (!p)
+        return r;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), p))
+        r.out += buf;
+    const int status = ::pclose(p);
+    if (WIFEXITED(status))
+        r.exit = WEXITSTATUS(status);
+    return r;
+}
 
 } // namespace test
 } // namespace vip
