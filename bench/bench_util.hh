@@ -182,24 +182,30 @@ evaluationMatrix()
 }
 
 /**
- * Run one (config, workload) cell of the matrix; @p done, if set,
- * sees the finished Simulation (bench_paper dumps its stats there).
+ * Run one cell under auditConfig(); @p done, if set, sees the
+ * finished Simulation (bench_paper reads what RunStats does not carry
+ * there, and dumps its stats).
  */
 inline RunStats
-runCell(SystemConfig config, const Workload &wl, double seconds,
-        std::uint64_t seed = 1,
+runCell(SocConfig cfg, const Workload &wl,
         const std::function<void(Simulation &)> &done = nullptr)
 {
-    SocConfig cfg;
-    cfg.system = config;
-    cfg.simSeconds = seconds;
-    cfg.seed = seed;
     cfg.audit = auditConfig();
     Simulation sim(std::move(cfg), wl);
     RunStats stats = sim.run();
     if (done)
         done(sim);
     return stats;
+}
+
+/** Run one (config, workload) cell of the matrix at seed 1. */
+inline RunStats
+runCell(SystemConfig config, const Workload &wl, double seconds)
+{
+    SocConfig cfg;
+    cfg.system = config;
+    cfg.simSeconds = seconds;
+    return runCell(std::move(cfg), wl);
 }
 
 /** value/reference with a floor guarding zero references. */

@@ -81,7 +81,7 @@ class AppCatalog
     /**
      * The instrumented Grafika player of the motivation study
      * (Figure 1): CPU-VD-GPU-DC with a render/composition pass, at
-     * the given resolution and rate.  Used by the Fig 2/3 benches.
+     * the given resolution and rate.  bench_paper runs it for Figs 2-3.
      */
     static AppSpec grafikaPlayer(Resolution res = resolutions::r4k,
                                  double fps = 60.0,

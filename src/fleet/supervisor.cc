@@ -892,12 +892,11 @@ writeFleetReport(const std::string &outDir, const FoldedSweep &out,
     }
     for (const StatsFile &f : parsed)
         shards.push_back(&f);
-    const auto agg = aggregateStats(shards);
 
     std::ostringstream os;
     os << "{\n"
        << "  \"kind\": \"vip-fleet-report\",\n"
-       << "  \"schemaVersion\": 2,\n"
+       << "  \"schemaVersion\": 3,\n"
        << "  \"name\": " << json::quoted(out.name) << ",\n"
        << "  \"seconds\": " << fmtNum(out.seconds) << ",\n"
        << "  \"interrupted\": "
@@ -1052,11 +1051,7 @@ writeFleetReport(const std::string &outDir, const FoldedSweep &out,
         first = false;
         jobJson(j, true);
     }
-    os << (first ? "" : "\n") << "  ],\n";
-
-    os << "  \"aggregate\": ";
-    writeAggregateJson(os, agg, "  ");
-    os << "\n}\n";
+    os << (first ? "" : "\n") << "  ]\n}\n";
 
     std::string err;
     const std::string reportPath = outDir + "/report.json";
@@ -1064,7 +1059,8 @@ writeFleetReport(const std::string &outDir, const FoldedSweep &out,
         fatal("cannot write ", reportPath, ": ", err);
 
     std::ostringstream as;
-    writeAggregateDocument(as, agg, shards.size(), out.name);
+    writeAggregateDocument(as, aggregateStats(shards), shards.size(),
+                           out.name);
     if (!writeFileAtomic(outDir + "/aggregate.json", as.str(), &err))
         fatal("cannot write ", outDir, "/aggregate.json: ", err);
 }

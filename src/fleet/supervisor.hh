@@ -140,7 +140,7 @@ std::vector<std::string> workerArgs(const JobSpec &spec,
                                     const FleetJob &job);
 
 /**
- * Render a folded journal as <outDir>/report.json (schema v2: the
+ * Render a folded journal as <outDir>/report.json (schema v3: the
  * sweep's summary, hosts and jobs, plus @p policy) and write
  * <outDir>/aggregate.json, the percentile merge of every done
  * shard's committed stats.json.  SimFatal when either cannot be

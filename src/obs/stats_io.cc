@@ -126,60 +126,96 @@ valuesWithinTolerance(const std::string &rule, double baseline,
     return baseline == candidate;
 }
 
+const char *
+verdictName(StatVerdict::Kind kind)
+{
+    switch (kind) {
+      case StatVerdict::Kind::Pass: return "pass";
+      case StatVerdict::Kind::Fail: return "fail";
+      case StatVerdict::Kind::Missing: return "missing";
+      case StatVerdict::Kind::Extra: return "extra";
+    }
+    return "?";
+}
+
+std::vector<std::string>
+StatsComparison::violations() const
+{
+    std::vector<std::string> out = context;
+    for (const StatVerdict &r : rows) {
+        switch (r.kind) {
+          case StatVerdict::Kind::Pass:
+            break;
+          case StatVerdict::Kind::Fail: {
+            char buf[192];
+            std::snprintf(buf, sizeof(buf),
+                          "%s: baseline %.9g vs candidate %.9g "
+                          "(rule %s)",
+                          r.path.c_str(), *r.baseline, *r.candidate,
+                          r.rule.c_str());
+            out.push_back(buf);
+            break;
+          }
+          case StatVerdict::Kind::Missing:
+            out.push_back(r.path + ": missing from candidate");
+            break;
+          case StatVerdict::Kind::Extra:
+            out.push_back(r.path + ": not present in baseline (new "
+                                   "stat? regenerate bench/baseline/)");
+            break;
+        }
+    }
+    return out;
+}
+
 StatsComparison
 compareStats(const StatsFile &baseline, const StatsFile &candidate,
              const ToleranceOverrides &overrides)
 {
     StatsComparison res;
-    auto violate = [&](std::string msg) {
-        res.ok = false;
-        res.violations.push_back(std::move(msg));
-    };
-
     if (baseline.schemaVersion != candidate.schemaVersion) {
-        violate("schemaVersion mismatch: baseline "
-                + std::to_string(baseline.schemaVersion)
-                + " vs candidate "
-                + std::to_string(candidate.schemaVersion));
+        res.context.push_back(
+            "schemaVersion mismatch: baseline "
+            + std::to_string(baseline.schemaVersion) + " vs candidate "
+            + std::to_string(candidate.schemaVersion));
     }
     // Comparing a W4/vip run against a W1/baseline run is a harness
     // bug, not a perf regression; refuse rather than mis-diagnose.
     for (const auto &[k, v] : baseline.run) {
         auto it = candidate.run.find(k);
         if (it == candidate.run.end() || it->second != v) {
-            violate("run context mismatch on \"" + k + "\": baseline \""
-                    + v + "\" vs candidate \""
-                    + (it == candidate.run.end() ? std::string("<missing>")
-                                                 : it->second)
-                    + "\"");
+            res.context.push_back(
+                "run context mismatch on \"" + k + "\": baseline \""
+                + v + "\" vs candidate \""
+                + (it == candidate.run.end() ? std::string("<missing>")
+                                             : it->second)
+                + "\"");
         }
     }
 
+    using Kind = StatVerdict::Kind;
     for (const StatEntry &b : baseline.stats) {
-        const StatEntry *c = candidate.find(b.path);
-        if (!c) {
-            violate(b.path + ": missing from candidate");
-            continue;
-        }
-        ++res.compared;
         std::string rule = overrideFor(overrides, b.path);
         if (rule.empty())
             rule = b.tol;
-        if (!valuesWithinTolerance(rule, b.value, c->value)) {
-            char buf[192];
-            std::snprintf(buf, sizeof(buf),
-                          "%s: baseline %.9g vs candidate %.9g "
-                          "(rule %s)",
-                          b.path.c_str(), b.value, c->value,
-                          rule.c_str());
-            violate(buf);
+        const StatEntry *c = candidate.find(b.path);
+        if (!c) {
+            res.rows.push_back({b.path, Kind::Missing, rule, b.value, {}});
+            continue;
         }
+        ++res.compared;
+        const bool within = valuesWithinTolerance(rule, b.value, c->value);
+        res.rows.push_back({b.path, within ? Kind::Pass : Kind::Fail,
+                            rule, b.value, c->value});
     }
     for (const StatEntry &c : candidate.stats) {
         if (!baseline.find(c.path))
-            violate(c.path + ": not present in baseline (new stat? "
-                            "regenerate bench/baseline/)");
+            res.rows.push_back({c.path, Kind::Extra, "", {}, c.value});
     }
+    res.ok = res.context.empty() &&
+             std::ranges::all_of(res.rows, [](const StatVerdict &r) {
+                 return r.kind == Kind::Pass;
+             });
     return res;
 }
 

@@ -22,6 +22,7 @@
 
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,13 +64,41 @@ StatsFile parseStatsJson(std::istream &is);
  */
 using ToleranceOverrides = std::map<std::string, std::string>;
 
+/** How one stat path of the two files' union was judged. */
+struct StatVerdict
+{
+    enum class Kind
+    {
+        Pass,    ///< in both files, within its rule
+        Fail,    ///< in both files, outside its rule
+        Missing, ///< in the baseline only
+        Extra,   ///< in the candidate only
+    };
+
+    std::string path;
+    Kind kind = Kind::Pass;
+    std::string rule;               ///< rule applied; "" for Extra
+    std::optional<double> baseline; ///< absent for Extra
+    std::optional<double> candidate; ///< absent for Missing
+};
+
+/** "pass", "fail", "missing" or "extra". */
+const char *verdictName(StatVerdict::Kind kind);
+
 /** Result of comparing candidate against baseline. */
 struct StatsComparison
 {
     bool ok = true;
-    std::size_t compared = 0;
-    /** Human-readable violations, each naming the offending path. */
-    std::vector<std::string> violations;
+    std::size_t compared = 0; ///< stats present in both files
+    /** Schema and run-context mismatches, which no one stat owns. */
+    std::vector<std::string> context;
+    /** One row per path: the baseline's in file order, then the
+     *  candidate's extras in file order. */
+    std::vector<StatVerdict> rows;
+
+    /** Every violation as one line naming what differs: the context
+     *  mismatches, then each row that did not pass. */
+    std::vector<std::string> violations() const;
 };
 
 /**

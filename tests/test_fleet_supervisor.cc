@@ -862,7 +862,7 @@ TEST_F(FleetTest, JournalFixtureFoldsIntoEveryReportField)
     };
 
     EXPECT_EQ(json::strField(r, "kind"), "vip-fleet-report");
-    EXPECT_EQ(num(r, "schemaVersion"), 2.0);
+    EXPECT_EQ(num(r, "schemaVersion"), 3.0);
     EXPECT_EQ(json::strField(r, "name"), "fixture");
     EXPECT_EQ(num(r, "seconds"), 0.5);
     EXPECT_TRUE(r.find("interrupted") && r.find("interrupted")->b);

@@ -69,7 +69,7 @@ TEST(StatsDiff, SelfComparisonHasZeroViolations)
     auto cmp = compareStats(parseStatsJson(i1), parseStatsJson(i2));
     EXPECT_TRUE(cmp.ok);
     EXPECT_EQ(cmp.compared, 2u);
-    EXPECT_TRUE(cmp.violations.empty());
+    EXPECT_TRUE(cmp.violations().empty());
 }
 
 TEST(StatsDiff, ViolationNamesTheOffendingPath)
@@ -81,8 +81,8 @@ TEST(StatsDiff, ViolationNamesTheOffendingPath)
 
     auto cmp = compareStats(base, cand);
     EXPECT_FALSE(cmp.ok);
-    ASSERT_EQ(cmp.violations.size(), 1u);
-    EXPECT_NE(cmp.violations[0].find("ip.vd.jobs"),
+    ASSERT_EQ(cmp.violations().size(), 1u);
+    EXPECT_NE(cmp.violations()[0].find("ip.vd.jobs"),
               std::string::npos);
 }
 
@@ -105,7 +105,7 @@ TEST(StatsDiff, MissingAndExtraStatsAreViolations)
 
     auto cmp = compareStats(base, cand);
     EXPECT_FALSE(cmp.ok);
-    EXPECT_EQ(cmp.violations.size(), 2u);
+    EXPECT_EQ(cmp.violations().size(), 2u);
 }
 
 TEST(StatsDiff, OverridesPreferLongestMatch)

@@ -46,40 +46,10 @@ usage()
         "  -q                    quiet: exit status only\n");
 }
 
-/** Longest-match tolerance override for @p path, or "" (mirrors the
- *  rule compareStats applies; kept in sync with stats_io.cc). */
-std::string
-overrideFor(const vip::ToleranceOverrides &overrides,
-            const std::string &path)
-{
-    std::string best;
-    std::size_t bestLen = 0;
-    for (const auto &[key, rule] : overrides) {
-        bool match;
-        std::size_t len;
-        if (!key.empty() && key.back() == '*') {
-            std::string prefix = key.substr(0, key.size() - 1);
-            match = path.rfind(prefix, 0) == 0;
-            len = prefix.size();
-        } else {
-            match = path == key;
-            len = key.size() + 1;
-        }
-        if (match && (best.empty() || len > bestLen)) {
-            best = rule;
-            bestLen = len;
-        }
-    }
-    return best;
-}
-
 /** The --json report: one row per union-of-paths stat, each with the
  *  rule that was applied and its verdict. */
 void
-writeJsonReport(const vip::StatsFile &baseline,
-                const vip::StatsFile &candidate,
-                const vip::ToleranceOverrides &overrides,
-                const vip::StatsComparison &cmp)
+writeJsonReport(const vip::StatsComparison &cmp)
 {
     std::printf("{\n"
                 "  \"kind\": \"vip-stats-diff\",\n"
@@ -89,41 +59,22 @@ writeJsonReport(const vip::StatsFile &baseline,
                 "  \"violations\": %zu,\n"
                 "  \"stats\": [\n",
                 cmp.ok ? "true" : "false", cmp.compared,
-                cmp.violations.size());
+                cmp.violations().size());
     bool first = true;
-    auto row = [&](const std::string &path, const char *verdict,
-                   const std::string &rule, const double *b,
-                   const double *c) {
+    for (const vip::StatVerdict &r : cmp.rows) {
         std::printf("%s    {\"path\": %s, \"verdict\": \"%s\", "
                     "\"rule\": %s",
-                    first ? "" : ",\n", vip::json::quoted(path).c_str(),
-                    verdict, vip::json::quoted(rule).c_str());
-        if (b)
-            std::printf(", \"baseline\": %.17g", *b);
-        if (c)
-            std::printf(", \"candidate\": %.17g", *c);
-        if (b && c)
-            std::printf(", \"delta\": %.17g", *c - *b);
+                    first ? "" : ",\n", vip::json::quoted(r.path).c_str(),
+                    vip::verdictName(r.kind),
+                    vip::json::quoted(r.rule).c_str());
+        if (r.baseline)
+            std::printf(", \"baseline\": %.17g", *r.baseline);
+        if (r.candidate)
+            std::printf(", \"candidate\": %.17g", *r.candidate);
+        if (r.baseline && r.candidate)
+            std::printf(", \"delta\": %.17g", *r.candidate - *r.baseline);
         std::printf("}");
         first = false;
-    };
-    for (const vip::StatEntry &b : baseline.stats) {
-        const vip::StatEntry *c = candidate.find(b.path);
-        std::string rule = overrideFor(overrides, b.path);
-        if (rule.empty())
-            rule = b.tol;
-        if (!c) {
-            row(b.path, "missing", rule, &b.value, nullptr);
-            continue;
-        }
-        const bool ok =
-            vip::valuesWithinTolerance(rule, b.value, c->value);
-        row(b.path, ok ? "pass" : "fail", rule, &b.value,
-            &c->value);
-    }
-    for (const vip::StatEntry &c : candidate.stats) {
-        if (!baseline.find(c.path))
-            row(c.path, "extra", "", nullptr, &c.value);
     }
     std::printf("\n  ]\n}\n");
 }
@@ -214,14 +165,15 @@ main(int argc, char **argv)
         vip::StatsComparison cmp =
             vip::compareStats(baseline, candidate, overrides);
         if (wantJson) {
-            writeJsonReport(baseline, candidate, overrides, cmp);
+            writeJsonReport(cmp);
             return cmp.ok ? 0 : 1;
         }
         if (!quiet) {
-            for (const auto &v : cmp.violations)
+            const std::vector<std::string> violations = cmp.violations();
+            for (const auto &v : violations)
                 std::printf("VIOLATION %s\n", v.c_str());
             std::printf("%zu stats compared, %zu violations (%s)\n",
-                        cmp.compared, cmp.violations.size(),
+                        cmp.compared, violations.size(),
                         cmp.ok ? "PASS" : "FAIL");
         }
         return cmp.ok ? 0 : 1;
