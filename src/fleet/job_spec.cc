@@ -126,9 +126,7 @@ parsePolicy(const json::JsonValue &spec)
         *f, "'fleet'",
         {"workers", "max_attempts", "backoff_base_ms", "backoff_cap_ms",
          "heartbeat_deadline_ms", "heartbeat_interval_ms",
-         "checkpoint_every_ms", "lease_ms",
-         "heartbeat_grace_ms", "quarantine_after", "probe_interval_ms",
-         "max_probes", "max_quarantines", "fetch_retries", "resume",
+         "heartbeat_grace_ms", "checkpoint_every_ms", "resume",
          "digests"});
     p.workers =
         static_cast<int>(checkedNum(*f, "workers", p.workers, 1, 4096));
@@ -156,19 +154,8 @@ parsePolicy(const json::JsonValue &spec)
             fatal("job spec: field '", key, "' = ", ms,
                   " ms is below one tick (1e-9 ms); 0 turns it off");
     }
-    p.leaseMs = checkedNum(*f, "lease_ms", p.leaseMs, 0.0, 1e9);
     p.heartbeatGraceMs = checkedNum(*f, "heartbeat_grace_ms",
                                     p.heartbeatGraceMs, 0.0, 1e9);
-    p.quarantineAfter = static_cast<int>(checkedNum(
-        *f, "quarantine_after", p.quarantineAfter, 1, 1000));
-    p.probeIntervalMs = checkedNum(*f, "probe_interval_ms",
-                                   p.probeIntervalMs, 1.0, 1e9);
-    p.maxProbes = static_cast<int>(
-        checkedNum(*f, "max_probes", p.maxProbes, 1, 1000));
-    p.maxQuarantines = static_cast<int>(
-        checkedNum(*f, "max_quarantines", p.maxQuarantines, 1, 1000));
-    p.fetchRetries = static_cast<int>(
-        checkedNum(*f, "fetch_retries", p.fetchRetries, 1, 100));
     p.resume = boolOr(*f, "resume", p.resume);
     p.digests = boolOr(*f, "digests", p.digests);
     if (p.heartbeatDeadlineMs > 0.0 && p.heartbeatIntervalMs <= 0.0)

@@ -22,11 +22,8 @@
  *     "max_attempts": 3,
  *     "backoff_base_ms": 250,
  *     "backoff_cap_ms": 10000,
- *     "lease_ms": 10000,
  *     "heartbeat_deadline_ms": 5000,
  *     "heartbeat_grace_ms": 1000,
- *     "quarantine_after": 3,
- *     "probe_interval_ms": 500,
  *     "heartbeat_interval_ms": 1.0,
  *     "checkpoint_every_ms": 25,
  *     "resume": true,
@@ -60,47 +57,19 @@ struct FleetPolicy
      *  with seeded jitter: retry k waits min(cap, base + u * (3 *
      *  prev - base)) where u is drawn deterministically from (job
      *  id, attempt).  Prevents lockstep retry storms when many
-     *  shards fail together (a host dying fails a whole slot-full at
-     *  once) while staying exactly reproducible.  base 0 retries
-     *  immediately. */
+     *  shards fail together while staying exactly reproducible.
+     *  base 0 retries immediately. */
     double backoffBaseMs = 250.0;
     double backoffCapMs = 10000.0;
     /** @} */
 
     /**
-     * Lease duration for job ownership (wall-clock ms).  A claimed
-     * job carries a monotonically increasing fencing token; its
-     * lease renews on every sign of life (a Running poll, a
-     * heartbeat advance).  When the lease expires — partitioned
-     * host, wedged transport — the job is handed to another worker
-     * under a *new* token, and any artifacts the old attempt later
-     * produces are rejected by token comparison, never merged twice.
-     */
-    double leaseMs = 10000.0;
-
-    /**
      * Startup grace before the heartbeat watchdog arms (wall-clock
      * ms): a freshly launched worker gets this long to produce its
      * first metrics bytes before "no heartbeat" counts against it.
-     * Covers process spawn, remote staging, and simulator warmup.
+     * Covers process spawn and simulator warmup.
      */
     double heartbeatGraceMs = 1000.0;
-
-    /** @{ Host health: this many *consecutive* transport failures
-     *  quarantine a host; re-admission probes start after
-     *  probe_interval_ms (doubling per failure and per repeat
-     *  offense); max_probes failed probes in one quarantine — or
-     *  max_quarantines trips to the bench — and the host is dead. */
-    int quarantineAfter = 3;
-    double probeIntervalMs = 500.0;
-    int maxProbes = 5;
-    int maxQuarantines = 3;
-    /** @} */
-
-    /** Artifact fetch attempts per finished worker before the
-     *  attempt is counted as failed (checksum mismatches and
-     *  transport errors both consume one). */
-    int fetchRetries = 3;
 
     /**
      * Liveness watchdog: a worker whose heartbeat (its streamed

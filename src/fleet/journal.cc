@@ -113,38 +113,18 @@ FoldedSweep
 foldJournal(std::istream &in)
 {
     FoldedSweep s;
-    std::map<std::string, std::size_t> jobAt, hostAt;
-    auto hostNamed = [&](const std::string &name) -> FoldedHost & {
-        const auto it = hostAt.find(name);
-        if (it == hostAt.end())
-            fatal("journal: undeclared host '", name, "'");
-        return s.hosts[it->second];
-    };
-    auto flag = [](const json::JsonValue &r, const char *key) {
-        const json::JsonValue *v = r.find(key);
-        return v && v->b;
-    };
-
+    std::map<std::string, std::size_t> jobAt;
     std::string line;
     // getline() hits EOF only on a line with no newline: a record
     // the writer has not finished (or never will).  Skip it.
     while (std::getline(in, line) && !in.eof()) {
         const json::JsonValue r = json::parse(line);
         const std::string type = json::strField(r, "type");
-        const std::string host = json::strField(r, "host");
         s.wallMs = json::numField(r, "wall_ms");
 
         if (type == "sweep_start") {
             s.name = json::strField(r, "name");
             s.seconds = json::numField(r, "seconds");
-        } else if (type == "host") {
-            hostAt[host] = s.hosts.size();
-            FoldedHost h;
-            h.name = host;
-            h.transport = json::strField(r, "transport");
-            h.slots = static_cast<int>(json::numField(r, "slots"));
-            h.faulty = flag(r, "faulty");
-            s.hosts.push_back(std::move(h));
         } else if (type == "job") {
             FoldedJob j;
             j.job.id = json::strField(r, "job");
@@ -156,32 +136,10 @@ foldJournal(std::istream &in)
             jobAt[j.job.id] = s.jobs.size();
             s.jobs.push_back(std::move(j));
             continue;
-        } else if (type == "op_fail") {
-            FoldedHost &h = hostNamed(host);
-            ++h.opFailures;
-            h.lastError = json::strField(r, "op") + " " +
-                          json::strField(r, "job") + ": " +
-                          json::strField(r, "error");
-        } else if (type == "quarantine" || type == "host_dead") {
-            FoldedHost &h = hostNamed(host);
-            h.state = type == "quarantine" ? "quarantined" : "dead";
-            h.quarantines =
-                static_cast<int>(json::numField(r, "quarantines"));
-        } else if (type == "probe") {
-            FoldedHost &h = hostNamed(host);
-            if (flag(r, "ok"))
-                h.state = "healthy";
-            else
-                h.lastError = json::strField(r, "error");
-        } else if (type == "faults") {
-            hostNamed(host).faultsInjected =
-                static_cast<long>(json::numField(r, "injected"));
         } else if (type == "hang_kill") {
             ++s.hangKills;
         } else if (type == "interrupt") {
             s.interrupted = true;
-        } else if (type == "fatal") {
-            s.fatal = json::strField(r, "error");
         } else if (type == "sweep_end") {
             s.ended = true;
         }
@@ -194,31 +152,27 @@ foldJournal(std::istream &in)
             fatal("journal: undeclared job '", id->str, "'");
         FoldedJob &j = s.jobs[at->second];
 
-        // The record names the job's new state; the fold copies it.
-        if (const json::JsonValue *st = r.find("state")) {
+        // The record names the job's attempt and its new state; the
+        // fold copies both.
+        if (const json::JsonValue *n = r.find("attempt"))
+            j.attempts = static_cast<int>(n->num);
+        if (const json::JsonValue *st = r.find("state"))
             j.state = jobStateNamed(st->str);
-            if (j.state == JobState::Pending)
-                j.host.clear(); // a released claim has no owner
-        }
         j.wallMs += json::numField(r, "elapsed_ms");
         if (const json::JsonValue *why = r.find("why")) {
             j.lastError = why->str;
-            j.history.push_back(
-                (type == "abandon"
-                     ? std::string("abandoned")
-                     : "attempt " + std::to_string(static_cast<int>(
-                                        json::numField(r, "attempt")))) +
-                ": " + why->str);
+            j.history.push_back("attempt " +
+                                std::to_string(j.attempts) + ": " +
+                                why->str);
         }
         if (const json::JsonValue *t = r.find("steady_tick_ms"))
             j.steadyTickMs = t->num;
 
         if (type == "launch") {
-            j.attempts = static_cast<int>(json::numField(r, "attempt"));
-            j.host = host;
             j.tickMs = j.tickWallMs = -1.0;
             j.rates.clear();
-            if (flag(r, "resume")) {
+            const json::JsonValue *resume = r.find("resume");
+            if (resume && resume->b) {
                 j.resumed = true;
                 ++s.resumes;
             }
@@ -234,17 +188,6 @@ foldJournal(std::istream &in)
             }
             j.tickMs = tick;
             j.tickWallMs = s.wallMs;
-        } else if (type == "commit" || type == "zombie_rescue") {
-            ++hostNamed(host).jobsDone;
-            if (type == "zombie_rescue") {
-                j.rescued = true;
-                ++s.zombieRescues;
-            }
-        } else if (type == "lease_expiry") {
-            ++j.leaseExpiries;
-        } else if (type == "stale_reject" || type == "zombie_reject" ||
-                   (type == "zombie_fail" && flag(r, "stale"))) {
-            ++j.zombieRejects;
         }
     }
 
@@ -252,12 +195,6 @@ foldJournal(std::istream &in)
         s.done += j.state == JobState::Done;
         s.failed += j.state == JobState::Failed;
         s.retries += static_cast<std::size_t>(std::max(0, j.attempts - 1));
-        s.leaseExpiries += j.leaseExpiries;
-        s.zombieRejects += j.zombieRejects;
-    }
-    for (const FoldedHost &h : s.hosts) {
-        s.hostsQuarantined += h.quarantines;
-        s.hostsDead += h.state == "dead";
     }
     return s;
 }

@@ -2,30 +2,27 @@
  * @file
  * FleetJournal: the sweep's one record, and the fold that reads it.
  *
- * Every supervisor transition — job and host declarations, launch,
- * heartbeat, chaos/hang kill, job failure, lease expiry, zombie
- * settlement, commit, transport op failure, quarantine, probe,
- * abandonment, interrupt, fatal error, fault tallies, sweep
- * start/end — is one JSON object on one line of
- * <outDir>/journal.jsonl, written and flushed immediately so a
+ * Every supervisor transition — the sweep's start, one declaration
+ * per job, launch, heartbeat, chaos and hang kills, job failure,
+ * commit, interrupt, the sweep's end — is one JSON object on one line
+ * of <outDir>/journal.jsonl, written and flushed immediately so a
  * SIGKILLed sweep still leaves its whole story.  With echo on, the
  * same line goes to stderr as "[fleet] <record>" (heartbeats
  * excepted): the journal is also the supervisor's log.
  *
- * Records carry a strictly monotonic "seq" and the supervisor's
- * wall-clock "wall_ms"; job-scoped records also carry the attempt's
- * fencing token, and every record that moves a job to a new state
- * names that state:
+ * Records carry a dense monotonic "seq" and the supervisor's
+ * wall-clock "wall_ms"; job-scoped records also carry the attempt
+ * number, and every record that moves a job to a new state names
+ * that state:
  *
- *   {"seq": 12, "wall_ms": 153.2, "type": "lease_expiry",
- *    "job": "vip-W1-s2", "token": 3, "attempt": 1, "host": "local",
- *    "why": "lease expired ...", "elapsed_ms": 140.5,
- *    "can_resume": false, "state": "backoff"}
+ *   {"seq": 12, "wall_ms": 153.2, "type": "job_fail",
+ *    "job": "vip-W1-s2", "attempt": 1, "why": "exit code 1",
+ *    "elapsed_ms": 140.5, "will_resume": false, "state": "backoff"}
  *
  * foldJournal() turns the file back into the sweep — every job's
- * state, attempts and history, every host's health, the summary
- * counts.  report.json is the fold of a finished sweep; vip_top
- * folds a live (or killed) one, so the two cannot disagree.
+ * state, attempts and history, the summary counts.  report.json is
+ * the fold of a finished sweep; vip_top folds a live (or killed) one,
+ * so the two cannot disagree.
  *
  * A journal that was never open()ed swallows records silently.
  */
@@ -60,7 +57,7 @@ class FleetJournal
      * destructor writes + flushes the line.  Returned by event(); use
      * as a builder:
      *
-     *   journal.event(now, "launch").str("job", id).u64("token", t);
+     *   journal.event(now, "launch").str("job", id).u64("attempt", n);
      */
     class Record
     {
@@ -106,10 +103,6 @@ struct FoldedJob
     JobState state = JobState::Pending;
     int attempts = 0;
     bool resumed = false;     ///< some attempt restored a checkpoint
-    std::string host;         ///< owner of the newest attempt
-    int leaseExpiries = 0;
-    int zombieRejects = 0;    ///< stale or duplicate results refused
-    bool rescued = false;     ///< done via a post-expiry zombie
     double wallMs = 0.0;      ///< wall time of the settled attempts
     std::string lastError;
     std::vector<std::string> history; ///< one line per lost attempt
@@ -123,23 +116,6 @@ struct FoldedJob
     /** @} */
 };
 
-/** One host as the journal tells it. */
-struct FoldedHost
-{
-    std::string name;
-    std::string transport;
-    int slots = 0;
-    std::string state = "healthy"; ///< healthy | quarantined | dead
-    int quarantines = 0;
-    /** Transport op failures while the host was in rotation; a
-     *  quarantined or dead host's failures are not journaled. */
-    long opFailures = 0;
-    std::size_t jobsDone = 0;
-    std::string lastError;
-    bool faulty = false; ///< fault injection was active
-    long faultsInjected = 0;
-};
-
 /** The sweep a journal describes. */
 struct FoldedSweep
 {
@@ -148,9 +124,7 @@ struct FoldedSweep
     double wallMs = 0.0;      ///< newest record's stamp
     bool ended = false;       ///< sweep_end seen
     bool interrupted = false; ///< stop flag fired mid-sweep
-    std::string fatal;        ///< terminal error ("" = none)
-    std::vector<FoldedJob> jobs;   ///< spec order
-    std::vector<FoldedHost> hosts; ///< roster order
+    std::vector<FoldedJob> jobs; ///< spec order
 
     /** @{ summary counts */
     std::size_t done = 0;
@@ -158,18 +132,12 @@ struct FoldedSweep
     std::size_t retries = 0;  ///< attempts beyond each job's first
     std::size_t resumes = 0;  ///< attempts restored from a ring
     std::size_t hangKills = 0;
-    long leaseExpiries = 0;
-    long zombieRejects = 0;
-    long zombieRescues = 0;
-    int hostsQuarantined = 0; ///< quarantine entries over the sweep
-    int hostsDead = 0;
     /** @} */
 
-    /** 0 all done; 1 completed with failed jobs; 2 interrupted or
-     *  terminal (every host lost). */
+    /** 0 all done; 1 completed with failed jobs; 2 interrupted. */
     int exitCode() const
     {
-        if (interrupted || !fatal.empty())
+        if (interrupted)
             return 2;
         return failed == 0 ? 0 : 1;
     }

@@ -33,71 +33,49 @@ FleetScheduler::FleetScheduler(std::vector<FleetJob> jobs,
     }
 }
 
-void
-FleetScheduler::startAttempt(JobProgress &p, double nowMs)
-{
-    p.state = JobState::Running;
-    ++p.attempts;
-    p.token = ++_nextToken;
-    p.leaseUntilMs =
-        _policy.leaseMs > 0.0
-            ? nowMs + _policy.leaseMs
-            : std::numeric_limits<double>::infinity();
-}
-
 std::size_t
 FleetScheduler::claimNext(double nowMs)
 {
-    std::size_t backoffPick = npos;
+    std::size_t pick = npos;
     for (std::size_t i = 0; i < _jobs.size(); ++i) {
-        JobProgress &p = _jobs[i];
+        const JobProgress &p = _jobs[i];
         if (p.state == JobState::Pending) {
-            startAttempt(p, nowMs);
-            return i;
+            pick = i;
+            break;
         }
         if (p.state == JobState::Backoff && nowMs >= p.readyAtMs &&
-            backoffPick == npos) {
-            backoffPick = i;
-        }
+            pick == npos)
+            pick = i;
     }
-    if (backoffPick != npos)
-        startAttempt(_jobs[backoffPick], nowMs);
-    return backoffPick;
+    if (pick != npos) {
+        _jobs[pick].state = JobState::Running;
+        ++_jobs[pick].attempts;
+    }
+    return pick;
 }
 
-void
-FleetScheduler::releaseClaim(std::size_t idx)
+JobProgress &
+FleetScheduler::running(std::size_t idx, const char *what)
 {
-    vip_assert(idx < _jobs.size(), "releaseClaim: job ", idx);
+    vip_assert(idx < _jobs.size(), what, ": job ", idx);
     JobProgress &p = _jobs[idx];
-    vip_assert(p.state == JobState::Running, "releaseClaim on a job "
-               "in state ", jobStateName(p.state));
-    // The worker never started: the attempt doesn't count, and the
-    // token can never surface in a result.
-    p.state = JobState::Pending;
-    --p.attempts;
-    p.leaseUntilMs = std::numeric_limits<double>::infinity();
+    vip_assert(p.state == JobState::Running, what, " on a job in state ",
+               jobStateName(p.state));
+    return p;
 }
 
 void
-FleetScheduler::renewLease(std::size_t idx, double nowMs)
+FleetScheduler::onSuccess(std::size_t idx)
 {
-    vip_assert(idx < _jobs.size(), "renewLease: job ", idx);
-    JobProgress &p = _jobs[idx];
-    if (p.state == JobState::Running && _policy.leaseMs > 0.0)
-        p.leaseUntilMs = nowMs + _policy.leaseMs;
-}
-
-bool
-FleetScheduler::leaseExpired(std::size_t idx, double nowMs) const
-{
-    const JobProgress &p = _jobs[idx];
-    return p.state == JobState::Running && nowMs > p.leaseUntilMs;
+    JobProgress &p = running(idx, "onSuccess");
+    p.state = JobState::Done;
+    p.resumeNext = false;
 }
 
 void
-FleetScheduler::retire(JobProgress &p, double nowMs, bool canResume)
+FleetScheduler::onFailure(std::size_t idx, double nowMs, bool canResume)
 {
+    JobProgress &p = running(idx, "onFailure");
     if (p.attempts >= _policy.maxAttempts) {
         p.state = JobState::Failed;
         p.resumeNext = false;
@@ -107,68 +85,6 @@ FleetScheduler::retire(JobProgress &p, double nowMs, bool canResume)
     p.readyAtMs =
         nowMs + retryDelayMs(_policy, p.job.id, p.attempts);
     p.resumeNext = _policy.resume && canResume;
-}
-
-void
-FleetScheduler::onLeaseExpired(std::size_t idx, double nowMs,
-                               bool canResume)
-{
-    vip_assert(idx < _jobs.size(), "onLeaseExpired: job ", idx);
-    JobProgress &p = _jobs[idx];
-    vip_assert(p.state == JobState::Running, "onLeaseExpired on a "
-               "job in state ", jobStateName(p.state));
-    // The token deliberately stays current: if the zombie finishes
-    // before a retry claims this job, its result is rescued.
-    retire(p, nowMs, canResume);
-}
-
-bool
-FleetScheduler::acceptSuccess(std::size_t idx, std::uint64_t token)
-{
-    vip_assert(idx < _jobs.size(), "acceptSuccess: job ", idx);
-    JobProgress &p = _jobs[idx];
-    // A stale token lost the race to a newer attempt.  From Backoff
-    // or Failed the current token is a rescue: the attempt outlived
-    // its lease but no newer attempt was ever issued, so its work is
-    // valid.  Done already committed once (a duplicate delivery must
-    // not merge twice); a released (Pending) claim never ran.
-    if (token != p.token || p.state == JobState::Done ||
-        p.state == JobState::Pending)
-        return false;
-    p.state = JobState::Done;
-    p.resumeNext = false;
-    p.leaseUntilMs = std::numeric_limits<double>::infinity();
-    return true;
-}
-
-bool
-FleetScheduler::acceptFailure(std::size_t idx, std::uint64_t token,
-                              double nowMs, bool canResume)
-{
-    vip_assert(idx < _jobs.size(), "acceptFailure: job ", idx);
-    JobProgress &p = _jobs[idx];
-    // Stale token, or an attempt already written off by lease
-    // expiry — either way this failure is already accounted.
-    if (token != p.token || p.state != JobState::Running)
-        return false;
-    p.leaseUntilMs = std::numeric_limits<double>::infinity();
-    retire(p, nowMs, canResume);
-    return true;
-}
-
-std::vector<std::size_t>
-FleetScheduler::failAllUnsettled()
-{
-    std::vector<std::size_t> abandoned;
-    for (std::size_t i = 0; i < _jobs.size(); ++i) {
-        JobProgress &p = _jobs[i];
-        if (p.state == JobState::Done || p.state == JobState::Failed)
-            continue;
-        p.state = JobState::Failed;
-        p.resumeNext = false;
-        abandoned.push_back(i);
-    }
-    return abandoned;
 }
 
 bool

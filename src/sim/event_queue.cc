@@ -192,12 +192,16 @@ void
 EventQueue::restoreEvent(EventId id, Tick when, Callback cb,
                          EventPriority prio, const char *kind)
 {
+    // The id and tick come from a snapshot file: a corrupt one is bad
+    // input (SimFatal), not a kernel bug.
     const std::uint64_t seq = id >> kSlotBits;
     const std::uint32_t s = slotOf(id);
-    vip_assert(seq != 0 && seq < _nextSeq,
-               "restoreEvent id ", id, " outside issued range");
-    vip_assert(when >= _curTick, "restoreEvent in the past: when=",
-               when, " cur=", _curTick);
+    if (seq == 0 || seq >= _nextSeq)
+        fatal("checkpoint restore: event id ", id,
+              " outside the issued range");
+    if (when < _curTick)
+        fatal("checkpoint restore: event ", id, " in the past: when=",
+              when, " cur=", _curTick);
     // Claim exactly the slot the id names; slots added on the way
     // there join the free list.
     while (_slots.size() <= s) {
@@ -205,8 +209,9 @@ EventQueue::restoreEvent(EventId id, Tick when, Callback cb,
         _free.push_back(static_cast<std::uint32_t>(_slots.size() - 1));
     }
     auto it = std::find(_free.begin(), _free.end(), s);
-    vip_assert(it != _free.end(), "restoreEvent id ", id,
-               " names an occupied slot");
+    if (it == _free.end())
+        fatal("checkpoint restore: event id ", id,
+              " names an occupied slot");
     _slots[s].cb.emplace(std::move(cb));
     _free.erase(it);
     insert(seq, s, when, prio, kind);

@@ -294,7 +294,9 @@ class EventQueue : public Auditable
      * Re-create a pending event with its original id, in the pool
      * slot that id names.  Only valid between io() loading and
      * verifyRestore(); ids must come from the snapshot (already
-     * issued, i.e. below the restored sequence counter).
+     * issued, i.e. below the restored sequence counter).  SimFatal
+     * on an id outside that range, a tick in the past, or an id that
+     * names an occupied slot.
      */
     void restoreEvent(EventId id, Tick when, Callback cb,
                       EventPriority prio = EventPriority::Default,

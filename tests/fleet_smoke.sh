@@ -2,9 +2,10 @@
 # Fleet kill-resume smoke: run a small sweep under vip_fleet, SIGKILL
 # one worker mid-run via chaos injection, and gate on the recovered
 # shard being bit-identical (stats + digest stream) to an
-# uninterrupted vip_sim run with the same flags.  Then SIGKILL the
-# supervisor itself mid-sweep and gate on vip_top still folding its
-# journal into a dashboard of every launched job.
+# uninterrupted vip_sim run with the same flags, and on the sweep's
+# journal being well-formed and agreeing with its report.  Then
+# SIGKILL the supervisor itself mid-sweep and gate on vip_top still
+# folding its journal into a dashboard of every launched job.
 #
 # Usage: tests/fleet_smoke.sh [build-dir] [work-dir]
 set -eu
@@ -22,6 +23,86 @@ done
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
+
+# journal_schema <journal.jsonl>... : every record is one of the ten
+# kept types and carries the schema fields, job-scoped records carry
+# the job and its attempt number, and every record that moves a job
+# names the job's new state (the report copies it from there).
+journal_schema() {
+    python3 - "$@" <<'EOF'
+import json, sys
+JOB_SCOPED = {"launch", "heartbeat", "chaos_kill", "hang_kill",
+              "job_fail", "commit"}
+MOVES_JOB = {"launch", "job_fail", "commit"}
+KNOWN = JOB_SCOPED | {"sweep_start", "job", "interrupt", "sweep_end"}
+assert len(KNOWN) == 10, KNOWN
+STATES = {"pending", "running", "backoff", "done", "failed"}
+for path in sys.argv[1:]:
+    for line in open(path):
+        if not line.endswith("\n"):
+            continue  # a record its killed writer never finished
+        r = json.loads(line)
+        assert isinstance(r["seq"], int), (path, r)
+        assert isinstance(r["wall_ms"], (int, float)), (path, r)
+        assert r["type"] in KNOWN, (path, r)
+        if r["type"] in JOB_SCOPED:
+            assert isinstance(r["job"], str), (path, r)
+            assert isinstance(r["attempt"], int), (path, r)
+        if r["type"] in MOVES_JOB:
+            assert r["state"] in STATES, (path, r)
+    print("%s: schema ok" % path)
+EOF
+}
+
+# journal_gate <run-dir> : the journal of a finished sweep is
+# well-formed (seq dense from 0, wall_ms nondecreasing, sweep_start
+# first and sweep_end last), each job's attempts only grow and each
+# done job commits exactly once, and the report, the journal's fold,
+# counts what the journal says.
+journal_gate() {
+    python3 - "$1" <<'EOF'
+import json, sys, collections
+run = sys.argv[1]
+recs = [json.loads(l) for l in open(run + "/journal.jsonl")]
+assert recs, "empty journal"
+assert [r["seq"] for r in recs] == list(range(len(recs))), \
+    "seq not dense-monotonic"
+walls = [r["wall_ms"] for r in recs]
+assert all(a <= b for a, b in zip(walls, walls[1:])), \
+    "wall_ms went backwards"
+assert recs[0]["type"] == "sweep_start", recs[0]
+assert recs[-1]["type"] == "sweep_end", recs[-1]
+
+attempt = collections.defaultdict(int)
+commits = collections.Counter()
+for r in recs:
+    if "attempt" not in r:
+        continue
+    assert r["attempt"] >= attempt[r["job"]], ("attempt went back", r)
+    attempt[r["job"]] = r["attempt"]
+    commits[r["job"]] += r["type"] == "commit"
+assert all(n <= 1 for n in commits.values()), ("committed twice", commits)
+
+rep = json.load(open(run + "/report.json"))
+summ = rep["summary"]
+count = collections.Counter(r["type"] for r in recs)
+jobs = {j["id"]: j for j in rep["jobs"]}
+assert summ["jobs"] == len(jobs) == count["job"], (summ, count)
+assert summ["done"] == sum(commits.values()), (summ, commits)
+assert all(commits[j] == (v["state"] == "done")
+           for j, v in jobs.items()), (commits, jobs)
+assert summ["failed"] == len(rep["failed_jobs"]) == \
+    sum(v["state"] == "failed" for v in jobs.values()), summ
+assert summ["hang_kills"] == count["hang_kill"], summ
+assert summ["resumes"] == sum(1 for r in recs if r["type"] == "launch"
+                              and r["resume"]), summ
+assert summ["retries"] == sum(max(0, n - 1)
+                              for n in attempt.values()), summ
+assert all(v["attempts"] == attempt[j] for j, v in jobs.items()), jobs
+print("journal: %d records, %d launches, %d commits"
+      % (len(recs), count["launch"], sum(commits.values())))
+EOF
+}
 
 # A1 is quiescent every few ms (max dry gap ~36 ms), so a 20 ms ring
 # cadence guarantees a checkpoint exists well before the kill point.
@@ -78,6 +159,7 @@ assert killed["resumed"] is True, killed
 assert any("chaos SIGKILL" in h for h in killed.get("history", [])), killed
 print("report: vip-A1-s1 killed, resumed from checkpoint, done")
 EOF
+journal_gate "$WORK/run"
 
 # Uninterrupted reference run with IDENTICAL flags.  A restore
 # checks config/workload/seed/seconds/audit (checkpoint identity) and
@@ -135,5 +217,6 @@ for j in launched:
 print("killed supervisor: vip_top lists %d launched jobs"
       % len(launched))
 EOF
+journal_schema "$WORK/run/journal.jsonl" "$WORK/killed/journal.jsonl"
 
 echo "fleet kill-resume smoke: PASS"

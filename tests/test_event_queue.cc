@@ -86,6 +86,26 @@ TEST(EventQueue, SchedulingInThePastPanics)
     eq.run();
 }
 
+TEST(EventQueue, RestoreEventRejectsCorruptSnapshotIdsAsFatal)
+{
+    // restoreEvent() takes its ids and ticks from a snapshot file, so
+    // each bad value is bad input (SimFatal), not a kernel bug.
+    EventQueue eq;
+    const EventId live = eq.schedule(100, [] {});
+    const EventId gone = eq.schedule(200, [] {});
+    eq.deschedule(gone); // its slot is free again
+    eq.runUntil(50);
+
+    const EventId unissued = (EventId{1000} << EventQueue::kSlotBits) | 5;
+    EXPECT_THROW(eq.restoreEvent(unissued, 300, [] {}), SimFatal);
+    EXPECT_THROW(eq.restoreEvent(5, 300, [] {}), SimFatal); // seq 0
+    EXPECT_THROW(eq.restoreEvent(gone, 10, [] {}), SimFatal); // past
+    EXPECT_THROW(eq.restoreEvent(live, 300, [] {}), SimFatal); // taken
+    // The slot the rejected ids named is still free for the real one.
+    eq.restoreEvent(gone, 300, [] {});
+    EXPECT_EQ(eq.pending(), 2u);
+}
+
 TEST(EventQueue, DescheduleCancelsEvent)
 {
     EventQueue eq;

@@ -218,6 +218,31 @@ TEST(FleetSpec, PolicyRangeChecks)
                  SimFatal);
 }
 
+TEST(FleetSpec, RemovedPolicyKeysAreRefusedByName)
+{
+    // The remote-host policy (leases, host health, fetch retries) is
+    // gone; a spec that still sets one of its keys must say so rather
+    // than run a sweep that ignores it.
+    for (const char *key :
+         {"lease_ms", "quarantine_after", "probe_interval_ms",
+          "max_probes", "max_quarantines", "fetch_retries"}) {
+        SCOPED_TRACE(key);
+        const std::string text =
+            std::string(R"({"configs": ["vip"], "workloads": ["A1"],
+                            "fleet": {")") +
+            key + "\": 1}}";
+        try {
+            JobSpec::parse(text);
+            ADD_FAILURE() << "removed key accepted";
+        } catch (const SimFatal &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("unknown key '") + key + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(FleetSpec, SecondsMustBePositiveAndSane)
 {
     EXPECT_THROW(JobSpec::parse(R"({

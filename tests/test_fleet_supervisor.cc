@@ -1,15 +1,13 @@
 /**
  * @file
- * Fleet supervision tests: the scheduler's lease-fenced retry state
- * machine under a fake clock (expiry, zombie rejection and rescue,
- * duplicate suppression), decorrelated-jitter backoff, worker argv
+ * Fleet supervision tests: the scheduler's retry state machine under
+ * a fake clock, decorrelated-jitter backoff, worker argv
  * construction, the stats merge, and whole-fleet runs whose workers
  * are real vip_sim processes (VIP_SIM_PATH) — including graceful
- * degradation (failed jobs never abort a sweep), the hang watchdog,
- * host quarantine and recovery under injected transport faults,
- * lease-expiry reassignment across hosts, the all-hosts-dead
- * terminal error, and shards bit-identical to an in-process run —
- * and the journal fold every report is, over a checked-in fixture.
+ * degradation (failed jobs never abort a sweep), a job that cannot
+ * even launch, the hang watchdog, and shards bit-identical to an
+ * in-process run — and the journal fold every report is, over a
+ * checked-in fixture.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +21,6 @@
 
 #include "core/simulation.hh"
 #include "fleet/backoff.hh"
-#include "fleet/hosts.hh"
 #include "fleet/supervisor.hh"
 #include "obs/json.hh"
 #include "obs/stats_merge.hh"
@@ -117,13 +114,6 @@ TEST(FleetScheduler, ClaimsPendingJobsInSpecOrder)
     EXPECT_FALSE(s.allSettled());
 }
 
-/** Fail job @p idx's current attempt at @p nowMs (fake clock). */
-void
-fail(FleetScheduler &s, std::size_t idx, double nowMs, bool canResume)
-{
-    ASSERT_TRUE(s.acceptFailure(idx, s.job(idx).token, nowMs, canResume));
-}
-
 TEST(FleetScheduler, FailureBacksOffExponentiallyThenRetries)
 {
     FleetPolicy pol;
@@ -135,7 +125,7 @@ TEST(FleetScheduler, FailureBacksOffExponentiallyThenRetries)
     const double d2 = retryDelayMs(pol, "vip-A1-s1", 2);
 
     ASSERT_EQ(s.claimNext(0.0), 0u);
-    fail(s, 0, 10.0, false);
+    s.onFailure(0, 10.0, false);
     EXPECT_EQ(s.job(0).state, JobState::Backoff);
     EXPECT_DOUBLE_EQ(s.job(0).readyAtMs, 10.0 + d1);
 
@@ -146,12 +136,12 @@ TEST(FleetScheduler, FailureBacksOffExponentiallyThenRetries)
     EXPECT_EQ(s.job(0).attempts, 2);
 
     // The second failure waits out the second rung.
-    fail(s, 0, 500.0, false);
+    s.onFailure(0, 500.0, false);
     EXPECT_DOUBLE_EQ(s.job(0).readyAtMs, 500.0 + d2);
     ASSERT_EQ(s.claimNext(500.0 + d2), 0u);
 
     // Third failure hits the attempt cap: terminal, sweep settles.
-    fail(s, 0, 2000.0, false);
+    s.onFailure(0, 2000.0, false);
     EXPECT_EQ(s.job(0).state, JobState::Failed);
     EXPECT_TRUE(s.allSettled());
     EXPECT_EQ(s.claimNext(1e9), FleetScheduler::npos);
@@ -165,11 +155,11 @@ TEST(FleetScheduler, ResumableFailureMarksNextAttempt)
     FleetScheduler s({job("vip", "A1", 1)}, pol);
 
     ASSERT_EQ(s.claimNext(0.0), 0u);
-    fail(s, 0, 1.0, true);
+    s.onFailure(0, 1.0, true);
     EXPECT_TRUE(s.job(0).resumeNext);
     ASSERT_EQ(s.claimNext(1.0), 0u);
     EXPECT_TRUE(s.job(0).resumeNext); // this attempt restores
-    EXPECT_TRUE(s.acceptSuccess(0, s.job(0).token));
+    s.onSuccess(0);
     EXPECT_EQ(s.job(0).state, JobState::Done);
     EXPECT_FALSE(s.job(0).resumeNext);
     EXPECT_TRUE(s.allSettled());
@@ -182,7 +172,7 @@ TEST(FleetScheduler, PolicyCanForbidResume)
     pol.backoffBaseMs = 0.0;
     FleetScheduler s({job("vip", "A1", 1)}, pol);
     ASSERT_EQ(s.claimNext(0.0), 0u);
-    fail(s, 0, 1.0, true);
+    s.onFailure(0, 1.0, true);
     EXPECT_FALSE(s.job(0).resumeNext); // checkpoint exists, policy no
 }
 
@@ -192,168 +182,10 @@ TEST(FleetScheduler, PendingJobsWinOverEligibleBackoffs)
     pol.backoffBaseMs = 0.0;
     FleetScheduler s({job("vip", "A1", 1), job("vip", "A1", 2)}, pol);
     ASSERT_EQ(s.claimNext(0.0), 0u);
-    fail(s, 0, 1.0, false);
+    s.onFailure(0, 1.0, false);
     // Job 0 is eligible again, but fresh job 1 goes first.
     EXPECT_EQ(s.claimNext(2.0), 1u);
     EXPECT_EQ(s.claimNext(2.0), 0u);
-}
-
-// ---------------------------------------------------------------
-// Lease-fenced ownership: expiry, zombies, duplicate suppression.
-// ---------------------------------------------------------------
-
-TEST(FleetLease, ExpiryReassignsUnderANewerFencingToken)
-{
-    FleetPolicy pol;
-    pol.maxAttempts = 3;
-    pol.backoffBaseMs = 0.0;
-    pol.leaseMs = 100.0;
-    FleetScheduler s({job("vip", "A1", 1)}, pol);
-
-    ASSERT_EQ(s.claimNext(0.0), 0u);
-    const std::uint64_t t1 = s.job(0).token;
-    EXPECT_FALSE(s.leaseExpired(0, 99.0));
-    s.renewLease(0, 99.0);
-    EXPECT_FALSE(s.leaseExpired(0, 150.0)); // renewed to 199
-    EXPECT_TRUE(s.leaseExpired(0, 199.1));
-
-    // Mid-Running expiry: the attempt is written off and the job
-    // goes back into rotation.
-    s.onLeaseExpired(0, 200.0, true);
-    EXPECT_EQ(s.job(0).state, JobState::Backoff);
-    EXPECT_TRUE(s.job(0).resumeNext);
-    EXPECT_EQ(s.job(0).attempts, 1);
-
-    // The retry runs under a strictly newer token.
-    ASSERT_EQ(s.claimNext(200.0), 0u);
-    const std::uint64_t t2 = s.job(0).token;
-    EXPECT_GT(t2, t1);
-    EXPECT_EQ(s.job(0).attempts, 2);
-
-    // The zombie's late success carries the stale token: rejected,
-    // never merged.
-    EXPECT_FALSE(s.acceptSuccess(0, t1));
-    EXPECT_EQ(s.job(0).state, JobState::Running);
-
-    // The live attempt's success under the current token lands.
-    EXPECT_TRUE(s.acceptSuccess(0, t2));
-    EXPECT_EQ(s.job(0).state, JobState::Done);
-}
-
-TEST(FleetLease, ZombieIsRescuedWhenNoNewerAttemptWasIssued)
-{
-    FleetPolicy pol;
-    pol.backoffBaseMs = 1000.0; // retry not yet eligible
-    pol.leaseMs = 100.0;
-    FleetScheduler s({job("vip", "A1", 1)}, pol);
-
-    ASSERT_EQ(s.claimNext(0.0), 0u);
-    const std::uint64_t t1 = s.job(0).token;
-    s.onLeaseExpired(0, 101.0, false);
-    EXPECT_EQ(s.job(0).state, JobState::Backoff);
-    EXPECT_EQ(s.claimNext(150.0), FleetScheduler::npos);
-
-    // The attempt outlived its lease but nothing re-claimed the job:
-    // its (fence-current) result is still good.  Rescue it.
-    EXPECT_TRUE(s.acceptSuccess(0, t1));
-    EXPECT_EQ(s.job(0).state, JobState::Done);
-    EXPECT_TRUE(s.allSettled());
-    EXPECT_EQ(s.claimNext(1e9), FleetScheduler::npos);
-}
-
-TEST(FleetLease, DuplicateDeliveryNeverMergesTwice)
-{
-    FleetPolicy pol;
-    pol.leaseMs = 100.0;
-    FleetScheduler s({job("vip", "A1", 1)}, pol);
-    ASSERT_EQ(s.claimNext(0.0), 0u);
-    const std::uint64_t t1 = s.job(0).token;
-    EXPECT_TRUE(s.acceptSuccess(0, t1));
-    // Same token, redelivered (duplicated fetch): refused.
-    EXPECT_FALSE(s.acceptSuccess(0, t1));
-    EXPECT_EQ(s.job(0).state, JobState::Done);
-    EXPECT_EQ(s.job(0).attempts, 1);
-}
-
-TEST(FleetLease, StaleFailureReportsAreIgnored)
-{
-    FleetPolicy pol;
-    pol.backoffBaseMs = 0.0;
-    pol.leaseMs = 100.0;
-    FleetScheduler s({job("vip", "A1", 1)}, pol);
-    ASSERT_EQ(s.claimNext(0.0), 0u);
-    const std::uint64_t t1 = s.job(0).token;
-    s.onLeaseExpired(0, 101.0, false);
-    ASSERT_EQ(s.claimNext(101.0), 0u);
-
-    // The zombie dies late: its failure is already accounted by the
-    // expiry, and must not burn the live attempt.
-    EXPECT_FALSE(s.acceptFailure(0, t1, 150.0, false));
-    EXPECT_EQ(s.job(0).state, JobState::Running);
-    EXPECT_EQ(s.job(0).attempts, 2);
-}
-
-TEST(FleetLease, ReleasedClaimBurnsNothingAndAcceptsNothing)
-{
-    FleetPolicy pol;
-    pol.leaseMs = 100.0;
-    FleetScheduler s({job("vip", "A1", 1)}, pol);
-    ASSERT_EQ(s.claimNext(0.0), 0u);
-    const std::uint64_t t1 = s.job(0).token;
-    // Launch failed: the worker never existed.
-    s.releaseClaim(0);
-    EXPECT_EQ(s.job(0).state, JobState::Pending);
-    EXPECT_EQ(s.job(0).attempts, 0);
-    // A result under the released token is impossible in practice;
-    // the fence still refuses it (Pending accepts nothing).
-    EXPECT_FALSE(s.acceptSuccess(0, t1));
-    // The next claim issues a fresh token and attempt 1 again.
-    ASSERT_EQ(s.claimNext(1.0), 0u);
-    EXPECT_EQ(s.job(0).attempts, 1);
-    EXPECT_GT(s.job(0).token, t1);
-}
-
-TEST(FleetLease, ExpiryAtTheAttemptCapIsTerminal)
-{
-    FleetPolicy pol;
-    pol.maxAttempts = 1;
-    pol.leaseMs = 50.0;
-    FleetScheduler s({job("vip", "A1", 1)}, pol);
-    ASSERT_EQ(s.claimNext(0.0), 0u);
-    const std::uint64_t t1 = s.job(0).token;
-    s.onLeaseExpired(0, 51.0, false);
-    EXPECT_EQ(s.job(0).state, JobState::Failed);
-    EXPECT_TRUE(s.allSettled());
-    // ... but a late zombie success under the still-current token
-    // can still rescue the job from the Failed column.
-    EXPECT_TRUE(s.acceptSuccess(0, t1));
-    EXPECT_EQ(s.job(0).state, JobState::Done);
-}
-
-TEST(FleetLease, FailAllUnsettledIsTheTerminalPath)
-{
-    FleetPolicy pol;
-    pol.leaseMs = 0.0; // unleased
-    FleetScheduler s({job("vip", "A1", 1), job("vip", "A1", 2),
-                      job("vip", "A1", 3)},
-                     pol);
-    ASSERT_EQ(s.claimNext(0.0), 0u);
-    EXPECT_TRUE(s.acceptSuccess(0, s.job(0).token));
-    ASSERT_EQ(s.claimNext(1.0), 1u);
-    EXPECT_EQ(s.failAllUnsettled(), (std::vector<std::size_t>{1, 2}));
-    EXPECT_EQ(s.job(0).state, JobState::Done); // completed work survives
-    EXPECT_EQ(s.job(1).state, JobState::Failed);
-    EXPECT_EQ(s.job(2).state, JobState::Failed);
-    EXPECT_TRUE(s.allSettled());
-}
-
-TEST(FleetLease, ZeroLeaseNeverExpires)
-{
-    FleetPolicy pol;
-    pol.leaseMs = 0.0;
-    FleetScheduler s({job("vip", "A1", 1)}, pol);
-    ASSERT_EQ(s.claimNext(0.0), 0u);
-    EXPECT_FALSE(s.leaseExpired(0, 1e12));
 }
 
 // ---------------------------------------------------------------
@@ -395,11 +227,11 @@ TEST(FleetBackoff, JitterIsDeterministicBoundedAndDecorrelated)
 TEST(FleetWorkerArgs, ArgsAreAttemptRelativeAndHostIndependent)
 {
     // Artifact paths in the argv are attempt-relative names: the
-    // transport picks the working directory, so the same argv runs
-    // locally or on any ssh host.  Checkpoint identity
-    // covers audit spec and metrics interval, so every attempt (and
-    // any reference rerun) MUST repeat the same flags; --restore is
-    // appended by the transport after it stages the checkpoint.
+    // worker runs inside its attempt directory, so the same argv
+    // serves every attempt.  Checkpoint identity covers audit spec
+    // and metrics interval, so every attempt (and any reference
+    // rerun) MUST repeat the same flags; the supervisor appends
+    // --restore to a resuming attempt.
     JobSpec spec;
     spec.seconds = 0.25;
     spec.audit = "periodic:1";
@@ -430,9 +262,9 @@ TEST(FleetWorkerArgs, ArgsAreAttemptRelativeAndHostIndependent)
     EXPECT_TRUE(has("--postmortem-dir", attempt_files::kPmDir));
     EXPECT_TRUE(has("--checkpoint-every-ms", "25"));
     for (const auto &a : args) {
-        EXPECT_NE(a, "--restore"); // the transport's job
+        EXPECT_NE(a, "--restore"); // the supervisor's job
         EXPECT_EQ(a.find('/'), std::string::npos)
-            << "host-dependent path in argv: " << a;
+            << "path outside the attempt directory in argv: " << a;
     }
 }
 
@@ -461,8 +293,8 @@ TEST(FleetWorkerArgs, ShardLayoutIsPerJob)
               "runs/x/shards/vip-A1-s1/pm/checkpoint.vips");
     EXPECT_NE(shardPaths("runs/x", "a").dir,
               shardPaths("runs/x", "b").dir);
-    // Attempts stage under the shard, keyed by fencing token, so two
-    // attempts of one job can never collide.
+    // Attempts stage under the shard, keyed by attempt number, so
+    // two attempts of one job can never collide.
     EXPECT_EQ(attemptDir("runs/x", "vip-A1-s1", 7),
               "runs/x/shards/vip-A1-s1/a7");
     EXPECT_NE(attemptDir("runs/x", "j", 1),
@@ -672,145 +504,46 @@ TEST_F(FleetTest, SilentWorkerIsKilledAsHung)
     EXPECT_EQ(hangKillRecords, 2);
 }
 
-// ---------------------------------------------------------------
-// Whole-fleet robustness: quarantine, reassignment, terminal death
-// (local process hosts under deterministic fault injection — no
-// network).
-// ---------------------------------------------------------------
-
-HostSpec
-processHost(const std::string &name, int slots,
-            const std::string &fault)
+TEST_F(FleetTest, UnlaunchableJobFailsAloneAndTheSweepFinishes)
 {
-    HostSpec h;
-    h.name = name;
-    h.transport = "process";
-    h.slots = slots;
-    h.faultSpec = fault;
-    return h;
-}
-
-TEST_F(FleetTest, QuarantinedHostRecoversThroughAProbe)
-{
-    JobSpec spec = smallSpec(0.05);
-    // Two jobs, one slot: the second job can only start after the
-    // quarantined host is probed back to health, so the sweep cannot
-    // finish unless quarantine -> probe -> re-admission works.
-    spec.jobs = {job("vip", "A1", 1), job("vip", "A1", 2)};
-    spec.fleet.quarantineAfter = 1;
-    spec.fleet.probeIntervalMs = 2.0;
-    spec.fleet.maxProbes = 50;
-    spec.fleet.maxQuarantines = 50;
-
-    FleetOptions opt = options();
-    // Ops 1..3 after the launch fail: the first poll quarantines the
-    // host, a probe inside the window fails, a later probe succeeds
-    // and re-admits it; the first attempt keeps running throughout.
-    opt.hosts = {processHost("flaky", 1, "partition@1+3")};
-    FleetSupervisor sup(spec, opt);
-    const FoldedSweep out = sup.run();
-
-    EXPECT_EQ(out.exitCode(), 0);
-    EXPECT_EQ(out.done, 2u);
-    EXPECT_GE(out.hostsQuarantined, 1);
-    EXPECT_EQ(out.hostsDead, 0);
-    ASSERT_EQ(out.hosts.size(), 1u);
-    EXPECT_EQ(out.hosts[0].state, "healthy");
-    EXPECT_GE(out.hosts[0].quarantines, 1);
-    EXPECT_TRUE(out.hosts[0].faulty);
-
-    const std::string report = readFile(path("out/report.json"));
-    EXPECT_NE(report.find("\"quarantined_hosts\": [\"flaky\"]"),
-              std::string::npos);
-}
-
-TEST_F(FleetTest, ExpiredLeaseMovesTheJobToASurvivingHost)
-{
-    JobSpec spec = smallSpec(0.05);
-    spec.jobs = {job("vip", "A1", 1)};
-    spec.fleet.maxAttempts = 3;
-    spec.fleet.leaseMs = 40.0;
-    spec.fleet.quarantineAfter = 1000; // isolate lease behavior
-    spec.fleet.fetchRetries = 1;
-
-    FleetOptions opt = options();
-    // Host "dark" answers the launch, then every op fails forever:
-    // no liveness evidence ever arrives, the lease expires, and the
-    // retry must land on "good".  The zombie's artifacts are
-    // unfetchable and get discarded.
-    opt.hosts = {processHost("dark", 1, "partition@1+100000"),
-                 processHost("good", 1, "")};
-    FleetSupervisor sup(spec, opt);
-    const FoldedSweep out = sup.run();
-
-    EXPECT_EQ(out.exitCode(), 0);
-    EXPECT_EQ(out.done, 1u);
-    EXPECT_EQ(out.leaseExpiries, 1);
-    ASSERT_EQ(out.jobs.size(), 1u);
-    EXPECT_EQ(out.jobs[0].state, JobState::Done);
-    EXPECT_EQ(out.jobs[0].host, "good");
-    EXPECT_EQ(out.jobs[0].leaseExpiries, 1);
-    EXPECT_NE(out.jobs[0].history.back().find("lease expired"),
-              std::string::npos);
-
-    const std::string report = readFile(path("out/report.json"));
-    EXPECT_NE(report.find("\"reassigned_jobs\": [\"vip-A1-s1\"]"),
-              std::string::npos);
-    EXPECT_NE(report.find("\"lease_expiries\": 1"),
-              std::string::npos);
-}
-
-TEST_F(FleetTest, AllHostsDeadIsTerminalButStillReports)
-{
+    // vip-A1-s1's shard directory is a regular file, so none of its
+    // attempt directories can be made: every launch fails.  Each one
+    // burns an attempt like any other failure, and the other job runs
+    // to completion.  (A file, not a chmod: root ignores modes.)
     JobSpec spec = smallSpec(0.05);
     spec.jobs = {job("vip", "A1", 1), job("vip", "A1", 2)};
-    spec.fleet.quarantineAfter = 1;
-    spec.fleet.probeIntervalMs = 1.0;
-    spec.fleet.maxProbes = 1;
-    spec.fleet.maxQuarantines = 1;
-
     FleetOptions opt = options();
-    // The host dies on its very first op: launches fail, the one
-    // re-admission probe fails, and the sweep has nowhere left to
-    // run — the one terminal error, reported, exit code 2.
-    opt.hosts = {processHost("doomed", 2, "die@0")};
+    fs::create_directories(path("out/shards"));
+    std::ofstream(shardPaths(opt.outDir, "vip-A1-s1").dir) << "x";
+
     FleetSupervisor sup(spec, opt);
     const FoldedSweep out = sup.run();
 
-    EXPECT_EQ(out.exitCode(), 2);
-    EXPECT_FALSE(out.fatal.empty());
-    EXPECT_EQ(out.done, 0u);
-    EXPECT_EQ(out.failed, 2u);
-    EXPECT_EQ(out.hostsDead, 1);
-    ASSERT_EQ(out.hosts.size(), 1u);
-    EXPECT_EQ(out.hosts[0].state, "dead");
-    for (const FoldedJob &j : out.jobs) {
-        EXPECT_EQ(j.state, JobState::Failed);
-        EXPECT_NE(j.lastError.find("all hosts dead"),
-                  std::string::npos);
-    }
-    const std::string report = readFile(path("out/report.json"));
-    EXPECT_NE(report.find("\"fatal\""), std::string::npos);
-    EXPECT_NE(report.find("\"hosts_dead\": 1"), std::string::npos);
+    EXPECT_EQ(out.exitCode(), 1);
+    ASSERT_EQ(out.jobs.size(), 2u);
+    const FoldedJob &bad = out.jobs[0];
+    EXPECT_EQ(bad.state, JobState::Failed);
+    EXPECT_EQ(bad.attempts, 2);
+    ASSERT_EQ(bad.history.size(), 2u);
+    EXPECT_NE(bad.lastError.find("launch failed: cannot create"),
+              std::string::npos)
+        << bad.lastError;
+    EXPECT_EQ(out.jobs[1].state, JobState::Done);
+    EXPECT_EQ(out.jobs[1].attempts, 1);
 }
 
-TEST_F(FleetTest, MultiHostSweepSpreadsWorkAndMergesEveryShard)
+TEST_F(FleetTest, TwoWorkerSweepMergesEveryShard)
 {
     JobSpec spec = smallSpec(0.05);
     spec.jobs = {job("vip", "A1", 1), job("vip", "A1", 2),
                  job("baseline", "A1", 1), job("baseline", "A1", 2)};
 
     FleetOptions opt = options();
-    opt.hosts = {processHost("h1", 2, ""), processHost("h2", 2, "")};
     FleetSupervisor sup(spec, opt);
     const FoldedSweep out = sup.run();
 
     EXPECT_EQ(out.exitCode(), 0);
     EXPECT_EQ(out.done, 4u);
-    std::size_t perHost = 0;
-    for (const FoldedHost &h : out.hosts)
-        perHost += h.jobsDone;
-    EXPECT_EQ(perHost, 4u);
     for (const FoldedJob &j : out.jobs)
         EXPECT_TRUE(fs::exists(
             shardPaths(opt.outDir, j.job.id).statsJson));
@@ -826,8 +559,10 @@ TEST_F(FleetTest, MultiHostSweepSpreadsWorkAndMergesEveryShard)
 
 TEST_F(FleetTest, JournalFixtureFoldsIntoEveryReportField)
 {
-    // Every record type, four jobs on two hosts, both hosts dead by
-    // the end, and a last record its writer never finished.
+    // Every record type, four jobs on two workers: a chaos kill and
+    // its resume, a launch failure, a hang kill, an interrupt that
+    // fails the last attempt at the cap, and a last record its writer
+    // never finished.
     std::ifstream in(std::string(VIP_TEST_DATA_DIR) +
                      "/fleet-journal.jsonl");
     ASSERT_TRUE(in);
@@ -842,7 +577,7 @@ TEST_F(FleetTest, JournalFixtureFoldsIntoEveryReportField)
 
     fs::create_directories(path("out"));
     FleetPolicy pol;
-    pol.maxAttempts = 4;
+    pol.maxAttempts = 3;
     writeFleetReport(path("out"), f, pol);
     std::ifstream rin(path("out/report.json"));
     const json::JsonValue r = json::parse(rin);
@@ -862,54 +597,24 @@ TEST_F(FleetTest, JournalFixtureFoldsIntoEveryReportField)
     };
 
     EXPECT_EQ(json::strField(r, "kind"), "vip-fleet-report");
-    EXPECT_EQ(num(r, "schemaVersion"), 3.0);
+    EXPECT_EQ(num(r, "schemaVersion"), 4.0);
     EXPECT_EQ(json::strField(r, "name"), "fixture");
     EXPECT_EQ(num(r, "seconds"), 0.5);
     EXPECT_TRUE(r.find("interrupted") && r.find("interrupted")->b);
-    EXPECT_EQ(json::strField(r, "fatal"),
-              "all 2 host(s) dead; 1 unsettled job(s) abandoned");
-    EXPECT_EQ(num(*r.find("policy"), "max_attempts"), 4.0);
+    EXPECT_EQ(num(*r.find("policy"), "max_attempts"), 3.0);
+    EXPECT_EQ(r.obj.size(), 9u); // nothing beyond the fields above
+    EXPECT_EQ(r.find("policy")->obj.size(), 9u);
 
     const json::JsonValue &sum = *r.find("summary");
     const std::vector<std::pair<const char *, double>> want{
-        {"jobs", 4},           {"done", 3},
-        {"failed", 1},         {"retries", 6},
-        {"resumes", 1},        {"hang_kills", 1},
-        {"lease_expiries", 6}, {"zombie_rejects", 3},
-        {"zombie_rescues", 1}, {"hosts_quarantined", 3},
-        {"hosts_dead", 2},     {"aggregated_shards", 0}};
+        {"jobs", 4},    {"done", 3},       {"failed", 1},
+        {"retries", 5}, {"resumes", 1},    {"hang_kills", 1},
+        {"aggregated_shards", 0}};
     for (const auto &[key, v] : want)
         EXPECT_EQ(num(sum, key), v) << key;
-
-    EXPECT_EQ(strs(r, "reassigned_jobs"),
-              (std::vector<std::string>{"vip-A1-s2", "baseline-W1-s1",
-                                        "baseline-W1-s2"}));
-    EXPECT_EQ(strs(r, "quarantined_hosts"),
-              (std::vector<std::string>{"h1", "h2"}));
+    EXPECT_EQ(sum.obj.size(), want.size());
     EXPECT_EQ(strs(r, "failed_jobs"),
               std::vector<std::string>{"baseline-W1-s2"});
-
-    const std::vector<json::JsonValue> &hosts = r.find("hosts")->arr;
-    ASSERT_EQ(hosts.size(), 2u);
-    EXPECT_EQ(json::strField(hosts[0], "name"), "h1");
-    EXPECT_EQ(json::strField(hosts[0], "transport"), "process");
-    EXPECT_EQ(num(hosts[0], "slots"), 1.0);
-    EXPECT_EQ(json::strField(hosts[0], "state"), "dead");
-    EXPECT_EQ(num(hosts[0], "quarantines"), 1.0);
-    EXPECT_EQ(num(hosts[0], "op_failures"), 1.0);
-    EXPECT_EQ(num(hosts[0], "jobs_done"), 1.0);
-    EXPECT_EQ(num(hosts[0], "faults_injected"), 7.0);
-    EXPECT_EQ(json::strField(hosts[0], "last_error"),
-              "poll baseline-W1-s2: injected fault: host dead");
-    EXPECT_EQ(json::strField(hosts[1], "transport"), "ssh");
-    EXPECT_EQ(num(hosts[1], "slots"), 2.0);
-    EXPECT_EQ(json::strField(hosts[1], "state"), "dead");
-    EXPECT_EQ(num(hosts[1], "quarantines"), 2.0);
-    EXPECT_EQ(num(hosts[1], "op_failures"), 3.0);
-    EXPECT_EQ(num(hosts[1], "jobs_done"), 2.0);
-    EXPECT_FALSE(hosts[1].find("faults_injected")); // not faulty
-    EXPECT_EQ(json::strField(hosts[1], "last_error"),
-              "poll baseline-W1-s2: connection reset");
 
     const std::vector<json::JsonValue> &jobs = r.find("jobs")->arr;
     ASSERT_EQ(jobs.size(), 4u);
@@ -923,12 +628,8 @@ TEST_F(FleetTest, JournalFixtureFoldsIntoEveryReportField)
     EXPECT_EQ(json::strField(a, "state"), "done");
     EXPECT_EQ(num(a, "attempts"), 2.0);
     EXPECT_TRUE(a.find("resumed")->b);
-    EXPECT_EQ(json::strField(a, "host"), "h2");
-    EXPECT_FALSE(a.find("lease_expiries"));
-    EXPECT_EQ(num(a, "zombie_rejects"), 1.0); // stale_reject
-    EXPECT_FALSE(a.find("rescued"));
     EXPECT_EQ(num(a, "steady_tick_ms"), 228.5);
-    EXPECT_EQ(num(a, "wall_ms"), 50.0);
+    EXPECT_EQ(num(a, "wall_ms"), 80.0);
     EXPECT_EQ(json::strField(a, "stats"),
               "shards/vip-A1-s1/stats.json");
     EXPECT_EQ(json::strField(a, "last_error"),
@@ -939,39 +640,33 @@ TEST_F(FleetTest, JournalFixtureFoldsIntoEveryReportField)
 
     EXPECT_EQ(json::strField(b, "fault_plan"), "light");
     EXPECT_FALSE(b.find("resumed")->b);
-    EXPECT_EQ(json::strField(b, "host"), "h1");
-    EXPECT_EQ(num(b, "lease_expiries"), 1.0);
-    EXPECT_FALSE(b.find("zombie_rejects")); // unfetchable: no count
+    EXPECT_EQ(num(b, "attempts"), 1.0);
     EXPECT_EQ(num(b, "steady_tick_ms"), 240.0);
-    EXPECT_EQ(num(b, "wall_ms"), 98.0);
+    EXPECT_EQ(num(b, "wall_ms"), 39.0);
+    EXPECT_FALSE(b.find("last_error"));
+    EXPECT_FALSE(b.find("history"));
 
-    // A lease expiry at the attempt cap, then rescued by its zombie;
-    // its first launch failed and burned nothing.
+    // A launch failure burns its attempt like any other failure.
     EXPECT_EQ(json::strField(c, "state"), "done");
-    EXPECT_EQ(num(c, "attempts"), 2.0);
-    EXPECT_TRUE(c.find("rescued") && c.find("rescued")->b);
+    EXPECT_EQ(num(c, "attempts"), 3.0);
     EXPECT_FALSE(c.find("steady_tick_ms"));
-    EXPECT_EQ(num(c, "wall_ms"), 88.0);
+    EXPECT_EQ(num(c, "wall_ms"), 130.0);
     EXPECT_EQ(strs(c, "history"),
               (std::vector<std::string>{
-                  "attempt 1: hung (no heartbeat), killed",
-                  "attempt 2: lease expired after 600 ms on host h2"}));
+                  "attempt 1: launch failed: cannot create "
+                  "out/shards/baseline-W1-s1/a1: Not a directory",
+                  "attempt 2: hung (no heartbeat), killed"}));
 
-    // Four expiries, a stale-token zombie failure and a stale zombie
-    // success counted as rejects (the unclaimed zombie's failure is
-    // not), then abandoned when the last host died.
+    // Interrupted at the attempt cap: failed, with every attempt told.
     EXPECT_EQ(json::strField(d, "state"), "failed");
-    EXPECT_EQ(num(d, "attempts"), 4.0);
-    EXPECT_EQ(json::strField(d, "host"), "h1");
-    EXPECT_EQ(num(d, "lease_expiries"), 4.0);
-    EXPECT_EQ(num(d, "zombie_rejects"), 2.0);
+    EXPECT_EQ(num(d, "attempts"), 3.0);
     EXPECT_FALSE(d.find("stats"));
-    EXPECT_EQ(num(d, "wall_ms"), 40.0);
-    EXPECT_EQ(json::strField(d, "last_error"),
-              "all hosts dead; job abandoned");
-    ASSERT_EQ(strs(d, "history").size(), 5u);
-    EXPECT_EQ(strs(d, "history").back(),
-              "abandoned: all hosts dead; job abandoned");
+    EXPECT_EQ(num(d, "wall_ms"), 120.0);
+    EXPECT_EQ(json::strField(d, "last_error"), "exit code 130");
+    EXPECT_EQ(strs(d, "history"),
+              (std::vector<std::string>{"attempt 1: exit code 1",
+                                        "attempt 2: killed by signal 11",
+                                        "attempt 3: exit code 130"}));
 
     const std::string agg = readFile(path("out/aggregate.json"));
     EXPECT_NE(agg.find("\"vip-fleet-aggregate\""), std::string::npos);

@@ -1,18 +1,17 @@
 /**
  * @file
- * vip_fleet: crash-surviving sweep orchestrator.
+ * vip_fleet: crash-resumable local sweep runner.
  *
  * Expands a declarative JSON job spec (configs x workloads x seeds x
- * fault plans) into shards, runs each attempt as one vip_sim worker
- * across N supervised slots, and merges the per-shard stats into one
- * percentile report.  Workers that crash, hang, or get killed are
- * retried with exponential backoff, resuming from their
- * flight-recorder checkpoint ring; jobs that exhaust the attempt cap
- * land in the report's failed_jobs section instead of aborting the
- * sweep.
+ * fault plans) into shards, runs each attempt as one forked vip_sim
+ * worker in one of N supervised slots, and merges the per-shard stats
+ * into one percentile report.  Workers that crash, hang, get killed
+ * or cannot be launched are retried with seeded backoff, resuming
+ * from their flight-recorder checkpoint ring; jobs that exhaust the
+ * attempt cap land in the report's failed_jobs section instead of
+ * aborting the sweep.
  *
  *   vip_fleet --spec sweep.json --out runs/nightly
- *   vip_fleet --spec sweep.json --out runs/x --hosts hosts.json
  *   vip_fleet --spec sweep.json --out runs/x --kill vip-W4-s1@30
  *
  * Exit codes: 0 every job done, 1 completed with failed jobs,
@@ -26,7 +25,6 @@
 #include <string>
 
 #include "fleet/supervisor.hh"
-#include "fleet/transport/faulty_transport.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -56,19 +54,12 @@ usage()
         "                       pm/,log.txt}\n"
         "  --vip-sim <path>     worker binary (default: vip_sim next\n"
         "                       to this executable); every attempt\n"
-        "                       is one run of it\n"
+        "                       is one run of it, in\n"
+        "                       shards/<job>/a<attempt>/\n"
         "  --kill <job>@<ms>    chaos: SIGKILL the named job's first\n"
         "                       attempt once its heartbeat reaches\n"
         "                       <ms> simulated ms (exercises\n"
         "                       kill->backoff->resume)\n"
-        "  --hosts <file>       JSON host roster (name, transport\n"
-        "                       process|ssh, slots, optional per-host\n"
-        "                       fault spec).  Default: one local\n"
-        "                       process host with the spec's workers\n"
-        "  --fault <spec>       deterministic transport fault\n"
-        "                       injection on every host, e.g.\n"
-        "                       'seed=7,drop=0.1,corrupt=0.05' or\n"
-        "                       'partition@20+15' / 'die@40'\n"
         "  --print-jobs         list the expanded jobs and exit\n"
         "  --quiet              do not echo journal records to\n"
         "                       stderr\n");
@@ -119,18 +110,6 @@ main(int argc, char **argv)
                 if (end == ms.c_str() || *end != '\0' ||
                     !(opt.killAtSimMs >= 0.0))
                     vip::fatal("--kill: bad sim-ms '", ms, "'");
-            } else if (arg == "--hosts") {
-                std::string err;
-                if (!vip::fleet::parseHostsFile(next(), &opt.hosts,
-                                                &err))
-                    vip::fatal("--hosts: ", err);
-            } else if (arg == "--fault") {
-                opt.faultSpec = next();
-                vip::fleet::FaultSpec parsed;
-                std::string err;
-                if (!vip::fleet::FaultSpec::parse(opt.faultSpec,
-                                                  &parsed, &err))
-                    vip::fatal("--fault: ", err);
             } else if (arg == "--print-jobs") {
                 printJobs = true;
             } else if (arg == "--quiet") {

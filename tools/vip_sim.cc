@@ -27,7 +27,6 @@
 #include <type_traits>
 
 #include "core/simulation.hh"
-#include "fleet/transport/artifact.hh"
 #include "obs/provenance.hh"
 
 namespace
@@ -226,11 +225,6 @@ usage()
         "                               resumed run's digests and\n"
         "                               stats are bit-identical to an\n"
         "                               uninterrupted run\n"
-        "  --fnv1a <file>               print the file's FNV-1a 64\n"
-        "                               checksum (16 hex digits) and\n"
-        "                               exit; exit 1 if unreadable.\n"
-        "                               Used by the fleet's remote\n"
-        "                               artifact verification\n"
         "  --list                       list workloads and exit\n");
 }
 
@@ -434,18 +428,7 @@ main(int argc, char **argv)
                 vip::fatal(arg, " needs a value");
             return argv[++i];
         };
-        if (arg == "--fnv1a") {
-            // Checksum-and-exit mode: lets a bare remote host verify
-            // staged/produced artifacts with no tooling beyond the
-            // worker binary itself.
-            const std::string path = next();
-            bool ok = false;
-            const std::uint64_t h = vip::fleet::fnv1aFile(path, &ok);
-            if (!ok)
-                return 1;
-            std::printf("%s\n", vip::fleet::fnvHex(h).c_str());
-            return 0;
-        } else if (arg == "--workload") {
+        if (arg == "--workload") {
             workload = next();
         } else if (arg == "--config") {
             config = next();

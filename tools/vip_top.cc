@@ -5,8 +5,8 @@
  *
  * Two sources, one renderer:
  *
- *   vip_top <fleet-out-dir>          jobs by state, per-host health,
- *                                    per-shard throughput sparklines,
+ *   vip_top <fleet-out-dir>          jobs by state, per-shard
+ *                                    throughput sparklines,
  *                                    steady/transient flags, ETA
  *                                    (folds <dir>/journal.jsonl, the
  *                                    same fold report.json is)
@@ -186,12 +186,6 @@ renderFleet(const std::string &dir)
                     j.attempts, simMs(j), sparkline(j.rates).c_str(),
                     steady.c_str());
     }
-    std::printf("%-14s %-12s %4s %5s %5s\n", "host", "state", "done",
-                "quar", "opfail");
-    for (const vip::fleet::FoldedHost &h : s.hosts)
-        std::printf("%-14s %-12s %4zu %5d %5ld\n", h.name.c_str(),
-                    h.state.c_str(), h.jobsDone, h.quarantines,
-                    h.opFailures);
     return s.ended;
 }
 

@@ -18,7 +18,7 @@
  * bundle from --postmortem-dir: the trace is read from its
  * trace-tail.json, and --summary also prints crash.json and the
  * stats.json counter snapshot.  A *fleet shard* directory
- * (<out>/shards/<job>/, which stages attempts under a<token>/) also
+ * (<out>/shards/<job>/, which stages attempts under a<attempt>/) also
  * works: the newest attempt's pm/ bundle is surfaced, with the
  * shard's committed stats.json preferred over the attempt snapshot.
  *
@@ -468,9 +468,9 @@ main(int argc, char **argv)
     }
 
     // A directory is a crash bundle from --postmortem-dir — or a
-    // fleet shard directory whose attempts (a<token>/) each hold
+    // fleet shard directory whose attempts (a<attempt>/) each hold
     // their own pm/ bundle.  For a shard, surface the newest
-    // attempt's bundle (highest fencing token = latest ownership);
+    // attempt's bundle (the highest attempt number);
     // the shard's committed stats.json, when present, beats the
     // attempt's crash snapshot.
     std::string crashFile;
@@ -489,14 +489,14 @@ main(int argc, char **argv)
                         static_cast<unsigned char>(name[1])))
                     continue;
                 char *end = nullptr;
-                const std::uint64_t token =
+                const std::uint64_t attempt =
                     std::strtoull(name.c_str() + 1, &end, 10);
                 if (*end != '\0')
                     continue;
                 const auto pm = e.path() / "pm";
                 if (std::filesystem::exists(pm / "trace-tail.json") &&
-                    token >= best) {
-                    best = token;
+                    attempt >= best) {
+                    best = attempt;
                     bestPm = pm;
                 }
             }
